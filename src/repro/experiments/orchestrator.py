@@ -182,6 +182,24 @@ def _execute_indexed(item: Tuple[int, RunSpec]) -> Tuple[int, StrategyRunResult,
     return index, result, time.perf_counter() - started
 
 
+def _reserve_blas_threads(processes: int) -> None:
+    """Worker-process initializer: sibling workers train concurrently on
+    the same CPUs, so each reserves its share of the BLAS thread budget
+    (held until the worker exits)."""
+    from repro.runtime import blas
+
+    blas.reserve(processes)
+
+
+def _worker_pool(processes: int):
+    """The ``multiprocessing`` pool :meth:`Orchestrator.run` fans out over."""
+    import multiprocessing
+
+    return multiprocessing.Pool(
+        processes=processes, initializer=_reserve_blas_threads, initargs=(processes,)
+    )
+
+
 # --------------------------------------------------------------------------- #
 # Result store
 # --------------------------------------------------------------------------- #
@@ -365,10 +383,7 @@ class Orchestrator:
                 pending.append((index, spec))
 
         if pending and self.workers > 1 and len(pending) > 1:
-            import multiprocessing
-
-            processes = min(self.workers, len(pending))
-            with multiprocessing.Pool(processes=processes) as pool:
+            with _worker_pool(min(self.workers, len(pending))) as pool:
                 for index, result, duration_s in pool.imap_unordered(_execute_indexed, pending):
                     sequence += 1
                     report.executed += 1

@@ -7,8 +7,8 @@ package emits shape-specialized C (:mod:`.emitter`), compiles it once per
 machine into an on-disk artifact cache (:mod:`.build`), loads it through
 ``ctypes`` and verifies it **byte-for-byte** against the numpy reference
 path before anything may execute it (:mod:`.kernels`).  GEMMs call back
-into numpy's own vendored OpenBLAS (:mod:`.blas`), which is what makes
-bitwise identity attainable at all.
+into numpy's own vendored OpenBLAS (:mod:`repro.runtime.blas`), which is
+what makes bitwise identity attainable at all.
 
 The backend is **off by default** and entirely opt-in: set
 ``REPRO_CODEGEN=1`` or call :func:`configure`.  When enabled, native
@@ -28,7 +28,7 @@ from typing import Dict, Optional
 
 import numpy as _np
 
-from repro.runtime.codegen import blas as _blas
+from repro.runtime import blas as _blas
 from repro.runtime.codegen import build as _build
 from repro.runtime.codegen import emitter as _emitter
 from repro.runtime.codegen import kernels as _kernels

@@ -15,7 +15,7 @@ the compiler sees compile-time-constant trip counts.  Three families:
 **Bitwise identity is the contract, not a goal.**  The GEMMs are *not*
 open-coded: the generated kernels call back into numpy's own vendored
 OpenBLAS ``cblas_dgemm`` through a function pointer
-(:mod:`repro.runtime.codegen.blas`), so the float additions happen in the
+(:mod:`repro.runtime.blas`), so the float additions happen in the
 same order, in the same library, as ``np.matmul``.  The elementwise ops are
 restricted to a whitelist whose C forms were checked against the numpy
 ufuncs corner-by-corner (``relu`` keeps numpy's ``maximum`` tie/NaN

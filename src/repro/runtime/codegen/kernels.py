@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.runtime.codegen import build as _build
 from repro.runtime.codegen import emitter as _emitter
-from repro.runtime.codegen.blas import dgemm_handle
+from repro.runtime.blas import dgemm_handle
 from repro.runtime.codegen.emitter import (
     ChainSpec,
     ConvGeom,

@@ -76,6 +76,11 @@ from repro.tensor import Tensor, trace_ops
 #: dimension equalling the probe batch.
 _PROBE_BATCH = 2
 
+#: Tolerance a compiled plan's output must meet against the traced module
+#: forward when compilation validates it.
+VALIDATION_RTOL = 1e-5
+VALIDATION_ATOL = 1e-7
+
 #: Compilation is serialised process-wide: tracing records operations into
 #: thread-local state, but :func:`compile_quantized_plan` temporarily loads
 #: export values into the *shared* model object, so two concurrent
@@ -233,7 +238,9 @@ def _compile_locked(
     )
     if validate:
         produced = plan.run(probe)
-        if not np.allclose(produced, traced_out.data, rtol=1e-5, atol=1e-7):
+        if not np.allclose(
+            produced, traced_out.data, rtol=VALIDATION_RTOL, atol=VALIDATION_ATOL
+        ):
             worst = float(np.max(np.abs(produced - traced_out.data)))
             raise PlanCompileError(
                 f"compiled plan diverges from the traced module (max abs err {worst:.3e})"

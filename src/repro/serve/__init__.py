@@ -11,7 +11,8 @@ Layered concurrent serving stack:
   to the cheapest bitwidth variant (the paper's adaptive-precision loop at
   serving time).
 * :class:`~repro.serve.workers.WorkerPool` -- threads executing shared
-  plans concurrently, one buffer arena per worker.
+  plans concurrently, one buffer arena per worker, with OpenBLAS fitted
+  to the workers by the process-wide budget of :mod:`repro.runtime.blas`.
 * :class:`~repro.serve.workers.ProcessWorkerPool` -- spawned worker
   processes (one per :class:`~repro.serve.shards.ShardRouter` shard)
   executing plans against exports in ``multiprocessing.shared_memory``

@@ -16,15 +16,19 @@ latency and analytic per-request energy:
 :func:`run_scaling_bench` is the concurrent companion: it serves the same
 request stream through the multi-model :class:`~repro.serve.service.
 InferenceService` at several worker-pool sizes and reports how throughput
-scales over the single-worker baseline (possible because one compiled plan
-is shared across worker threads, each with its own buffer arena, and the
-numpy kernels release the GIL).
+scales over the single-worker baseline.  One compiled plan is shared across
+worker threads, each with its own buffer arena, and the numpy kernels
+release the GIL; what lets the workers scale on a small host is the BLAS
+thread budget (:mod:`repro.runtime.blas`), which gives each of N workers
+``cpus // N`` OpenBLAS threads instead of letting every worker fan out over
+all of them.  Each row records the BLAS thread count it ran at.
 
 :func:`run_backend_bench` compares the thread and process serving
 backends on one identical request stream: same models, same samples, same
-batching policy, so the logits must come back bitwise identical (the
-report records whether they did) while the process backend escapes the
-GIL entirely.
+batching policy and the same BLAS thread count per worker when ``workers ==
+shards``, so the logits must come back bitwise identical (the report
+records whether they did) while the process backend escapes the GIL
+entirely.
 """
 
 from __future__ import annotations
@@ -303,6 +307,8 @@ class ScalingBenchRow:
     #: Relative to the report's first workers_list entry (its baseline).
     speedup_vs_baseline: float
     mean_batch_size: float
+    #: OpenBLAS threads each worker ran at (``None``: unreadable).
+    blas_threads: Optional[int] = None
 
 
 @dataclass
@@ -327,15 +333,20 @@ class ScalingBenchReport:
         baseline = self.rows[0].workers if self.rows else 1
         header = (
             f"{'workers':>7s} {'seconds':>9s} {'req/s':>10s} "
-            f"{f'vs {baseline} wkr':>9s} {'mean batch':>11s}"
+            f"{f'vs {baseline} wkr':>9s} {'mean batch':>11s} {'blas thr':>8s}"
         )
         lines = [header, "-" * len(header)]
         for row in self.rows:
             lines.append(
                 f"{row.workers:7d} {row.seconds:9.3f} {row.throughput_rps:10.0f} "
-                f"{row.speedup_vs_baseline:8.2f}x {row.mean_batch_size:11.1f}"
+                f"{row.speedup_vs_baseline:8.2f}x {row.mean_batch_size:11.1f} "
+                f"{_format_threads(row.blas_threads):>8s}"
             )
         return lines
+
+
+def _format_threads(blas_threads: Optional[int]) -> str:
+    return "?" if blas_threads is None else str(blas_threads)
 
 
 def run_scaling_bench(
@@ -427,6 +438,7 @@ def run_scaling_bench(
                 throughput_rps=requests / best,
                 speedup_vs_baseline=0.0,  # filled below once the baseline is known
                 mean_batch_size=best_stats.mean_batch_size,
+                blas_threads=service.pool.blas_threads,
             )
         )
     baseline = report.rows[0].throughput_rps
@@ -450,6 +462,9 @@ class BackendBenchRow:
     #: Relative to the thread row (the report's baseline backend).
     speedup_vs_thread: float
     mean_batch_size: float
+    #: OpenBLAS threads each worker thread / shard process ran at
+    #: (``None``: unreadable).
+    blas_threads: Optional[int] = None
 
 
 @dataclass
@@ -477,14 +492,14 @@ class BackendBenchReport:
         """The report as aligned text lines (one per backend)."""
         header = (
             f"{'backend':<8s} {'workers':>7s} {'seconds':>9s} {'req/s':>10s} "
-            f"{'vs thread':>9s} {'mean batch':>11s}"
+            f"{'vs thread':>9s} {'mean batch':>11s} {'blas thr':>8s}"
         )
         lines = [header, "-" * len(header)]
         for row in self.rows:
             lines.append(
                 f"{row.backend:<8s} {row.workers:7d} {row.seconds:9.3f} "
                 f"{row.throughput_rps:10.0f} {row.speedup_vs_thread:8.2f}x "
-                f"{row.mean_batch_size:11.1f}"
+                f"{row.mean_batch_size:11.1f} {_format_threads(row.blas_threads):>8s}"
             )
         lines.append(
             "responses bitwise-identical across backends: "
@@ -503,8 +518,9 @@ def _serve_stream(
     backend: str,
     workers: int,
     shards: Optional[int],
-) -> Tuple[float, List[np.ndarray], float]:
-    """Serve the stream once; returns (seconds, per-request logits, mean batch).
+) -> Tuple[float, List[np.ndarray], float, Optional[int]]:
+    """Serve the stream once; returns (seconds, per-request logits, mean
+    batch, BLAS threads per worker).
 
     Requests are submitted from this single thread in a fixed order; with
     an infinite queue delay a batch dispatches exactly when it is full, so
@@ -533,7 +549,7 @@ def _serve_stream(
         results = [future.result(timeout=120.0) for future in futures]
         seconds = time.perf_counter() - started
     logits = [np.array(result.logits, copy=True) for result in results]
-    return seconds, logits, service.stats.mean_batch_size
+    return seconds, logits, service.stats.mean_batch_size, service.pool.blas_threads
 
 
 def run_backend_bench(
@@ -563,7 +579,9 @@ def run_backend_bench(
         Thread count for the thread backend.
     shards:
         Shard (process) count for the process backend; defaults to
-        ``workers`` so both backends get the same parallelism budget.
+        ``workers`` so both backends get the same parallelism budget --
+        and the same BLAS thread count per worker, which the bitwise
+        identity check relies on.
     batch_size, requests, repeats, seed:
         As in :func:`run_scaling_bench`.  The identity check always uses
         the first repeat of each backend (identical streams).
@@ -610,7 +628,7 @@ def run_backend_bench(
                     repository.add_export(
                         name, export_quantized_model(model, uniform), bits=bits
                     )
-            seconds, logits, mean_batch = _serve_stream(
+            seconds, logits, mean_batch, threads = _serve_stream(
                 repository, names, streams, requests, policy,
                 backend=backend, workers=parallelism, shards=shard_count,
             )
@@ -634,6 +652,7 @@ def run_backend_bench(
                 throughput_rps=requests / best,
                 speedup_vs_thread=0.0,  # filled below
                 mean_batch_size=best_mean_batch,
+                blas_threads=threads,
             )
         )
     baseline = report.row("thread").throughput_rps

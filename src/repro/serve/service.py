@@ -9,7 +9,8 @@ Composition of the serving layers::
         │  max-batch / max-delay dispatch, QueueFullError backpressure
         ▼
     WorkerPool: N threads, per-worker ExecutionContext arenas
-        │  one immutable ExecutionPlan per variant, shared by all workers
+        │  one immutable ExecutionPlan per variant, shared by all workers;
+        │  N threads reserved on the process-wide BLAS thread budget
         ▼
     ResultFuture per request + ServeStats / BatchRecord accounting
 
@@ -106,8 +107,13 @@ class InferenceService:
         one scheduler queue each; plans compile on service start (``warm``)
         so workers never stall on the process-wide compile lock.
     workers:
-        Worker threads.  Each owns private execution contexts; throughput
-        scales with cores because the numpy kernels release the GIL.
+        Worker threads.  Each owns private execution contexts, and the
+        numpy kernels release the GIL, so workers overlap.  While the
+        service runs, each worker's BLAS calls get ``max(1, cpus //
+        workers)`` OpenBLAS threads (the process-wide budget of
+        :mod:`repro.runtime.blas`, shared with any other running pool),
+        so workers do not oversubscribe the CPUs.  ``workers=1`` keeps
+        every CPU for BLAS, which suits a load with one batch in flight.
     queue_policy:
         Batching / backpressure policy applied to every variant queue.
     compute_profile, energy_model:

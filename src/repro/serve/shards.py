@@ -48,6 +48,8 @@ import numpy as np
 from repro.quant.affine import AffineQParams
 from repro.quant.deploy import QuantizedModelExport
 from repro.quant.qtensor import QuantizedTensor
+from repro.runtime import blas
+from repro.serve.types import record_blas_threads
 
 __all__ = [
     "ArenaManifest",
@@ -457,6 +459,9 @@ class ShardWorkerConfig:
     codegen: Optional[Tuple[bool, str]] = None
     #: Eagerly compile every assigned plan before reporting ready.
     warm: bool = True
+    #: Shards the pool spawned.  Sibling shards share the CPUs, so each
+    #: reserves this many compute threads on the BLAS thread budget.
+    shard_count: int = 1
 
 
 def _rebuild_tuning(spec: Optional[Tuple[str, float, int, int]]):
@@ -588,18 +593,24 @@ def shard_worker_main(config: ShardWorkerConfig, commands, events) -> None:
 
     * parent -> worker: ``("batch", slot, key, count, batch_id)``,
       ``("swap", manifest)``, ``("stats",)``, ``("stop",)``.
-    * worker -> parent: ``("ready", shard)`` once plans are warm (or
-      ``("fatal", message)`` if setup failed), then
+    * worker -> parent: ``("ready", shard, blas_threads)`` once plans are
+      warm (or ``("fatal", message)`` if setup failed), then
       ``("done", slot, batch_id, key, count, out_shape, kernel_seconds)``
       or ``("error", slot, batch_id, message)`` per batch,
       ``("swapped", segment_name, generation, keys)`` per remap,
       ``("stats", dump)`` on demand and ``("stopped", dump)`` at exit.
+
+    The worker reserves ``config.shard_count`` threads on the BLAS thread
+    budget before it compiles anything, so plans are warmed, tuned and run
+    at the count its sibling shards share the CPUs with.
     """
     state: Optional[_ShardState] = None
     slab_segment: Optional[shared_memory.SharedMemory] = None
+    reservation = blas.reserve(config.shard_count)
     try:
         try:
             state = _ShardState(config)
+            record_blas_threads(state.registry, reservation.blas_threads)
             slab_segment = attach_segment(config.slab_shm_name)
             ring = SlabRing(slab_segment.buf, config.slab_slots, config.slab_bytes)
             if config.warm:
@@ -610,7 +621,7 @@ def shard_worker_main(config: ShardWorkerConfig, commands, events) -> None:
             except OSError:  # pragma: no cover - parent already gone
                 pass
             return
-        events.send(("ready", config.shard))
+        events.send(("ready", config.shard, reservation.blas_threads))
         while True:
             message = commands.recv()
             kind = message[0]
@@ -642,6 +653,7 @@ def shard_worker_main(config: ShardWorkerConfig, commands, events) -> None:
             events.close()
         except OSError:  # pragma: no cover - already torn down
             pass
+        reservation.release()
 
 
 def _run_batch(

@@ -362,6 +362,23 @@ class ServeStats:
                 self._feedback_correct.inc()
 
 
+def record_blas_threads(registry: Optional[MetricRegistry], blas_threads: Optional[int]) -> None:
+    """Set ``registry``'s ``blas_threads`` gauge, the OpenBLAS thread count
+    a pool start or stop left in effect (0 when it cannot be read).
+
+    Every serving pool records here when it reserves or releases its
+    compute threads on the :mod:`repro.runtime.blas` budget; ``None``
+    (no registry) records nothing.
+    """
+    if registry is None:
+        return
+    registry.gauge(
+        "blas_threads",
+        "OpenBLAS threads per BLAS call as of this process's last pool "
+        "start or stop (0: unreadable).",
+    ).set(blas_threads if blas_threads is not None else 0)
+
+
 class BatchAccountant:
     """Analytic (modelled) energy / device-latency accounting for batches.
 

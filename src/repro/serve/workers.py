@@ -4,8 +4,14 @@ Each worker thread owns one :class:`~repro.runtime.plan.ExecutionContext`
 per plan it has executed (its private buffer arena), so any number of
 workers execute the *same* immutable plan concurrently without sharing any
 mutable state.  The numpy kernels behind the hot steps (BLAS matmul, ufunc
-loops) release the GIL, so worker threads overlap on real cores even in
-CPython.
+loops) release the GIL, so worker threads overlap in CPython -- but each
+BLAS call also fans out over OpenBLAS's own threads, so N workers over an
+untouched OpenBLAS oversubscribe the CPUs (on 2 CPUs two workers served
+slower than one).  A started pool therefore reserves its workers on the
+process-wide BLAS thread budget (:mod:`repro.runtime.blas`): while it runs,
+each BLAS call gets ``max(1, cpus // reserved)`` threads, and the count
+comes back when the pool stops.  Shard processes reserve their shard count
+the same way.
 
 The pool is deliberately dumb: it pulls ``(queue_key, batch)`` pairs from a
 :class:`~repro.serve.scheduler.Scheduler`, asks its :class:`BatchExecutor`
@@ -32,6 +38,7 @@ from repro.obs.registry import (
 )
 from repro.obs.slo import SLOMonitor
 from repro.obs.trace import TraceLog
+from repro.runtime import blas
 from repro.runtime.plan import ExecutionContext, ExecutionPlan
 from repro.serve.scheduler import Scheduler
 from repro.serve.shards import (
@@ -49,6 +56,7 @@ from repro.serve.types import (
     InferenceRequest,
     InferenceResult,
     ServeStats,
+    record_blas_threads,
 )
 
 
@@ -107,6 +115,11 @@ class WorkerPool:
         self._batch_counter = 0
         self._threads: List[threading.Thread] = []
         self._started = False
+        self._blas: Optional[blas.Reservation] = None
+        #: OpenBLAS threads each worker ran at (set by :meth:`start`;
+        #: ``None`` when the count cannot be read).
+        self.blas_threads: Optional[int] = None
+        self._metrics = metrics
         if metrics is not None:
             self._queue_wait_hist = metrics.histogram(
                 "serve_queue_wait_seconds",
@@ -146,7 +159,7 @@ class WorkerPool:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Spawn the worker threads (once; also via ``with``).
+        """Reserve BLAS threads for the workers, then spawn them (once; also via ``with``).
 
         Raises:
             RuntimeError: the pool was already started.
@@ -154,6 +167,9 @@ class WorkerPool:
         if self._started:
             raise RuntimeError("worker pool already started")
         self._started = True
+        self._blas = blas.reserve(self.workers)
+        self.blas_threads = self._blas.blas_threads
+        record_blas_threads(self._metrics, self.blas_threads)
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"serve-worker-{index}", daemon=True
@@ -162,11 +178,18 @@ class WorkerPool:
             thread.start()
 
     def stop(self, timeout: Optional[float] = None) -> None:
-        """Stop the scheduler and join the workers (they drain first)."""
+        """Stop the scheduler and join the workers (they drain first).
+
+        The BLAS reservation is released once every worker has exited; a
+        worker still running after ``timeout`` keeps it until a later
+        ``stop`` joins it.  Calling ``stop`` again is harmless.
+        """
         self.scheduler.stop()
         for thread in self._threads:
             thread.join(timeout)
-        self._threads = []
+        self._threads = [thread for thread in self._threads if thread.is_alive()]
+        if not self._threads and self._blas is not None:
+            record_blas_threads(self._metrics, self._blas.release())
 
     def __enter__(self) -> "WorkerPool":
         self.start()
@@ -422,6 +445,10 @@ class ProcessWorkerPool:
         self.start_timeout_s = start_timeout_s
         self.batch_records: List = []
         self.workers = len(schedulers)
+        #: OpenBLAS threads each shard process runs at, as the shards
+        #: reported when they came up (``None`` before start, or when a
+        #: shard could not read its count).
+        self.blas_threads: Optional[int] = None
         self._shards: List[_Shard] = []
         self._started = False
         self._stopped = False
@@ -554,6 +581,7 @@ class ProcessWorkerPool:
                     tuning=self._tuning_spec(),
                     codegen=self._codegen_spec(),
                     warm=self.warm,
+                    shard_count=self.workers,
                 )
                 shard.process = context.Process(
                     target=shard_worker_main,
@@ -609,6 +637,7 @@ class ProcessWorkerPool:
 
     def _await_ready(self) -> None:
         deadline = time.monotonic() + self.start_timeout_s
+        reported = set()
         for shard in self._shards:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not shard.events.poll(remaining):
@@ -627,6 +656,9 @@ class ProcessWorkerPool:
                 raise RuntimeError(f"shard {shard.index} worker failed to start: {message[1]}")
             if message[0] != "ready":  # pragma: no cover - protocol violation
                 raise RuntimeError(f"unexpected startup message from shard {shard.index}: {message[0]}")
+            reported.add(message[2])
+        # Sibling shards fit one budget, so they report one count.
+        self.blas_threads = reported.pop() if len(reported) == 1 else None
 
     def stop(self, timeout: Optional[float] = None) -> None:
         """Drain the schedulers and in-flight slabs, then stop the workers.

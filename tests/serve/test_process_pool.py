@@ -88,6 +88,60 @@ class TestProcessBackend:
             np.testing.assert_array_equal(thread_result.logits, process_result.logits)
             assert thread_result.prediction == process_result.prediction
 
+    def test_mobilenetv2_matches_thread_backend_and_live_plan_bitwise(self):
+        """mobilenetv2 x0.35's logits depend on the BLAS thread count (1 vs
+        2 OpenBLAS threads differ in the last bits), so identity holds only
+        at equal counts: 2 workers and 2 shards fit the same one, and a
+        ``plan.run`` made while the thread pool still holds its
+        reservation runs at the workers' count too."""
+        shape = (3, 32, 32)
+        names = ["mbv2_a", "mbv2_b"]
+
+        def repo():
+            repo = ModelRepository()
+            for index, name in enumerate(names):
+                model = build_model(
+                    "mobilenetv2", num_classes=10, in_channels=3, width_multiplier=0.35,
+                    rng=np.random.default_rng(index),
+                )
+                repo.add_model(name, model, shape)
+                repo.add_export(
+                    name,
+                    export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()}),
+                    bits=8,
+                )
+            return repo
+
+        rng = np.random.default_rng(3)
+        samples = [rng.normal(size=shape) for _ in range(16)]
+        thread_repo = repo()
+        service = InferenceService(thread_repo, workers=2, queue_policy=_policy())
+        with service:
+            futures = [
+                service.submit(names[index % len(names)], sample)
+                for index, sample in enumerate(samples)
+            ]
+            thread_results = [future.result(timeout=120.0) for future in futures]
+            # Each model's requests formed full batches of 4 in submission order.
+            for offset, name in enumerate(names):
+                own = list(range(offset, len(samples), len(names)))
+                for start in range(0, len(own), 4):
+                    batch = own[start:start + 4]
+                    result = thread_results[batch[0]]
+                    live = thread_repo.plan(name, result.bits).run(
+                        np.stack([samples[index] for index in batch])
+                    )
+                    for row, index in enumerate(batch):
+                        np.testing.assert_array_equal(thread_results[index].logits, live[row])
+        process_results = _serve(
+            InferenceService(repo(), queue_policy=_policy(), backend="process", shards=2),
+            names,
+            samples,
+        )
+        assert len(process_results) == len(thread_results) == 16
+        for thread_result, process_result in zip(thread_results, process_results):
+            np.testing.assert_array_equal(thread_result.logits, process_result.logits)
+
     def test_pending_and_stats_account_across_shards(self):
         service = InferenceService(
             _repo(), queue_policy=_policy(), backend="process", shards=2

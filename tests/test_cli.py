@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import cli
+from repro.runtime import blas
 
 
 class TestTrainCommand:
@@ -231,6 +232,7 @@ class TestServeBenchScalingMode:
         out = capsys.readouterr().out
         assert "serve-bench scaling" in out
         assert "vs 1 wkr" in out
+        assert "blas thr" in out
         assert "variant=fp32" in out
 
     def test_scaling_bits_selects_quantised_variant(self, capsys):
@@ -299,6 +301,8 @@ class TestServeBenchBackendMode:
         payload = json.loads(out_path.read_text())
         assert payload["identical"] is True
         assert {row["backend"] for row in payload["rows"]} == {"thread", "process"}
+        # 2 workers and 2 shards fit one BLAS thread count.
+        assert len({row["blas_threads"] for row in payload["rows"]}) == 1
 
     def test_backend_mode_rejects_export_and_bad_flags(self, capsys):
         assert cli.run_serve_bench(self._argv("--export", "model.npz")) == 2
@@ -436,6 +440,9 @@ class TestMetricsCommand:
         assert total("plan_cache_misses_total") == 2
         assert total("plan_cache_hits_total") == 2
         assert total("slo_evaluations_total") >= 1
+        # Snapshotted after stop: the pool's release restored the count.
+        assert payload["blas_threads"]["kind"] == "gauge"
+        assert total("blas_threads") == (blas.current_threads() or 0)
 
     def test_json_out_writes_snapshot(self, tmp_path, capsys):
         out_path = tmp_path / "metrics.json"
