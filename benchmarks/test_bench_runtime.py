@@ -3,9 +3,10 @@
 Quantifies what the graph-IR refactor buys on the serving hot path:
 
 * **fusion throughput** -- the fully optimised plan (constant folding,
-  affine fusion into the conv/linear kernels, elementwise-chain fusion,
-  CSE, DCE) must be at least as fast as the unoptimised reference
-  interpreter over the same trace, on float and quantised variants;
+  affine fusion into the conv/linear kernels, kernel-variant selection)
+  must be at least as fast as the unoptimised reference interpreter over
+  the same trace, on float and quantised variants (both run weights the
+  lowering packed once);
 * **planned memory** -- the liveness-coloring arena must be strictly
   smaller than the per-step scratch baseline it replaced, at serving batch
   sizes;
@@ -97,10 +98,10 @@ def test_runtime_quantized_optimized_plan(benchmark, compiled):
 def test_optimized_plan_at_least_as_fast_as_unoptimized(compiled, report_rows, best_seconds):
     """Acceptance: the pass pipeline never costs serving throughput.
 
-    The optimised plan folds the BN constant chains, absorbs the affine
-    ops into the conv/linear kernels (in-place epilogues over the arena)
-    and drops dead nodes, so it executes fewer steps over fewer buffers
-    than the reference interpreter.  Timing noise on shared CI runners is
+    The optimised plan folds the BN constant chains and absorbs the
+    affine ops into the conv/linear kernels (in-place epilogues over the
+    arena), so it executes fewer steps over fewer buffers than the
+    reference interpreter.  Timing noise on shared CI runners is
     absorbed by taking the best of several attempts and a small tolerance.
     """
     batch = compiled["batch"]
@@ -275,8 +276,8 @@ def test_native_codegen_beats_tuned_numpy(tmp_path, report_rows, best_seconds):
 
     Every registry conv model is compiled three ways -- the pre-selection
     default pipeline, autotuned with the codegen backend off (numpy
-    variants only), and autotuned with it on (native conv / linear /
-    elementwise kernels admitted) -- and timed at serving batch size.
+    variants only), and autotuned with it on (native conv kernels
+    admitted) -- and timed at serving batch size.
     With a working C compiler the native-tuned plan must be at least as
     fast as the numpy-tuned plan on every model (same 0.95 noise
     tolerance as the other gates), at least 1.3x over the default on at

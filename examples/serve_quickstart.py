@@ -6,7 +6,7 @@ The full deployment path this library now supports end to end:
 2. export the trained model as integer codes (`export_quantized_model`),
 3. compile the export into a quantised ExecutionPlan -- the runtime traces
    the model into a graph IR, runs the optimizing pass pipeline (constant
-   folding, affine fusion, elementwise-chain fusion, CSE, DCE), plans all
+   folding, affine fusion, kernel-variant selection), plans all
    scratch buffers into one arena, and lowers to integer-weight kernel
    steps with zero autograd at run time; `repro.cli plan-inspect` prints
    the same pass-by-pass summary for any saved export,

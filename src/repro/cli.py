@@ -55,9 +55,8 @@ Two entry points (also exposed as console scripts in ``pyproject.toml``):
 ``plan-inspect`` (``python -m repro.cli plan-inspect``)
     Compile a saved quantised export into an execution plan and print the
     optimizing pipeline's pass-by-pass graph summary: node counts around
-    every pass, how many ops were fused into kernels and elementwise
-    chains, and the memory planner's arena bytes against the per-step
-    scratch baseline.
+    every pass, how many ops were fused into kernels, and the memory
+    planner's arena bytes against the per-step scratch baseline.
 
     The listing includes the kernel variant selected for every conv /
     linear / pooling node and its provenance (``tuned`` / ``cached`` /
@@ -84,13 +83,13 @@ Two entry points (also exposed as console scripts in ``pyproject.toml``):
         python -m repro.cli autotune --model tiny_convnet --cache tune.json
         python -m repro.cli autotune --model mobilenetv2 --image-size 32 \
             --bits 8,4 --budget 5.0 --verify
-        python -m repro.cli plan-inspect model.npz --passes fold_constants,dce
+        python -m repro.cli plan-inspect model.npz --passes fold_constants,fuse_affine
 
 ``codegen`` (``python -m repro.cli codegen``)
     Inspect the native codegen backend (``repro.runtime.codegen``):
     compiler and BLAS-bridge availability, the on-disk compiled-artifact
     cache, and a ``--verify`` probe that emits, compiles and
-    bitwise-verifies one kernel per family.
+    bitwise-verifies one conv kernel.
 
     .. code-block:: bash
 
@@ -1261,7 +1260,7 @@ def build_codegen_parser() -> argparse.ArgumentParser:
         description=(
             "Inspect and exercise the native codegen backend: compiler / "
             "BLAS-bridge availability, the on-disk artifact cache, and a "
-            "build-and-bitwise-verify probe of every kernel family."
+            "build-and-bitwise-verify probe of the conv kernel family."
         ),
     )
     parser.add_argument(
@@ -1278,9 +1277,8 @@ def build_codegen_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help=(
-            "emit, compile and bitwise-verify one kernel per family "
-            "(conv2d, linear, elementwise); exit 1 if any family fails "
-            "on a host with a working compiler"
+            "emit, compile and bitwise-verify one conv2d kernel; exit 1 if "
+            "it fails on a host with a working compiler"
         ),
     )
     parser.add_argument(
@@ -1314,16 +1312,12 @@ def run_codegen(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print(f"codegen verify: compiler={report['compiler']} blas={report['blas']}")
             print(f"  cache_dir: {report['cache_dir']}")
-            for family in ("conv2d", "linear", "elementwise"):
-                verdict = "ok" if report[family] else "FAILED"
-                print(f"  {family}: {verdict}")
+            print(f"  conv2d: {'ok' if report['conv2d'] else 'FAILED'}")
             print(
                 f"  builds: {report['built']} compiled, {report['cached']} "
                 f"from warm cache, {report['failed']} failed"
             )
-        if report["compiler"] is not None and not all(
-            report[family] for family in ("conv2d", "linear", "elementwise")
-        ):
+        if report["compiler"] is not None and not report["conv2d"]:
             exit_code = 1
     elif args.status or not args.clear_cache:
         status = codegen.status()

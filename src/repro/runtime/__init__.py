@@ -6,8 +6,7 @@ Splits execution from autograd as a four-layer compiler pipeline:
   :class:`~repro.runtime.ir.Graph` of typed values and nodes;
 * :mod:`repro.runtime.passes` -- a :class:`~repro.runtime.passes.PassManager`
   runs named, individually toggleable optimisation passes (constant
-  folding, CSE, affine fusion, elementwise-chain fusion, dead-node
-  elimination, kernel-variant selection), all byte-exact;
+  folding, affine fusion, kernel-variant selection), all byte-exact;
 * :mod:`repro.runtime.variants` / :mod:`repro.runtime.tuning` -- a registry
   of byte-exact kernel implementations per op and the micro-benchmark
   autotuner (with a persistent :class:`~repro.runtime.tuning.TuningCache`)
@@ -44,12 +43,7 @@ from repro.runtime.passes import (
     available_passes,
     resolve_passes,
 )
-from repro.runtime.plan import (
-    PlanSpec,
-    compile_lock,
-    compile_plan,
-    compile_quantized_plan,
-)
+from repro.runtime.plan import compile_lock, compile_plan, compile_quantized_plan
 from repro.runtime.tuning import Autotuner, TuningCache, TuningConfig
 from repro.runtime.variants import (
     KernelDesc,
@@ -73,7 +67,6 @@ __all__ = [
     "PlanCache",
     "PlanCompileError",
     "PlanMemoryStats",
-    "PlanSpec",
     "TuningCache",
     "TuningConfig",
     "Value",

@@ -10,7 +10,7 @@ addition is not associative, and any summation order other than the one
 ``np.matmul`` uses drifts in the last ulp.  So the generated kernels do not
 reimplement the GEMM: :func:`dgemm_handle` resolves the library's ILP64
 ``cblas_dgemm`` symbol and hands the raw function pointer to them.  Same
-library, same code path, same instruction stream => the native conv/linear
+library, same code path, same instruction stream => the native conv
 kernels produce the same bits as ``np.matmul``.
 
 **The thread budget** (for every pool that runs kernels in parallel).
@@ -80,7 +80,6 @@ _USER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 _ROW_MAJOR = 101
 _NO_TRANS = 111
-_TRANS = 112
 
 _ARGTYPES = [
     ctypes.c_int, ctypes.c_int, ctypes.c_int,          # order, transA, transB
@@ -88,14 +87,6 @@ _ARGTYPES = [
     ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,  # alpha, A, lda
     ctypes.c_void_p, ctypes.c_int64,                   # B, ldb
     ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,  # beta, C, ldc
-]
-
-_GEMV_ARGTYPES = [
-    ctypes.c_int, ctypes.c_int,                        # order, trans
-    ctypes.c_int64, ctypes.c_int64,                    # m, n
-    ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,  # alpha, A, lda
-    ctypes.c_void_p, ctypes.c_int64,                   # x, incx
-    ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,  # beta, y, incy
 ]
 
 _LOCK = threading.Lock()
@@ -109,20 +100,13 @@ ThreadControl = Tuple[Callable[[], int], Callable[[int], None]]
 
 @dataclass(frozen=True)
 class DgemmHandle:
-    """Resolved ``cblas_dgemm`` / ``cblas_dgemv`` pointers plus provenance.
-
-    ``np.matmul`` routes ``(1, k) @ (k, n)`` through a gemv-shaped path,
-    not dgemm, so the generated linear kernels need both entry points to
-    stay bitwise-identical at every batch size; ``gemv_address`` is 0 when
-    only dgemm resolved (the linear family then stays unregistered).
-    """
+    """Resolved ``cblas_dgemm`` pointer plus provenance."""
 
     address: int
     library: str
     symbol: str
     ok: bool
     reason: str
-    gemv_address: int = 0
 
     def describe(self) -> str:
         if self.ok:
@@ -175,39 +159,6 @@ def _probe(fn) -> bool:
     return actual.tobytes() == expected.tobytes()
 
 
-def _probe_gemv(fn) -> bool:
-    """One seeded row-vector product vs numpy's batch-1 matmul path."""
-    rng = np.random.default_rng(20260808)
-    a = rng.standard_normal((1, 13))
-    b = rng.standard_normal((13, 11))
-    expected = np.matmul(a, b)
-    actual = np.empty_like(expected)
-    fn(
-        _ROW_MAJOR, _TRANS,
-        13, 11,
-        1.0, b.ctypes.data, 11,
-        a.ctypes.data, 1,
-        0.0, actual.ctypes.data, 1,
-    )
-    return actual.tobytes() == expected.tobytes()
-
-
-def _resolve_gemv(handle, dgemm_symbol: str) -> int:
-    """The matching gemv entry point's address, or 0."""
-    symbol = dgemm_symbol.replace("dgemm", "dgemv")
-    fn = getattr(handle, symbol, None)
-    if fn is None:
-        return 0
-    fn.argtypes = _GEMV_ARGTYPES
-    fn.restype = None
-    try:
-        if not _probe_gemv(fn):
-            return 0
-    except Exception:
-        return 0
-    return ctypes.cast(fn, ctypes.c_void_p).value or 0
-
-
 def _resolve() -> DgemmHandle:
     libraries = _candidate_libraries()
     if not libraries:
@@ -233,10 +184,7 @@ def _resolve() -> DgemmHandle:
                 last_reason = f"{symbol} probe raised: {exc}"
                 continue
             address = ctypes.cast(fn, ctypes.c_void_p).value or 0
-            return DgemmHandle(
-                address, library, symbol, True, "",
-                gemv_address=_resolve_gemv(handle, symbol),
-            )
+            return DgemmHandle(address, library, symbol, True, "")
     return DgemmHandle(0, "", "", False, last_reason)
 
 

@@ -154,7 +154,6 @@ class PlanCache:
         model: Module,
         export: QuantizedModelExport,
         input_shape: Tuple[int, ...],
-        fold_affine: bool = True,
         *,
         passes: Optional[Sequence[str]] = None,
         optimize: bool = True,
@@ -174,7 +173,7 @@ class PlanCache:
             architecture_fingerprint(model),
             export.content_hash(),
             tuple(input_shape),
-            resolve_passes(optimize, passes, fold_affine),
+            resolve_passes(optimize, passes),
             codegen.fingerprint(),
             tuning_fingerprint(tuning),
         )
@@ -197,7 +196,6 @@ class PlanCache:
         export: QuantizedModelExport,
         input_shape: Tuple[int, ...],
         *,
-        fold_affine: bool = True,
         passes: Optional[Sequence[str]] = None,
         optimize: bool = True,
         validate: bool = True,
@@ -209,12 +207,12 @@ class PlanCache:
         (structure fingerprint), compiles the plan on a miss, and is
         restored to its own state after tracing (see
         :func:`~repro.runtime.plan.compile_quantized_plan`).  The resolved
-        ``passes`` / ``optimize`` / ``fold_affine`` configuration and the
+        ``passes`` / ``optimize`` configuration and the
         tuning setup's fingerprint are part of the key.
         """
         key = self.key_for(
-            model, export, input_shape, fold_affine, passes=passes,
-            optimize=optimize, tuning=tuning,
+            model, export, input_shape, passes=passes, optimize=optimize,
+            tuning=tuning,
         )
         while True:
             with self._lock:
@@ -238,7 +236,6 @@ class PlanCache:
                 model,
                 export,
                 input_shape,
-                fold_affine=fold_affine,
                 passes=passes,
                 optimize=optimize,
                 validate=validate,

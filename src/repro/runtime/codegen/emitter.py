@@ -1,29 +1,25 @@
 """Shape-specialized C source emitter for the native codegen backend.
 
-Emits one self-contained C translation unit per (step family, geometry,
+Emits one self-contained C translation unit per (conv geometry,
 fused-epilogue) signature -- every loop bound is baked as a ``#define``, so
-the compiler sees compile-time-constant trip counts.  Three families:
-
-* **conv2d** -- im2col gather (exactly the reference
-  :func:`repro.kernels.conv.im2col` ordering) into a scratch matrix, one
-  GEMM per sample, then the fused affine/activation epilogue in a single
-  pass over the output;
-* **linear** -- one GEMM for the whole batch plus the same epilogue loop;
-* **elementwise** -- a :class:`repro.runtime.executor.FusedElementwiseStep`
-  ufunc chain collapsed into a single C loop.
+the compiler sees compile-time-constant trip counts.  Each kernel is an
+im2col gather (exactly the reference :func:`repro.kernels.conv.im2col`
+ordering) into a scratch matrix, one GEMM per sample, then the fused
+affine/activation epilogue in a single pass over the output.
 
 **Bitwise identity is the contract, not a goal.**  The GEMMs are *not*
 open-coded: the generated kernels call back into numpy's own vendored
 OpenBLAS ``cblas_dgemm`` through a function pointer
 (:mod:`repro.runtime.blas`), so the float additions happen in the
-same order, in the same library, as ``np.matmul``.  The elementwise ops are
+same order, in the same library, as ``np.matmul``.  The epilogue ops are
 restricted to a whitelist whose C forms were checked against the numpy
 ufuncs corner-by-corner (``relu`` keeps numpy's ``maximum`` tie/NaN
 behaviour, ``clamp`` keeps ``np.clip``'s ``-0.0`` and NaN propagation,
 scalars are baked as C99 hex-float literals, and ``-ffp-contract=off``
 forbids FMA contraction).  Ops without an exactly-matching C form
 (``exp``/``tanh``/``sigmoid``/``pow`` -- libm is not ulp-identical) are
-simply not admitted; the spec builders return ``None`` and numpy serves.
+simply not admitted; :func:`epilogue_spec` returns ``None`` and numpy
+serves the epilogue.
 """
 
 from __future__ import annotations
@@ -33,17 +29,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
-    "ChainSpec",
     "ConvGeom",
     "ElemOpSpec",
     "ElemRef",
     "EpilogueSpec",
-    "LinearGeom",
     "c_double",
-    "elementwise_spec",
     "emit_conv",
-    "emit_elementwise",
-    "emit_linear",
     "epilogue_spec",
 ]
 
@@ -67,20 +58,21 @@ def c_double(value: float) -> str:
 class ElemRef:
     """One operand of an elementwise op.
 
-    ``kind`` is ``"chain"`` (the running value), ``"extern"`` (a runtime
-    array, ``index`` into the extern pointer table) or ``"scalar"`` (a
-    constant baked into the source as a hex-float literal).
+    ``kind`` is ``"chain"`` (the running value), ``"extern"`` (a
+    per-channel constant array passed at run time, ``index`` into the
+    extern pointer table) or ``"scalar"`` (a constant baked into the source
+    as a hex-float literal).
     """
 
     kind: str
     index: int = -1
     value: float = 0.0
 
-    def detail(self, modes: Tuple[str, ...]) -> str:
+    def detail(self) -> str:
         if self.kind == "chain":
             return "c"
         if self.kind == "extern":
-            return f"e{self.index}{modes[self.index][0]}"
+            return f"e{self.index}"
         return f"k{float(self.value).hex()}"
 
 
@@ -93,8 +85,8 @@ class ElemOpSpec:
     lo: Optional[float] = None
     hi: Optional[float] = None
 
-    def detail(self, modes: Tuple[str, ...]) -> str:
-        args = ",".join(ref.detail(modes) for ref in self.refs)
+    def detail(self) -> str:
+        args = ",".join(ref.detail() for ref in self.refs)
         if self.op == "clamp":
             lo = "_" if self.lo is None else float(self.lo).hex()
             hi = "_" if self.hi is None else float(self.hi).hex()
@@ -103,32 +95,16 @@ class ElemOpSpec:
 
 
 @dataclass(frozen=True)
-class ChainSpec:
-    """A fused-elementwise chain admissible for native compilation.
-
-    ``x_shape`` is the per-sample shape of the chain buffer;
-    ``extern_modes`` records, per extern slot, how the C kernel indexes it:
-    ``full`` (batched array, element ``i``), ``sample`` (per-sample array,
-    ``i % sample``) or ``channel`` (per-channel array,
-    ``(i / block) % channels``).
-    """
-
-    x_shape: Tuple[int, ...]
-    ops: Tuple[ElemOpSpec, ...]
-    extern_modes: Tuple[str, ...]
-
-    def detail(self) -> str:
-        return ";".join(op.detail(self.extern_modes) for op in self.ops)
-
-
-@dataclass(frozen=True)
 class EpilogueSpec:
-    """Fused conv/linear epilogue: ``*= scale``, ``+= shift[ch]``, post ops."""
+    """Fused conv epilogue: ``*= scale``, ``+= shift[ch]``, post ops.
+
+    ``externs`` counts the per-channel arrays the post ops read.
+    """
 
     has_scale: bool
     has_shift: bool
     ops: Tuple[ElemOpSpec, ...] = ()
-    extern_modes: Tuple[str, ...] = ()
+    externs: int = 0
 
     def detail(self) -> str:
         parts: List[str] = []
@@ -136,7 +112,7 @@ class EpilogueSpec:
             parts.append("s")
         if self.has_shift:
             parts.append("b")
-        parts.extend(op.detail(self.extern_modes) for op in self.ops)
+        parts.extend(op.detail() for op in self.ops)
         return ";".join(parts)
 
     def is_empty(self) -> bool:
@@ -175,53 +151,27 @@ class ConvGeom:
         return self.c_in * self.kh * self.kw
 
 
-@dataclass(frozen=True)
-class LinearGeom:
-    """Baked linear geometry: ``(batch, in) @ (in, out)``."""
-
-    in_features: int
-    out_features: int
-
-
-def _extern_mode(
-    shape: Tuple[int, ...], batched: bool, x_shape: Tuple[int, ...]
-) -> Optional[str]:
-    """Classify how an extern array is indexed against the chain buffer."""
-    if batched:
-        return "full" if tuple(shape[1:]) == tuple(x_shape) else None
-    if tuple(shape) == tuple(x_shape) or tuple(shape) == (1,) + tuple(x_shape):
-        return "sample"
-    if len(x_shape) == 3:
-        channels = x_shape[0]
-        if tuple(shape) in ((channels, 1, 1), (1, channels, 1, 1)):
-            return "channel"
-    if len(x_shape) == 1 and tuple(shape) == (x_shape[0],):
-        return "sample"
-    return None
-
-
 def _build_ops(
     operations: Sequence[Tuple[str, Sequence[tuple], dict]],
-    x_shape: Tuple[int, ...],
-    allow_chain_first: bool,
-) -> Optional[Tuple[Tuple[ElemOpSpec, ...], Tuple[str, ...]]]:
-    """Shared spec-builder core; ``None`` whenever anything is inadmissible.
+    channels: int,
+) -> Optional[Tuple[Tuple[ElemOpSpec, ...], int]]:
+    """Epilogue spec-builder core; ``None`` whenever anything is inadmissible.
 
     Each operand is ``("chain",)``, ``("scalar", float)`` or
-    ``("extern", shape, batched)``; extern slots are assigned in traversal
-    order, which is the order the caller must pass the arrays at runtime.
+    ``("extern", shape)``, where an extern must be per-channel (shape
+    ``(C, 1, 1)`` or ``(1, C, 1, 1)``: the spatial dims are not known until
+    run time).  Extern slots are assigned in traversal order, which is the
+    order the caller must pass the arrays at runtime.
     """
     specs: List[ElemOpSpec] = []
-    modes: List[str] = []
-    for position, (op, operands, ctx) in enumerate(operations):
+    externs = 0
+    for op, operands, ctx in operations:
         if op not in NATIVE_ELEM_OPS:
             return None
         refs: List[ElemRef] = []
         for operand in operands:
             kind = operand[0]
             if kind == "chain":
-                if position == 0 and not allow_chain_first:
-                    return None
                 refs.append(ElemRef("chain"))
             elif kind == "scalar":
                 value = float(operand[1])
@@ -229,11 +179,10 @@ def _build_ops(
                     return None
                 refs.append(ElemRef("scalar", value=value))
             elif kind == "extern":
-                mode = _extern_mode(operand[1], operand[2], x_shape)
-                if mode is None:
+                if tuple(operand[1]) not in ((channels, 1, 1), (1, channels, 1, 1)):
                     return None
-                refs.append(ElemRef("extern", index=len(modes)))
-                modes.append(mode)
+                refs.append(ElemRef("extern", index=externs))
+                externs += 1
             else:
                 return None
         expected = 2 if op in _BINARY else 1
@@ -254,40 +203,25 @@ def _build_ops(
         specs.append(ElemOpSpec(op, tuple(refs), lo=lo, hi=hi))
     if not specs:
         return None
-    return tuple(specs), tuple(modes)
-
-
-def elementwise_spec(
-    x_shape: Sequence[int],
-    operations: Sequence[Tuple[str, Sequence[tuple], dict]],
-) -> Optional[ChainSpec]:
-    """Build the native spec for a fused-elementwise chain, or ``None``."""
-    shape = tuple(int(dim) for dim in x_shape)
-    if not shape or any(dim <= 0 for dim in shape):
-        return None
-    built = _build_ops(operations, shape, allow_chain_first=False)
-    if built is None:
-        return None
-    ops, modes = built
-    return ChainSpec(x_shape=shape, ops=ops, extern_modes=modes)
+    return tuple(specs), externs
 
 
 def epilogue_spec(
-    sample_shape: Sequence[int],
+    channels: int,
     has_scale: bool,
     has_shift: bool,
     operations: Sequence[Tuple[str, Sequence[tuple], dict]],
 ) -> Optional[EpilogueSpec]:
-    """Build the fused-epilogue spec for a conv/linear step, or ``None``."""
-    shape = tuple(int(dim) for dim in sample_shape)
+    """Build the fused-epilogue spec for a conv step with ``channels``
+    output channels, or ``None``."""
     if not operations:
         return EpilogueSpec(has_scale=has_scale, has_shift=has_shift)
-    built = _build_ops(operations, shape, allow_chain_first=True)
+    built = _build_ops(operations, int(channels))
     if built is None:
         return None
-    ops, modes = built
+    ops, externs = built
     return EpilogueSpec(
-        has_scale=has_scale, has_shift=has_shift, ops=ops, extern_modes=modes
+        has_scale=has_scale, has_shift=has_shift, ops=ops, externs=externs
     )
 
 
@@ -304,33 +238,25 @@ typedef int64_t i64;
 typedef void (*dgemm_fn)(int, int, int, i64, i64, i64, double,
                          const double*, i64, const double*, i64,
                          double, double*, i64);
-typedef void (*dgemv_fn)(int, int, i64, i64, double, const double*, i64,
-                         const double*, i64, double, double*, i64);
 #define ROW_MAJOR 101
 #define NO_TRANS 111
-#define TRANS 112
 """
 
 
-def _ref_expr(ref: ElemRef, modes: Tuple[str, ...]) -> str:
-    # The loops below maintain ``i`` (flat), ``s`` (sample-local) and ``c``
-    # (channel) indices directly, so no per-element div/mod is emitted --
-    # integer division in the hot loop costs more than the arithmetic it
-    # indexes and defeats vectorisation.
+def _ref_expr(ref: ElemRef) -> str:
+    # The loop below maintains ``i`` (flat) and ``c`` (channel) indices
+    # directly, so no per-element div/mod is emitted -- integer division
+    # in the hot loop costs more than the arithmetic it indexes and
+    # defeats vectorisation.
     if ref.kind == "chain":
         return "v"
     if ref.kind == "scalar":
         return c_double(ref.value)
-    mode = modes[ref.index]
-    if mode == "full":
-        return f"e{ref.index}[i]"
-    if mode == "sample":
-        return f"e{ref.index}[s]"
     return f"e{ref.index}[c]"
 
 
-def _op_lines(spec: ElemOpSpec, modes: Tuple[str, ...]) -> List[str]:
-    refs = [_ref_expr(ref, modes) for ref in spec.refs]
+def _op_lines(spec: ElemOpSpec) -> List[str]:
+    refs = [_ref_expr(ref) for ref in spec.refs]
     if spec.op == "add":
         return [f"v = ({refs[0]}) + ({refs[1]});"]
     if spec.op == "sub":
@@ -371,26 +297,25 @@ def _extern_decls(count: int) -> List[str]:
     ]
 
 
-def _fused_loop(body: List[str], target: str) -> List[str]:
+def _fused_loop(body: List[str]) -> List[str]:
     """Nested batch/channel/inner loops around one fused element ``body``.
 
-    ``i`` walks the flat buffer, ``s`` the sample and ``c`` the channel, all
-    by increment -- the straight-line inner loop indexes every operand
-    contiguously (or loop-invariantly), which is what lets the compiler
-    vectorise it and what keeps the kernel ahead of a chain of separate
-    numpy ufunc passes at large batch sizes.
+    ``i`` walks the flat output and ``c`` the channel, both by increment --
+    the straight-line inner loop indexes every operand contiguously (or
+    loop-invariantly), which is what lets the compiler vectorise it and
+    what keeps the kernel ahead of a chain of separate numpy ufunc passes
+    at large batch sizes.
     """
     lines = [
         "    {",
         "    i64 i = 0;",
         "    for (i64 n = 0; n < batch; ++n) {",
-        "        i64 s = 0;",
-        "        for (i64 c = 0; c < CH_COUNT; ++c) {",
-        "            for (i64 k = 0; k < CH_BLOCK; ++k, ++i, ++s) {",
+        "        for (i64 c = 0; c < C_OUT; ++c) {",
+        "            for (i64 k = 0; k < PATCHES; ++k, ++i) {",
     ]
     lines.extend(f"                {stmt}" for stmt in body)
     lines.extend([
-        f"                {target}[i] = v;",
+        "                out[i] = v;",
         "            }",
         "        }",
         "    }",
@@ -409,13 +334,13 @@ def _epilogue_loop(epilogue: Optional[EpilogueSpec]) -> List[str]:
     if epilogue.has_shift:
         body.append("v += shift[c];")
     for op in epilogue.ops:
-        body.extend(_op_lines(op, epilogue.extern_modes))
-    return _fused_loop(body, "out")
+        body.extend(_op_lines(op))
+    return _fused_loop(body)
 
 
 def emit_conv(geom: ConvGeom, epilogue: Optional[EpilogueSpec]) -> str:
     """C source for one conv2d signature with its fused epilogue."""
-    extern_count = len(epilogue.extern_modes) if epilogue is not None else 0
+    extern_count = epilogue.externs if epilogue is not None else 0
     fast_1x1 = (
         geom.kh == 1 and geom.kw == 1
         and geom.sh == 1 and geom.sw == 1
@@ -437,8 +362,6 @@ def emit_conv(geom: ConvGeom, epilogue: Optional[EpilogueSpec]) -> str:
         "#define PATCHES (OH * OW)",
         "#define K_ROWS (C_IN * KH * KW)",
         "#define SAMPLE (C_OUT * PATCHES)",
-        "#define CH_BLOCK PATCHES",
-        "#define CH_COUNT C_OUT",
     ]
     epi_detail = epilogue.detail() if epilogue is not None else ""
     lines = [
@@ -447,11 +370,11 @@ def emit_conv(geom: ConvGeom, epilogue: Optional[EpilogueSpec]) -> str:
         *defines,
         "",
         "int repro_kernel(const double* x, const double* w, double* out,",
-        "                 i64 batch, void* dgemm_ptr, void* dgemv_ptr,",
+        "                 i64 batch, void* dgemm_ptr,",
         "                 double scale, const double* shift,",
         "                 const double** externs) {",
         "    dgemm_fn dgemm = (dgemm_fn)dgemm_ptr;",
-        "    (void)externs; (void)scale; (void)shift; (void)dgemv_ptr;",
+        "    (void)externs; (void)scale; (void)shift;",
         *_extern_decls(extern_count),
     ]
     if fast_1x1:
@@ -501,72 +424,4 @@ def emit_conv(geom: ConvGeom, epilogue: Optional[EpilogueSpec]) -> str:
         ])
     lines.extend(_epilogue_loop(epilogue))
     lines.extend(["    return 0;", "}", ""])
-    return "\n".join(lines)
-
-
-def emit_linear(geom: LinearGeom, epilogue: Optional[EpilogueSpec]) -> str:
-    """C source for one linear signature: one batch GEMM + fused epilogue."""
-    extern_count = len(epilogue.extern_modes) if epilogue is not None else 0
-    epi_detail = epilogue.detail() if epilogue is not None else ""
-    lines = [
-        f"/* repro native linear | epilogue: {epi_detail!r} */",
-        _PRELUDE,
-        f"#define IN_F {geom.in_features}",
-        f"#define OUT_F {geom.out_features}",
-        "#define SAMPLE OUT_F",
-        "#define CH_BLOCK 1",
-        "#define CH_COUNT OUT_F",
-        "",
-        "int repro_kernel(const double* x, const double* w, double* out,",
-        "                 i64 batch, void* dgemm_ptr, void* dgemv_ptr,",
-        "                 double scale, const double* shift,",
-        "                 const double** externs) {",
-        "    dgemm_fn dgemm = (dgemm_fn)dgemm_ptr;",
-        "    dgemv_fn dgemv = (dgemv_fn)dgemv_ptr;",
-        "    (void)externs; (void)scale; (void)shift;",
-        *_extern_decls(extern_count),
-        "    /* numpy routes (1, k) @ (k, n) through gemv, not gemm;",
-        "       match its dispatch so every batch size stays bitwise. */",
-        "    if (batch == 1) {",
-        "        dgemv(ROW_MAJOR, TRANS, IN_F, OUT_F, 1.0, w, OUT_F,",
-        "              x, 1, 0.0, out, 1);",
-        "    } else {",
-        "        dgemm(ROW_MAJOR, NO_TRANS, NO_TRANS, batch, OUT_F, IN_F,",
-        "              1.0, x, IN_F, w, OUT_F, 0.0, out, OUT_F);",
-        "    }",
-        *_epilogue_loop(epilogue),
-        "    return 0;",
-        "}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-def emit_elementwise(spec: ChainSpec) -> str:
-    """C source for one fused-elementwise chain: a single flat loop."""
-    sample = 1
-    for dim in spec.x_shape:
-        sample *= dim
-    channels = spec.x_shape[0] if len(spec.x_shape) == 3 else 1
-    block = sample // channels if channels else sample
-    lines = [
-        f"/* repro native elementwise | chain: {spec.detail()!r} */",
-        _PRELUDE,
-        f"#define SAMPLE {sample}",
-        f"#define CH_COUNT {channels}",
-        f"#define CH_BLOCK {block}",
-        "",
-        "int repro_kernel(double* buf, const double** externs, i64 batch) {",
-        "    (void)externs;",
-        *_extern_decls(len(spec.extern_modes)),
-    ]
-    body = ["double v = 0.0;"]
-    for op in spec.ops:
-        body.extend(_op_lines(op, spec.extern_modes))
-    lines.extend(_fused_loop(body, "buf"))
-    lines.extend([
-        "    return 0;",
-        "}",
-        "",
-    ])
     return "\n".join(lines)

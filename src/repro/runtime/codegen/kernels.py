@@ -1,11 +1,10 @@
 """Build, verify, memoise and dispatch native kernels.
 
 The only way a native kernel reaches execution is through
-:func:`native_conv_kernel` / :func:`native_linear_kernel` /
-:func:`native_elementwise_kernel`, and each of those enforces the variant
-registry's admission rule *empirically*: after emitting and compiling the
-artifact, it runs a seeded random probe through both the native kernel and
-the exact numpy reference path (the same :mod:`repro.kernels` +
+:func:`native_conv_kernel`, which enforces the variant registry's
+admission rule *empirically*: after emitting and compiling the artifact,
+it runs a seeded random probe through both the native kernel and the exact
+numpy reference path (the same :mod:`repro.kernels` +
 ``executor._apply_elem`` calls the plan would make) and compares the
 output **byte for byte**, at two batch sizes.  Floating-point results are
 determined by operation order, not operand values, so a signature that
@@ -32,21 +31,12 @@ import numpy as np
 from repro.runtime.codegen import build as _build
 from repro.runtime.codegen import emitter as _emitter
 from repro.runtime.blas import dgemm_handle
-from repro.runtime.codegen.emitter import (
-    ChainSpec,
-    ConvGeom,
-    EpilogueSpec,
-    LinearGeom,
-)
+from repro.runtime.codegen.emitter import ConvGeom, EpilogueSpec
 
 __all__ = [
-    "NativeChain",
     "NativeConv",
-    "NativeLinear",
     "dispatch_count",
     "native_conv_kernel",
-    "native_elementwise_kernel",
-    "native_linear_kernel",
     "native_ready",
     "reset_kernels",
 ]
@@ -58,13 +48,10 @@ _METRIC = [None]
 
 _EMPTY_EXTERNS = (ctypes.c_void_p * 1)()
 
-_GEMM_ARGTYPES = [
+_ARGTYPES = [
     ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
+    ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p,
     ctypes.POINTER(ctypes.c_void_p),
-]
-_ELEM_ARGTYPES = [
-    ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p), ctypes.c_int64,
 ]
 
 
@@ -98,7 +85,7 @@ def reset_kernels() -> None:
         _KERNELS.clear()
 
 
-def native_ready(need_blas: bool = True) -> bool:
+def native_ready() -> bool:
     """Cheap gate: backend enabled, compiler present, BLAS bridge alive."""
     from repro.runtime.codegen import enabled
 
@@ -106,9 +93,7 @@ def native_ready(need_blas: bool = True) -> bool:
         return False
     if _build.compiler_command() is None:
         return False
-    if need_blas and not dgemm_handle().ok:
-        return False
-    return True
+    return dgemm_handle().ok
 
 
 def _externs_array(externs: Sequence[np.ndarray]):
@@ -119,18 +104,16 @@ def _externs_array(externs: Sequence[np.ndarray]):
     )
 
 
-class _GemmKernel:
-    """Shared call discipline of the two GEMM-backed artifact families."""
+class NativeConv:
+    """Loaded conv2d artifact: raw NCHW input -> (N, C_out, OH, OW) output."""
 
-    __slots__ = ("geom", "epilogue", "_fn", "_dgemm", "_dgemv")
+    __slots__ = ("geom", "epilogue", "_fn", "_dgemm")
 
-    def __init__(self, fn, geom, epilogue: Optional[EpilogueSpec]):
+    def __init__(self, fn, geom: ConvGeom, epilogue: Optional[EpilogueSpec]):
         self.geom = geom
         self.epilogue = epilogue
         self._fn = fn
-        handle = dgemm_handle()
-        self._dgemm = handle.address
-        self._dgemv = handle.gemv_address
+        self._dgemm = dgemm_handle().address
 
     def run(
         self,
@@ -143,42 +126,9 @@ class _GemmKernel:
     ) -> bool:
         status = self._fn(
             int(x.ctypes.data), int(weight.ctypes.data), int(out.ctypes.data),
-            int(x.shape[0]), self._dgemm, self._dgemv, float(scale),
+            int(x.shape[0]), self._dgemm, float(scale),
             None if shift is None else int(shift.ctypes.data),
             _externs_array(externs),
-        )
-        if status != 0:
-            return False
-        _dispatched()
-        return True
-
-
-class NativeConv(_GemmKernel):
-    """Loaded conv2d artifact: raw NCHW input -> (N, C_out, OH, OW) output."""
-
-    __slots__ = ()
-
-
-class NativeLinear(_GemmKernel):
-    """Loaded linear artifact: (N, in) @ baked (in, out) -> (N, out)."""
-
-    __slots__ = ()
-
-
-class NativeChain:
-    """Loaded fused-elementwise artifact: one flat loop over the buffer."""
-
-    __slots__ = ("spec", "_fn")
-
-    def __init__(self, fn, spec: ChainSpec):
-        self.spec = spec
-        self._fn = fn
-
-    def run(
-        self, buf: np.ndarray, externs: Sequence[np.ndarray], batch: int
-    ) -> bool:
-        status = self._fn(
-            int(buf.ctypes.data), _externs_array(externs), int(batch)
         )
         if status != 0:
             return False
@@ -206,28 +156,13 @@ def _probe_array(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray
 
 
 def _extern_probes(
-    rng: np.random.Generator,
-    modes: Tuple[str, ...],
-    batch: int,
-    x_shape: Tuple[int, ...],
-    channels: int,
+    rng: np.random.Generator, count: int, channels: int
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """(native flat arrays, numpy broadcast-shaped views) per extern slot."""
-    native: List[np.ndarray] = []
-    replay: List[np.ndarray] = []
-    for mode in modes:
-        if mode == "full":
-            array = _probe_array(rng, (batch,) + x_shape)
-        elif mode == "sample":
-            array = _probe_array(rng, x_shape)
-        else:  # channel
-            array = _probe_array(rng, (channels,))
-        native.append(np.ascontiguousarray(array))
-        if mode == "channel" and len(x_shape) == 3:
-            replay.append(native[-1].reshape(channels, 1, 1))
-        else:
-            replay.append(native[-1])
-    return native, replay
+    """(native flat arrays, numpy ``(C, 1, 1)`` views) per extern slot."""
+    native = [
+        np.ascontiguousarray(_probe_array(rng, (channels,))) for _ in range(count)
+    ]
+    return native, [array.reshape(channels, 1, 1) for array in native]
 
 
 def _replay_epilogue(
@@ -267,7 +202,7 @@ def _verify_conv(
 
     tag = f"conv|{geom}|{epilogue.detail() if epilogue else ''}"
     rng = _rng(tag)
-    modes = epilogue.extern_modes if epilogue is not None else ()
+    externs = epilogue.externs if epilogue is not None else 0
     for batch in (1, 3):
         x = _probe_array(rng, (batch, geom.c_in, geom.h, geom.w))
         weight = np.ascontiguousarray(
@@ -283,9 +218,7 @@ def _verify_conv(
         shift = None
         if epilogue is not None and epilogue.has_shift:
             shift = np.ascontiguousarray(_probe_array(rng, (geom.c_out,)))
-        native_ext, replay_ext = _extern_probes(
-            rng, modes, batch, (geom.c_out, geom.oh, geom.ow), geom.c_out
-        )
+        native_ext, replay_ext = _extern_probes(rng, externs, geom.c_out)
         reference = _replay_epilogue(
             reference, scale,
             None if shift is None else shift.reshape(1, geom.c_out, 1, 1),
@@ -302,96 +235,18 @@ def _verify_conv(
     return True
 
 
-def _verify_linear(
-    kernel: NativeLinear, geom: LinearGeom, epilogue: Optional[EpilogueSpec]
-) -> bool:
-    tag = f"linear|{geom}|{epilogue.detail() if epilogue else ''}"
-    rng = _rng(tag)
-    modes = epilogue.extern_modes if epilogue is not None else ()
-    # Batch 1 exercises the gemv branch; 2 and 5 the gemm one.
-    for batch in (1, 2, 5):
-        x = np.ascontiguousarray(
-            _probe_array(rng, (batch, geom.in_features))
-        )
-        weight = np.ascontiguousarray(
-            _probe_array(rng, (geom.in_features, geom.out_features))
-        )
-        reference = np.empty((batch, geom.out_features))
-        np.matmul(x, weight, out=reference)
-        scale = 1.0 / 3.0 if epilogue is not None and epilogue.has_scale else None
-        shift = None
-        if epilogue is not None and epilogue.has_shift:
-            shift = np.ascontiguousarray(
-                _probe_array(rng, (geom.out_features,))
-            )
-        native_ext, replay_ext = _extern_probes(
-            rng, modes, batch, (geom.out_features,), geom.out_features
-        )
-        reference = _replay_epilogue(
-            reference, scale, shift, epilogue, replay_ext
-        )
-        actual = np.empty((batch, geom.out_features))
-        ok = kernel.run(
-            x, weight, actual,
-            scale=0.0 if scale is None else scale,
-            shift=shift, externs=native_ext,
-        )
-        if not ok or actual.tobytes() != reference.tobytes():
-            return False
-    return True
-
-
-def _verify_elementwise(kernel: NativeChain, spec: ChainSpec) -> bool:
-    from repro.runtime.executor import _apply_elem
-
-    rng = _rng(f"elem|{spec.x_shape}|{spec.detail()}")
-    for batch in (1, 3):
-        native_ext, replay_ext = _extern_probes(
-            rng, spec.extern_modes, batch, spec.x_shape,
-            spec.x_shape[0] if len(spec.x_shape) == 3 else 1,
-        )
-        buf: Optional[np.ndarray] = None
-        for op in spec.ops:
-            arrays = []
-            for ref in op.refs:
-                if ref.kind == "chain":
-                    arrays.append(buf)
-                elif ref.kind == "scalar":
-                    arrays.append(np.float64(ref.value))
-                else:
-                    arrays.append(replay_ext[ref.index])
-            if buf is None:
-                if len(arrays) == 2:
-                    shape = np.broadcast_shapes(
-                        np.shape(arrays[0]), np.shape(arrays[1])
-                    )
-                else:
-                    shape = np.shape(arrays[0])
-                if tuple(shape) != (batch,) + spec.x_shape:
-                    return False
-                buf = np.empty(shape)
-            ctx = {"min": op.lo, "max": op.hi} if op.op == "clamp" else {}
-            buf = _apply_elem(op.op, arrays, ctx, buf)
-        actual = np.empty((batch,) + spec.x_shape)
-        if not kernel.run(actual, native_ext, batch):
-            return False
-        if buf is None or actual.tobytes() != buf.tobytes():
-            return False
-    return True
-
-
 # --------------------------------------------------------------------------
 # Build + verify + memoise
 # --------------------------------------------------------------------------
 
-def _load_fn(so_path: str, argtypes) -> Optional[object]:
+def _load_fn(so_path: str) -> Optional[object]:
     try:
         library = ctypes.CDLL(so_path)
         fn = library.repro_kernel
     except (OSError, AttributeError):
         return None
     fn.restype = ctypes.c_int
-    fn.argtypes = argtypes
+    fn.argtypes = _ARGTYPES
     return fn
 
 
@@ -422,7 +277,7 @@ def native_conv_kernel(
     key = ("conv", geom, epilogue)
 
     def _load(so_path: str) -> Optional[NativeConv]:
-        fn = _load_fn(so_path, _GEMM_ARGTYPES)
+        fn = _load_fn(so_path)
         if fn is None:
             return None
         kernel = NativeConv(fn, geom, epilogue)
@@ -431,45 +286,3 @@ def native_conv_kernel(
     return _materialise(
         key, lambda: _emitter.emit_conv(geom, epilogue), _load
     )
-
-
-def native_linear_kernel(
-    geom: LinearGeom, epilogue: Optional[EpilogueSpec] = None
-) -> Optional[NativeLinear]:
-    """The verified native linear kernel for this signature, or ``None``."""
-    if not native_ready():
-        return None
-    if dgemm_handle().gemv_address == 0:
-        return None  # no bitwise batch-1 path without the gemv bridge
-    if geom.out_features <= 1 or geom.in_features <= 1:
-        return None
-
-    key = ("linear", geom, epilogue)
-
-    def _load(so_path: str) -> Optional[NativeLinear]:
-        fn = _load_fn(so_path, _GEMM_ARGTYPES)
-        if fn is None:
-            return None
-        kernel = NativeLinear(fn, geom, epilogue)
-        return kernel if _verify_linear(kernel, geom, epilogue) else None
-
-    return _materialise(
-        key, lambda: _emitter.emit_linear(geom, epilogue), _load
-    )
-
-
-def native_elementwise_kernel(spec: ChainSpec) -> Optional[NativeChain]:
-    """The verified native fused-elementwise kernel, or ``None``."""
-    if not native_ready(need_blas=False):
-        return None
-
-    key = ("elem", spec)
-
-    def _load(so_path: str) -> Optional[NativeChain]:
-        fn = _load_fn(so_path, _ELEM_ARGTYPES)
-        if fn is None:
-            return None
-        kernel = NativeChain(fn, spec)
-        return kernel if _verify_elementwise(kernel, spec) else None
-
-    return _materialise(key, lambda: _emitter.emit_elementwise(spec), _load)

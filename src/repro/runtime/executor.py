@@ -8,10 +8,13 @@ their buffer color in the :class:`~repro.runtime.memory.MemoryPlan`), and
 arena.
 
 Semantics are byte-identical to the traced module forward: fused affine
-chains and elementwise chains replay the recorded ufunc sequence in place
-instead of rewriting the arithmetic, and quantised conv / linear steps keep
-their integer codes with the affine scale applied at the kernel boundary --
-identically whether or not any optimisation pass ran.
+epilogues replay the recorded ufunc sequence in place instead of rewriting
+the arithmetic, and quantised conv / linear steps keep their integer codes
+with the affine scale applied at the kernel boundary -- identically whether
+or not any optimisation pass ran.  Lowering packs every conv and linear
+weight once (:func:`repro.kernels.pack_weight_matrix`), so every kernel
+variant and the unoptimised interpreter alike multiply by the same
+float64, C-contiguous matrix.
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ def _resolve(ref: Ref, env: List[Optional[np.ndarray]]) -> np.ndarray:
     return env[value] if kind == "slot" else value  # type: ignore[index]
 
 
-# Shared with the select_kernels pass, which previews the baked weight to
-# describe each call site before lowering happens.
-_smallest_int_dtype = kernel_variants.smallest_int_dtype
-
-
 def _apply_elem(
     op: str,
     arrays: Sequence[np.ndarray],
@@ -93,8 +91,8 @@ def _apply_elem(
     raise PlanCompileError(f"unknown elementwise op {op!r}")  # pragma: no cover
 
 
-def _native_epilogue_plan(out_channels, out_scale, out_shift, post, sample_shape):
-    """Fused-epilogue plan of a native conv/linear step.
+def _native_epilogue_plan(out_channels, out_scale, out_shift, post):
+    """Fused-epilogue plan of a native conv step.
 
     Returns ``(EpilogueSpec, flat shift vector, extern arrays)`` when every
     post op can be baked into the generated kernel -- only constant
@@ -123,7 +121,7 @@ def _native_epilogue_plan(out_channels, out_scale, out_shift, post, sample_shape
                 else:
                     if data.dtype not in (np.float64, np.float32):
                         return nothing
-                    operands.append(("extern", tuple(data.shape), False))
+                    operands.append(("extern", tuple(data.shape)))
                     extern_arrays.append(
                         np.ascontiguousarray(data, dtype=np.float64)
                     )
@@ -131,7 +129,7 @@ def _native_epilogue_plan(out_channels, out_scale, out_shift, post, sample_shape
                 return nothing  # runtime operand: epilogue stays in numpy
         operations.append((op, operands, op_ctx))
     spec = codegen.epilogue_spec(
-        sample_shape, out_scale is not None, out_shift is not None, operations
+        out_channels, out_scale is not None, out_shift is not None, operations
     )
     if spec is None or spec.is_empty():
         return nothing
@@ -285,10 +283,10 @@ class ConvStep(Step, _EpilogueMixin):
     fused in-place epilogue.
 
     ``weight_matrix`` is the canonical baked filter matrix (integer codes
-    for quantised plans); ``_weight_exec`` is its execution-time form
-    prepared once for the selected variant (e.g. pre-packed to contiguous
-    float64).  Every variant writes the same ``(N, C_out, oh*ow)`` scratch
-    shape, so the memory plan is variant-independent.
+    for quantised plans); ``_weight_exec`` is its execution-time form,
+    packed once to contiguous float64 whatever the variant.  Every variant
+    writes the same ``(N, C_out, oh*ow)`` scratch shape, so the memory plan
+    is variant-independent.
     """
 
     __slots__ = (
@@ -341,18 +339,12 @@ class ConvStep(Step, _EpilogueMixin):
         self.param_name = param_name
         self.variant = variant
         self.provenance = provenance
-        self._weight_exec = kernel_variants.prepare_conv_weight(variant, weight_matrix)
+        self._weight_exec = kernels.pack_weight_matrix(weight_matrix)
         self._native_epi = self._native_shift = None
         self._native_externs = ()
         if variant == "native":
             self._native_epi, self._native_shift, self._native_externs = (
-                _native_epilogue_plan(
-                    self.out_channels, out_scale, out_shift, self.post,
-                    # Sentinel sample shape: only per-channel / scalar
-                    # epilogue operands are bakeable for convs (spatial
-                    # dims aren't known until run time).
-                    sample_shape=(self.out_channels, 0, 0),
-                )
+                _native_epilogue_plan(self.out_channels, out_scale, out_shift, self.post)
             )
 
     def run(self, env: List[Optional[np.ndarray]], ctx: ExecutionContext) -> None:
@@ -417,15 +409,14 @@ class ConvStep(Step, _EpilogueMixin):
 class LinearStep(Step, _EpilogueMixin):
     """Dense matmul against a baked ``(in, out)`` weight matrix.
 
-    ``weight`` is the canonical stored matrix; ``_weight_exec`` is the
-    selected variant's execution-time form (identical for the reference
-    ``matmul`` variant, pre-packed float64 for ``packed``).
+    ``weight`` is the canonical stored matrix (integer codes for quantised
+    plans); ``_weight_exec`` is its execution-time form, packed once to
+    contiguous float64 whatever the variant.
     """
 
     __slots__ = (
         "x", "weight", "out_scale", "out_shift", "post", "bits", "param_name",
         "variant", "provenance", "_weight_exec",
-        "_native_epi", "_native_shift", "_native_externs",
     )
 
     def __init__(
@@ -451,54 +442,15 @@ class LinearStep(Step, _EpilogueMixin):
         self.param_name = param_name
         self.variant = variant
         self.provenance = provenance
-        self._weight_exec = kernel_variants.prepare_linear_weight(variant, weight)
-        self._native_epi = self._native_shift = None
-        self._native_externs = ()
-        if variant == "native":
-            self._native_epi, self._native_shift, self._native_externs = (
-                _native_epilogue_plan(
-                    int(self._weight_exec.shape[1]), out_scale, out_shift,
-                    self.post, sample_shape=(int(self._weight_exec.shape[1]),),
-                )
-            )
+        self._weight_exec = kernels.pack_weight_matrix(weight)
 
     def run(self, env: List[Optional[np.ndarray]], ctx: ExecutionContext) -> None:
         x = env[self.x]
         out = None
         if x.ndim == 2 and np.result_type(x, self._weight_exec) == np.float64:
             out = ctx.scratch(self, (x.shape[0], self._weight_exec.shape[1]))
-        if self._native_epi is not None and out is not None:
-            fused = self._run_native_fused(x, out)
-            if fused is not None:
-                env[self.out] = fused
-                return
         raw = kernel_variants.run_linear(self.variant, x, self._weight_exec, out=out)
         env[self.out] = self._apply_epilogue(raw, env)
-
-    def _run_native_fused(self, x, out):
-        """GEMM + epilogue in one generated kernel; ``None`` = fall back."""
-        from repro.runtime import codegen
-
-        weight = self._weight_exec
-        if (
-            x.dtype != np.float64 or not x.flags.c_contiguous
-            or weight.dtype != np.float64 or not weight.flags.c_contiguous
-            or out.dtype != np.float64 or not out.flags.c_contiguous
-        ):
-            return None
-        geom = codegen.LinearGeom(
-            in_features=int(weight.shape[0]), out_features=int(weight.shape[1])
-        )
-        kernel = codegen.native_linear_kernel(geom, self._native_epi)
-        if kernel is None:
-            return None
-        scale = 0.0 if self.out_scale is None else float(self.out_scale)
-        if not kernel.run(
-            x, weight, out, scale=scale, shift=self._native_shift,
-            externs=self._native_externs,
-        ):
-            return None
-        return out
 
     def describe(self) -> str:
         tag = f"int{self.weight.dtype.itemsize * 8}" if self.bits < 32 else "fp"
@@ -550,130 +502,6 @@ class ElementwiseStep(Step):
 
     def describe(self) -> str:
         return f"{self.op}({', '.join(kind for kind, _ in self.inputs)})"
-
-
-class FusedElementwiseStep(Step):
-    """A fused chain of elementwise micro-ops over one arena buffer.
-
-    Each micro-op reads the running chain buffer and/or external refs and
-    writes the chain buffer in place -- the same ufunc sequence the
-    unfused steps would run, minus the per-op buffers and slot traffic.
-    """
-
-    __slots__ = ("ops", "variant", "provenance", "_native", "_extern_refs",
-                 "_x_shape")
-
-    def __init__(
-        self,
-        out: int,
-        ops: Sequence[LoweredElemOp],
-        variant: str = "ufunc",
-        provenance: str = "heuristic",
-        chain_spec=None,
-    ) -> None:
-        super().__init__(out)
-        self.ops = tuple(ops)
-        self.variant = variant
-        self.provenance = provenance
-        self._native = None
-        self._extern_refs = ()
-        self._x_shape = ()
-        if variant == "native" and chain_spec is not None:
-            plan = self._native_plan(chain_spec)
-            if plan is not None:
-                self._native, self._extern_refs, self._x_shape = plan
-
-    def _native_plan(self, spec):
-        """Map the spec's extern slots back onto lowered refs, or ``None``.
-
-        The spec was derived from the same IR node this step was lowered
-        from, so the op lists line up positionally; each extern slot must
-        resolve to exactly one lowered const/slot operand.
-        """
-        if len(self.ops) != len(spec.ops):
-            return None
-        externs = {}
-        for (op, refs, _), op_spec in zip(self.ops, spec.ops):
-            if op != op_spec.op or len(refs) != len(op_spec.refs):
-                return None
-            for (kind, value), ref in zip(refs, op_spec.refs):
-                if ref.kind != "extern":
-                    continue
-                if kind == "const":
-                    arr = np.ascontiguousarray(value, dtype=np.float64)
-                    externs[ref.index] = ("const", arr)
-                elif kind == "slot":
-                    externs[ref.index] = ("slot", value)
-                else:
-                    return None
-        modes = tuple(spec.extern_modes)
-        if sorted(externs) != list(range(len(modes))):
-            return None
-        plan = tuple(
-            (externs[i][0], externs[i][1], modes[i])
-            for i in range(len(modes))
-        )
-        if not any(mode == "full" for _, _, mode in plan):
-            return None  # no batched operand to size the output from
-        return spec, plan, tuple(spec.x_shape)
-
-    def _run_native(
-        self, env: List[Optional[np.ndarray]], ctx: ExecutionContext
-    ) -> Optional[np.ndarray]:
-        from repro.runtime import codegen
-
-        kernel = codegen.native_elementwise_kernel(self._native)
-        if kernel is None:
-            return None
-        sample = self._x_shape
-        arrays = []
-        batch = None
-        for kind, value, mode in self._extern_refs:
-            arr = value if kind == "const" else env[value]
-            if (
-                arr is None or arr.dtype != np.float64
-                or not arr.flags.c_contiguous
-            ):
-                return None
-            if mode == "full":
-                if arr.shape[1:] != sample or arr.ndim != len(sample) + 1:
-                    return None
-                if batch is None:
-                    batch = arr.shape[0]
-                elif arr.shape[0] != batch:
-                    return None
-            arrays.append(arr)
-        if batch is None:
-            return None
-        buf = ctx.scratch(self, (batch,) + sample)
-        if buf.dtype != np.float64 or not buf.flags.c_contiguous:
-            return None
-        if not kernel.run(buf, arrays, batch):
-            return None
-        return buf
-
-    def run(self, env: List[Optional[np.ndarray]], ctx: ExecutionContext) -> None:
-        if self._native is not None:
-            out = self._run_native(env, ctx)
-            if out is not None:
-                env[self.out] = out
-                return
-        buf: Optional[np.ndarray] = None
-        for op, refs, op_ctx in self.ops:
-            arrays = [buf if kind == "chain" else _resolve((kind, value), env)
-                      for kind, value in refs]
-            if buf is None:
-                if len(arrays) == 2:
-                    shape = np.broadcast_shapes(arrays[0].shape, arrays[1].shape)
-                else:
-                    shape = arrays[0].shape
-                buf = ctx.scratch(self, shape)
-            buf = _apply_elem(op, arrays, op_ctx, buf)
-        env[self.out] = buf
-
-    def describe(self) -> str:
-        chain = "->".join(op for op, _, _ in self.ops)
-        return f"fused[{chain}] variant={self.variant}({self.provenance})"
 
 
 class _PoolStep(Step):
@@ -941,18 +769,13 @@ class ExecutionPlan:
             f"passes={list(self.passes)}"
         )
         histogram = Counter(type(step).__name__ for step in self.steps)
-        fused_ops = sum(len(step.ops) for step in self.steps
-                        if isinstance(step, FusedElementwiseStep))
         absorbed = sum(len(step.post) for step in self.steps
                        if isinstance(step, (ConvStep, LinearStep, MatmulStep)))
         step_kinds = ", ".join(f"{name}x{count}" for name, count in sorted(histogram.items()))
         lines = [header]
         lines.extend("  " + line for line in self.pipeline.describe().splitlines())
         lines.append(f"  steps: {self.num_steps} ({step_kinds})")
-        lines.append(
-            f"  fused: {absorbed} ops absorbed into kernels, "
-            f"{fused_ops} ops in fused elementwise chains"
-        )
+        lines.append(f"  fused: {absorbed} ops absorbed into kernels")
         chosen = self.kernel_variants()
         if chosen:
             variant_counts = Counter(variant for variant, _ in chosen.values())
@@ -1009,10 +832,6 @@ def _weight_codes(export, name: Optional[str]):
     return export.quantized.get(name)
 
 
-# Shared with the select_kernels pass (identical preview and lowering).
-_centred_codes = kernel_variants.centred_codes
-
-
 def lower_graph(
     graph: Graph,
     export,
@@ -1058,22 +877,6 @@ def lower_graph(
             steps.append(
                 _lower_matmul(node, refs, out_slot, producers, export, lower_elem(node.post))
             )
-        elif op == "fused_elementwise":
-            elem_variant = node.attrs.get("kernel_variant", "ufunc")
-            chain_spec = None
-            if elem_variant == "native":
-                from repro.runtime import codegen
-
-                chain_spec = codegen.chain_spec_for_node(node)
-            steps.append(FusedElementwiseStep(
-                out_slot,
-                lower_elem(node.elem_ops),
-                variant=elem_variant,
-                provenance=node.attrs.get(
-                    "kernel_variant_provenance", "heuristic"
-                ),
-                chain_spec=chain_spec,
-            ))
         elif op in ("max_pool2d", "avg_pool2d"):
             cls = MaxPoolStep if op == "max_pool2d" else AvgPoolStep
             steps.append(
@@ -1134,7 +937,7 @@ def _lower_conv(node: Node, refs, out_slot: int, export, post) -> ConvStep:
 
     qt = _weight_codes(export, name)
     if qt is not None:
-        weight_matrix = np.ascontiguousarray(_centred_codes(qt).reshape(out_channels, -1))
+        weight_matrix = np.ascontiguousarray(kernel_variants.centred_codes(qt).reshape(out_channels, -1))
         out_scale: Optional[np.ndarray] = np.float64(qt.qparams.scale)
         bits = qt.bits
     else:
@@ -1171,7 +974,7 @@ def _lower_matmul(node: Node, refs, out_slot: int, producers, export, post) -> S
             transposed = origin_transposed != pre_transposed
             qt = _weight_codes(export, name)
             if qt is not None:
-                centred = _centred_codes(qt)
+                centred = kernel_variants.centred_codes(qt)
                 if transposed:
                     centred = centred.T
                 return LinearStep(

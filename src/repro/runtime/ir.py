@@ -6,7 +6,7 @@ explicit graph of :class:`Node` objects over SSA :class:`Value` objects.
 Every downstream stage operates on this IR:
 
 * :mod:`repro.runtime.passes` rewrites the graph (constant folding, affine
-  fusion into conv/linear producers, elementwise-chain fusion, CSE, DCE);
+  fusion into conv/linear producers, kernel-variant selection);
 * :mod:`repro.runtime.memory` runs liveness analysis over the final graph
   and colors values into a shared buffer arena;
 * :mod:`repro.runtime.executor` lowers each node to one kernel step.
@@ -33,7 +33,7 @@ BINARY_ELEMENTWISE = ("add", "sub", "mul", "div")
 UNARY_ELEMENTWISE = (
     "neg", "exp", "log", "sqrt", "abs", "tanh", "relu", "clamp", "pow", "sigmoid"
 )
-#: All elementwise operations, eligible for chain fusion.
+#: All elementwise operations (each lowers to one arena-writing step).
 ELEMENTWISE_OPS = frozenset(BINARY_ELEMENTWISE) | frozenset(UNARY_ELEMENTWISE)
 
 #: Operations whose output is a numpy view of their input: they extend the
@@ -46,7 +46,7 @@ class PlanCompileError(RuntimeError):
 
 
 class _Chain:
-    """Sentinel operand: the running value of a fused elementwise chain."""
+    """Sentinel operand: the running value of a fused epilogue."""
 
     __slots__ = ()
 
@@ -107,11 +107,10 @@ class ElemOp:
     """One fused elementwise micro-operation.
 
     ``inputs`` holds :class:`Value` operands and/or the :data:`CHAIN`
-    sentinel standing for the running chain value (the producer's raw
-    output for affine fusion, the previous micro-op's result for chain
-    fusion).  Execution replays the micro-ops in recorded order with the
-    same ufuncs the standalone steps would have used, which keeps fusion
-    byte-identical.
+    sentinel standing for the running value (the producer's raw output,
+    as updated by the micro-ops before this one).  Execution replays the
+    micro-ops in recorded order with the same ufuncs the standalone steps
+    would have used, which keeps fusion byte-identical.
     """
 
     op: str
@@ -127,9 +126,7 @@ class Node:
     """One traced operation: reads ``inputs``, produces ``output``.
 
     ``post`` holds elementwise micro-ops absorbed into this node by the
-    affine-fusion pass (applied in order to the node's raw result);
-    ``elem_ops`` is the micro-op sequence of a ``"fused_elementwise"``
-    node created by the chain-fusion pass.
+    affine-fusion pass (applied in order to the node's raw result).
     """
 
     op: str
@@ -137,21 +134,16 @@ class Node:
     output: Value
     attrs: Dict[str, object] = field(default_factory=dict)
     post: List[ElemOp] = field(default_factory=list)
-    elem_ops: List[ElemOp] = field(default_factory=list)
 
     def input_values(self) -> List[Value]:
         """Every value this node reads, including fused micro-op operands."""
         values = list(self.inputs)
         for elem in self.post:
             values.extend(elem.value_inputs())
-        for elem in self.elem_ops:
-            values.extend(elem.value_inputs())
         return values
 
     def describe(self) -> str:  # pragma: no cover - debugging aid
         extra = f" +{len(self.post)}post" if self.post else ""
-        if self.op == "fused_elementwise":
-            return "fused[" + "->".join(e.op for e in self.elem_ops) + "]"
         return f"{self.op}{extra}"
 
 
@@ -269,8 +261,8 @@ def matmul_linear_info(node: Node, producers: Dict[int, Node]) -> Optional[Tuple
     runtime value by a baked weight: either the rhs is itself a constant
     (``pre_transposed=False``), or the rhs is produced by a 2-D transpose
     node over a constant (``pre_transposed=True`` -- the lowering applies
-    the transpose to the baked matrix, and the dangling transpose node is
-    swept by DCE when enabled).  Returns ``None`` for general matmuls.
+    the transpose to the baked matrix; ``fold_constants`` bakes the
+    transpose away when it runs).  Returns ``None`` for general matmuls.
     """
     if len(node.inputs) != 2:
         return None

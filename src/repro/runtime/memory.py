@@ -1,6 +1,6 @@
 """Static memory planning for compiled plans.
 
-The executor's hot steps (convolutions, dense matmuls, elementwise chains)
+The executor's hot steps (convolutions, dense matmuls, elementwise ops)
 write into scratch buffers.  Before this planner, every step owned one
 private buffer in its :class:`~repro.runtime.executor.ExecutionContext`, so
 a context's steady-state footprint was the *sum* of all step outputs even
@@ -57,15 +57,15 @@ def _scratch_sizes(node: Node, probe_batch: int) -> Tuple[int, int]:
 def node_uses_arena(node: Node, producers: Dict[int, Node]) -> bool:
     """Whether the step lowered from ``node`` writes into the shared arena.
 
-    Mirrors the executor's lowering: convolutions, elementwise steps and
-    fused chains always use scratch; a matmul does when it lowers to the
+    Mirrors the executor's lowering: convolutions and elementwise steps
+    always use scratch; a matmul does when it lowers to the
     dense :class:`~repro.runtime.executor.LinearStep` fast path (2-D
     float64 input against a baked weight).  Pooling, reductions, views and
     general matmuls allocate (or alias) outside the arena.
     """
     if node.op == "conv2d":
         return True
-    if node.op in ELEMENTWISE_OPS or node.op == "fused_elementwise":
+    if node.op in ELEMENTWISE_OPS:
         return True
     if node.op == "matmul":
         info = matmul_linear_info(node, producers)

@@ -5,15 +5,18 @@ configurable sequence of them and records a :class:`PipelineReport` (node
 counts and a one-line detail per pass) that compiled plans expose through
 ``describe_pipeline()``.
 
-Every pass is **byte-exact**: it may remove, merge or fuse nodes, but the
-final executed arithmetic -- the ufunc sequence and its operands -- is
+Every pass is **byte-exact**: it may remove or fuse nodes, but the final
+executed arithmetic -- the ufunc sequence and its operands -- is
 unchanged.  Constant folding reuses the traced probe activations (computed
-by the very kernels the runtime replays), and the fusion passes carry the
+by the very kernels the runtime replays), and affine fusion carries the
 absorbed operations as ordered :class:`~repro.runtime.ir.ElemOp` micro-ops
 that the executor replays in place rather than collapsing them into a
 rescaled weight.  Disabling any subset of passes therefore changes plan
 *shape* (steps, buffers), never plan *output*; the test-suite asserts
 byte-identical logits across every single-pass-disabled configuration.
+
+A pass stays in the pipeline only while it changes some registry model's
+plan (``tests/runtime/test_passes.py`` checks each one).
 
 Available passes (in default order):
 
@@ -22,29 +25,20 @@ Available passes (in default order):
     (the batch-norm ``sqrt(var + eps)`` chain, parameter transposes, ...),
     propagating parameter provenance through 2-D transposes so the
     quantised lowering still finds its integer codes.
-``cse``
-    Common-subexpression elimination: merge pure nodes with identical
-    operation, operands and attributes.
 ``fuse_affine``
-    Absorb per-channel affine elementwise chains (eval-mode batch norm,
+    Absorb per-channel affine elementwise ops (eval-mode batch norm,
     bias adds, negation) and unary activation epilogues (ReLU, clamp,
     sigmoid, ...) into the producing conv / matmul node whenever the
     producer's result has exactly one consumer -- the classic
     conv+BN+activation kernel fusion, replayed in place.
-``fuse_elementwise``
-    Fuse remaining single-consumer elementwise chains of equal shape into
-    one ``fused_elementwise`` node executing in a single arena buffer.
-``dce``
-    Dead-node elimination: drop nodes whose results are never read (e.g.
-    the dangling parameter transpose left by the linear-layer lowering).
 ``select_kernels``
     Annotate every conv / linear / pool node with the kernel variant the
     executor should lower it to (``attrs["kernel_variant"]``), chosen from
     the byte-exact implementations in :mod:`repro.runtime.variants` --
     autotuned when a :mod:`~repro.runtime.tuning` tuner is in scope,
-    ranked heuristic otherwise.  Runs after the fusion passes (so the
-    final kernel call sites are known) and before memory planning (which
-    is unaffected: every variant writes the same scratch shape).
+    ranked heuristic otherwise.  Runs after fusion (so the final kernel
+    call sites are known) and before memory planning (which is
+    unaffected: every variant writes the same scratch shape).
 """
 
 from __future__ import annotations
@@ -54,15 +48,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.runtime import variants as kernel_variants
 from repro.runtime.ir import (
     CHAIN,
-    ELEMENTWISE_OPS,
     ElemOp,
     Graph,
     Node,
     UNARY_ELEMENTWISE,
-    Value,
     matmul_linear_info,
 )
 from repro.runtime.tuning import active_tuning
@@ -91,7 +84,6 @@ def fold_constants(graph: Graph) -> str:
         foldable = (
             node.inputs
             and not node.post
-            and not node.elem_ops
             and all(value.kind == "const" for value in node.inputs)
         )
         if not foldable:
@@ -115,47 +107,6 @@ def fold_constants(graph: Graph) -> str:
     return f"folded {folded} constant nodes"
 
 
-def _freeze(value) -> object:
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    if isinstance(value, dict):
-        return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
-    if isinstance(value, np.ndarray):  # pragma: no cover - attrs are scalars/tuples
-        return (value.shape, value.tobytes())
-    return value
-
-
-def common_subexpression_elimination(graph: Graph) -> str:
-    """Merge pure nodes with identical op, operand ids and attributes."""
-    seen: Dict[object, Node] = {}
-    replace: Dict[int, Value] = {}
-    kept: List[Node] = []
-    merged = 0
-    for node in graph.nodes:
-        node.inputs = [replace.get(value.vid, value) for value in node.inputs]
-        for elem in list(node.post) + list(node.elem_ops):
-            elem.inputs = tuple(
-                replace.get(op.vid, op) if isinstance(op, Value) else op
-                for op in elem.inputs
-            )
-        if node.post or node.elem_ops:
-            # Fused nodes are not deduplicated (their micro-op identity is
-            # not worth canonicalising; CSE runs before fusion by default).
-            kept.append(node)
-            continue
-        key = (node.op, tuple(value.vid for value in node.inputs), _freeze(node.attrs))
-        prior = seen.get(key)
-        if prior is not None:
-            replace[node.output.vid] = prior.output
-            merged += 1
-            continue
-        seen[key] = node
-        kept.append(node)
-    graph.nodes = kept
-    graph.output = replace.get(graph.output.vid, graph.output)
-    return f"merged {merged} duplicate nodes"
-
-
 def fuse_affine(graph: Graph) -> str:
     """Absorb sole-consumer affine ops and activations into conv/matmul nodes."""
     fused = 0
@@ -174,7 +125,7 @@ def fuse_affine(graph: Graph) -> str:
             if len(readers) != 1:
                 continue
             consumer = readers[0]
-            if consumer.op not in AFFINE_OPS or consumer.post or consumer.elem_ops:
+            if consumer.op not in AFFINE_OPS or consumer.post:
                 continue
             if consumer.output.shape != out.shape:
                 continue
@@ -203,100 +154,6 @@ def fuse_affine(graph: Graph) -> str:
             changed = True
             break
     return f"absorbed {fused} affine ops into producers"
-
-
-def fuse_elementwise(graph: Graph) -> str:
-    """Fuse single-consumer elementwise chains into one node per chain.
-
-    A chain is a maximal run ``e1 -> e2 -> ... -> ek`` of elementwise nodes
-    where every intermediate result has exactly one consumer (the next
-    link), is not the graph output, and every link produces the same shape
-    -- so the whole chain executes in one arena buffer, each micro-op
-    writing in place over the previous result.
-    """
-    consumers = graph.consumers()
-    in_chain: set = set()
-    chains: List[List[Node]] = []
-    for node in graph.nodes:
-        if id(node) in in_chain or node.op not in ELEMENTWISE_OPS:
-            continue
-        if node.post or node.elem_ops:
-            continue
-        chain = [node]
-        current = node
-        while True:
-            if current.output.vid == graph.output.vid:
-                break
-            readers = consumers.get(current.output.vid, [])
-            if len(readers) != 1:
-                break
-            nxt = readers[0]
-            if (
-                id(nxt) in in_chain
-                or nxt.op not in ELEMENTWISE_OPS
-                or nxt.post
-                or nxt.elem_ops
-                or nxt.output.shape != node.output.shape
-            ):
-                break
-            chain.append(nxt)
-            current = nxt
-        if len(chain) >= 2:
-            in_chain.update(id(member) for member in chain)
-            chains.append(chain)
-
-    for chain in chains:
-        elem_ops: List[ElemOp] = []
-        external: List[Value] = []
-        previous_vid: Optional[int] = None
-        for member in chain:
-            elem_ops.append(
-                ElemOp(
-                    op=member.op,
-                    inputs=tuple(
-                        CHAIN if (previous_vid is not None and value.vid == previous_vid)
-                        else value
-                        for value in member.inputs
-                    ),
-                    ctx=dict(member.attrs),
-                )
-            )
-            external.extend(
-                value
-                for value in member.inputs
-                if not (previous_vid is not None and value.vid == previous_vid)
-            )
-            previous_vid = member.output.vid
-        fused_node = Node(
-            op="fused_elementwise",
-            inputs=external,
-            output=chain[-1].output,
-            elem_ops=elem_ops,
-        )
-        # The fused node executes where the chain ended, so every external
-        # operand of every link is already defined.
-        position = graph.nodes.index(chain[-1])
-        graph.nodes[position] = fused_node
-        for member in chain[:-1]:
-            graph.nodes.remove(member)
-    total_ops = sum(len(chain) for chain in chains)
-    return f"fused {len(chains)} chains ({total_ops} elementwise ops)"
-
-
-def dead_node_elimination(graph: Graph) -> str:
-    """Drop nodes whose results are never read (backwards reachability)."""
-    live = {graph.output.vid}
-    kept_reversed: List[Node] = []
-    removed = 0
-    for node in reversed(graph.nodes):
-        if node.output.vid in live:
-            kept_reversed.append(node)
-            for value in node.input_values():
-                live.add(value.vid)
-        else:
-            removed += 1
-    graph.nodes = kept_reversed[::-1]
-    return f"removed {removed} dead nodes"
 
 
 # --------------------------------------------------------------------------- #
@@ -398,13 +255,16 @@ def _race_input(x: np.ndarray) -> np.ndarray:
 
 def _conv_runner_factory(node: Node, desc: KernelDesc, matrix: np.ndarray):
     x = _race_input(node.inputs[0].traced)
-    out_h, out_w = _conv_output_hw(desc)
+    out_h, out_w = kernels.conv_output_hw(
+        desc.x_shape[1], desc.x_shape[2], desc.kernel_size, desc.stride, desc.padding
+    )
     scratch = np.empty(
         (x.shape[0], desc.out_channels, out_h * out_w), dtype=np.float64
     )
+    # Packed once, as the lowering does: every variant races the same weight.
+    weight_exec = kernels.pack_weight_matrix(matrix)
 
     def make_runner(name: str):
-        weight_exec = kernel_variants.prepare_conv_weight(name, matrix)
         return lambda: kernel_variants.run_conv(
             name, x, weight_exec, desc.kernel_size, desc.stride, desc.padding,
             out=scratch,
@@ -413,93 +273,14 @@ def _conv_runner_factory(node: Node, desc: KernelDesc, matrix: np.ndarray):
     return make_runner
 
 
-def _conv_output_hw(desc: KernelDesc):
-    from repro.kernels import conv_output_hw
-
-    return conv_output_hw(
-        desc.x_shape[1], desc.x_shape[2], desc.kernel_size, desc.stride, desc.padding
-    )
-
-
 def _linear_runner_factory(node: Node, desc: KernelDesc, weight: np.ndarray):
     x = _race_input(node.inputs[0].traced)
     scratch = np.empty((x.shape[0], weight.shape[1]), dtype=np.float64) \
         if x.ndim == 2 else None
+    weight_exec = kernels.pack_weight_matrix(weight)
 
     def make_runner(name: str):
-        weight_exec = kernel_variants.prepare_linear_weight(name, weight)
         return lambda: kernel_variants.run_linear(name, x, weight_exec, out=scratch)
-
-    return make_runner
-
-
-def _elem_site(node: Node):
-    """(desc, native chain spec) of a fused-elementwise node, or ``None``.
-
-    Only materialises when the codegen backend is enabled: with it off the
-    ufunc chain is the sole variant, so there is nothing to select (and no
-    reason to grow the tuning cache with single-candidate signatures).
-    """
-    from repro.runtime import codegen
-
-    if not codegen.enabled():
-        return None
-    spec = codegen.chain_spec_for_node(node)
-    if spec is None:
-        return None
-    kernel_variants.register_chain_spec(spec)
-    desc = KernelDesc(
-        op="fused_elementwise",
-        x_shape=tuple(spec.x_shape),
-        detail=spec.detail(),
-    )
-    return desc, spec
-
-
-def _elem_runner_factory(node: Node, desc: KernelDesc, spec):
-    from repro.runtime import codegen
-    from repro.runtime.executor import _apply_elem
-    from repro.runtime.ir import CHAIN
-
-    batch = max(int(node.output.shape[0]), _RACE_BATCH)
-    buf = np.empty((batch,) + tuple(spec.x_shape), dtype=np.float64)
-
-    replay_ops = []
-    extern_arrays = []
-    for elem in node.elem_ops:
-        operands = []
-        for operand in elem.inputs:
-            if operand is CHAIN:
-                operands.append(None)
-                continue
-            if operand.kind == "const":
-                data = np.asarray(operand.data)
-                operands.append(data)
-                if data.size == 1:
-                    continue  # baked into the source as a scalar
-            else:
-                data = operand.traced
-                if data.ndim == len(spec.x_shape) + 1:
-                    data = _race_input(data)  # batched extern: match the race batch
-                operands.append(data)
-            extern_arrays.append(np.ascontiguousarray(data, dtype=np.float64))
-        replay_ops.append((elem.op, operands, dict(elem.ctx)))
-
-    def make_runner(name: str):
-        if name == "native":
-            kernel = codegen.native_elementwise_kernel(spec)
-            if kernel is None:  # admission passed, so only races end up here
-                return lambda: None
-            return lambda: kernel.run(buf, extern_arrays, batch)
-
-        def reference():
-            chain = None
-            for op, operands, ctx in replay_ops:
-                arrays = [chain if a is None else a for a in operands]
-                chain = _apply_elem(op, arrays, ctx, buf if chain is None else chain)
-            return chain
-
-        return reference
 
     return make_runner
 
@@ -547,11 +328,6 @@ def select_kernels(graph: Graph) -> str:
             desc = _pool_site(node)
             if desc is not None:
                 site = (desc, lambda: _pool_runner_factory(node, desc))
-        elif node.op == "fused_elementwise":
-            elem = _elem_site(node)
-            if elem is not None:
-                desc, spec = elem
-                site = (desc, lambda: _elem_runner_factory(node, desc, spec))
         if site is None:
             continue
         desc, factory = site
@@ -578,22 +354,15 @@ def select_kernels(graph: Graph) -> str:
 # --------------------------------------------------------------------------- #
 PASS_REGISTRY: Dict[str, Callable[[Graph], str]] = {
     "fold_constants": fold_constants,
-    "cse": common_subexpression_elimination,
     "fuse_affine": fuse_affine,
-    "fuse_elementwise": fuse_elementwise,
-    "dce": dead_node_elimination,
     "select_kernels": select_kernels,
 }
 
 #: Default pipeline: fold first (so fusion sees baked per-channel
-#: constants), dedupe before fusing, sweep dead nodes last, then pick a
-#: kernel variant for every surviving call site.
+#: constants), then pick a kernel variant for every surviving call site.
 DEFAULT_PASSES: Tuple[str, ...] = (
     "fold_constants",
-    "cse",
     "fuse_affine",
-    "fuse_elementwise",
-    "dce",
     "select_kernels",
 )
 
@@ -606,15 +375,13 @@ def available_passes() -> Tuple[str, ...]:
 def resolve_passes(
     optimize: bool = True,
     passes: Optional[Sequence[str]] = None,
-    fold_affine: bool = True,
 ) -> Tuple[str, ...]:
     """Normalise the compile knobs into a concrete pass tuple.
 
     ``optimize=False`` disables the whole pipeline (the unoptimised
     reference interpreter).  An explicit ``passes`` sequence wins over the
-    default; ``fold_affine=False`` (the historical debugging knob) drops
-    ``fuse_affine`` from whichever pipeline was selected.  The resolved
-    tuple is part of the :class:`~repro.runtime.cache.PlanCache` key.
+    default.  The resolved tuple is part of the
+    :class:`~repro.runtime.cache.PlanCache` key.
     """
     if not optimize:
         return ()
@@ -624,8 +391,6 @@ def resolve_passes(
         raise ValueError(
             f"unknown pass(es) {unknown!r}; available: {sorted(PASS_REGISTRY)}"
         )
-    if not fold_affine:
-        selected = tuple(name for name in selected if name != "fuse_affine")
     return selected
 
 

@@ -8,10 +8,9 @@ is a small pipeline over four layers, each in its own module:
    typed :class:`Value`/:class:`Node` objects;
 2. **optimizing passes** (:mod:`repro.runtime.passes`) -- a
    :class:`~repro.runtime.passes.PassManager` runs named, individually
-   toggleable rewrites: constant folding, CSE, affine fusion into
-   conv/linear kernels, elementwise-chain fusion, dead-node elimination.
-   Every pass is byte-exact: optimised and unoptimised plans produce
-   bitwise-identical outputs;
+   toggleable rewrites: constant folding, affine fusion into conv/linear
+   kernels, kernel-variant selection.  Every pass is byte-exact:
+   optimised and unoptimised plans produce bitwise-identical outputs;
 3. **memory planning** (:mod:`repro.runtime.memory`) -- liveness analysis
    and slot-reuse coloring lay every scratch buffer out in one preallocated
    per-context arena;
@@ -41,7 +40,6 @@ of that.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +52,6 @@ from repro.runtime.executor import (  # noqa: F401  (re-exported compiled surfac
     ElementwiseStep,
     ExecutionContext,
     ExecutionPlan,
-    FusedElementwiseStep,
     LinearStep,
     MatmulStep,
     MaxPoolStep,
@@ -105,7 +102,6 @@ def compile_plan(
     model: Module,
     input_shape: Tuple[int, ...],
     *,
-    fold_affine: bool = True,
     validate: bool = True,
     passes: Optional[Sequence[str]] = None,
     optimize: bool = True,
@@ -120,10 +116,6 @@ def compile_plan(
         into the plan (a snapshot; recompile after further training).
     input_shape:
         Per-sample input shape, e.g. ``(3, 32, 32)`` or ``(features,)``.
-    fold_affine:
-        Fuse per-channel affine chains (batch norm, bias) into the preceding
-        conv / linear step.  Disable only for debugging; shorthand for
-        dropping ``"fuse_affine"`` from the pass pipeline.
     validate:
         Re-run the compiled plan on the probe input and check it against the
         traced module output.
@@ -147,8 +139,7 @@ def compile_plan(
         variant is byte-exact against the reference lowering.
     """
     return _compile(model, None, input_shape, validate,
-                    resolve_passes(optimize, passes, fold_affine),
-                    tuning=tuning)
+                    resolve_passes(optimize, passes), tuning=tuning)
 
 
 def compile_quantized_plan(
@@ -156,7 +147,6 @@ def compile_quantized_plan(
     export: QuantizedModelExport,
     input_shape: Tuple[int, ...],
     *,
-    fold_affine: bool = True,
     validate: bool = True,
     passes: Optional[Sequence[str]] = None,
     optimize: bool = True,
@@ -178,8 +168,7 @@ def compile_quantized_plan(
         try:
             load_into_model(export, model)
             return _compile(model, export, input_shape, validate,
-                            resolve_passes(optimize, passes, fold_affine),
-                            tuning=tuning)
+                            resolve_passes(optimize, passes), tuning=tuning)
         finally:
             model.load_state_dict(state)
 
@@ -246,67 +235,3 @@ def _compile_locked(
                 f"compiled plan diverges from the traced module (max abs err {worst:.3e})"
             )
     return plan
-
-# --------------------------------------------------------------------------- #
-# Pickle-safe compile specs
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class PlanSpec:
-    """A picklable description of one plan compilation.
-
-    Compiled :class:`ExecutionPlan` objects are deliberately *not*
-    pickled across process boundaries -- their steps hold baked kernel
-    buffers, fused closures and tuner-selected variants that are cheap to
-    rebuild but awkward to serialise faithfully.  A ``PlanSpec`` is the
-    stable contract instead: the complete set of compile *inputs* (shape
-    and pass configuration -- the model and export travel separately, as
-    a pickled module and an arena-mapped export).  Compiling the same
-    spec against byte-identical model/export state produces byte-identical
-    plan outputs in any process, which is what the process serving
-    backend's cross-worker determinism rests on.
-    """
-
-    input_shape: Tuple[int, ...]
-    fold_affine: bool = True
-    validate: bool = True
-    passes: Optional[Tuple[str, ...]] = None
-    optimize: bool = True
-
-    def __post_init__(self) -> None:
-        # Normalise to hashable/picklable tuples whatever iterables came in.
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        if self.passes is not None:
-            object.__setattr__(self, "passes", tuple(self.passes))
-
-    def resolved_passes(self) -> Tuple[str, ...]:
-        """The pass pipeline this spec resolves to (cache-key component)."""
-        return resolve_passes(self.optimize, self.passes, self.fold_affine)
-
-    def compile(
-        self,
-        model: Module,
-        export: Optional[QuantizedModelExport] = None,
-        *,
-        tuning=None,
-    ) -> ExecutionPlan:
-        """Compile the spec: float plan without ``export``, quantised with."""
-        if export is None:
-            return compile_plan(
-                model,
-                self.input_shape,
-                fold_affine=self.fold_affine,
-                validate=self.validate,
-                passes=self.passes,
-                optimize=self.optimize,
-                tuning=tuning,
-            )
-        return compile_quantized_plan(
-            model,
-            export,
-            self.input_shape,
-            fold_affine=self.fold_affine,
-            validate=self.validate,
-            passes=self.passes,
-            optimize=self.optimize,
-            tuning=tuning,
-        )

@@ -318,6 +318,9 @@ class Autotuner:
         self.spent_s = 0.0
         #: Selection provenance counts: tuned / cached / heuristic.
         self.outcomes: Dict[str, int] = {"tuned": 0, "cached": 0, "heuristic": 0}
+        #: Every race this tuner ran: signature -> {candidate: best seconds}
+        #: (``tools/variant_census.py`` reads pick margins from here).
+        self.races: Dict[str, Dict[str, float]] = {}
 
     @property
     def budget_left(self) -> float:
@@ -348,13 +351,14 @@ class Autotuner:
         if self.budget_left <= 0.0:
             self.outcomes["heuristic"] += 1
             return heuristic_choice(desc), "heuristic"
-        winner, best_s = self._measure(names, make_runner, heuristic_choice(desc))
+        winner, timings = self._measure(names, make_runner, heuristic_choice(desc))
+        self.races[signature] = timings
         if self.config.cache is not None:
             self.config.cache.put(
                 signature,
                 TuningRecord(
                     variant=winner,
-                    best_us=best_s * 1e6,
+                    best_us=timings[winner] * 1e6,
                     candidates=tuple(sorted(names)),
                 ),
             )
@@ -375,7 +379,8 @@ class Autotuner:
         names: Sequence[str],
         make_runner: Callable[[str], Callable[[], object]],
         incumbent: Optional[str] = None,
-    ) -> Tuple[str, float]:
+    ) -> Tuple[str, Dict[str, float]]:
+        """Race ``names``; returns the winner and every candidate's best time."""
         started = time.perf_counter()
         timings: Dict[str, float] = {}
         for name in names:
@@ -397,7 +402,7 @@ class Autotuner:
             and timings[best_name] >= timings[incumbent] * (1.0 - self.DISPLACE_MARGIN)
         ):
             best_name = incumbent
-        return best_name, timings[best_name]
+        return best_name, timings
 
     def describe(self) -> str:
         """One-line account: outcome counts, measurements, budget spent."""

@@ -8,9 +8,6 @@ between:
 
 ``conv2d``
     * ``im2col`` -- the reference gather + GEMM lowering;
-    * ``im2col_packed`` -- same gather, but the filter matrix is pre-packed
-      to contiguous ``float64`` at compile time (quantised plans stop
-      casting their integer codes on every call);
     * ``im2col_slices`` -- build the column matrix with ``kh*kw`` strided
       slice copies into a C-contiguous buffer instead of one fancy-index
       gather (which produces a batch-innermost layout the GEMM then has
@@ -18,20 +15,17 @@ between:
       handed identical operands and the result is unchanged -- but both
       the gather and the GEMM run substantially faster;
     * ``gemm_1x1`` -- a 1x1 / stride-1 / pad-0 convolution is a plain GEMM
-      over the channel dimension: skip the im2col gather copy entirely;
-    * ``blocked`` -- batch-chunked im2col for large per-sample column
-      matrices: the columns are gathered and multiplied a few samples at
-      a time so the working set stays bounded instead of materialising
-      one huge ``(N, C*kh*kw, out_h*out_w)`` array.
+      over the channel dimension: skip the im2col gather copy entirely.
 ``linear``
-    * ``matmul`` -- the reference dense matmul;
-    * ``packed`` -- pre-packed contiguous ``float64`` weight (again, the
-      win is for quantised integer-code matrices).
-``max_pool2d`` / ``avg_pool2d``
+    * ``matmul`` -- the reference dense matmul.
+``max_pool2d``
     * ``auto`` -- the reference kernel's own dispatch;
     * ``tiled`` -- force the non-overlapping strided-slice reduction;
     * ``gather`` -- force the general im2col gather path.
-``conv2d`` / ``linear`` / ``fused_elementwise`` (opt-in)
+``avg_pool2d``
+    * ``auto`` -- the reference kernel, which dispatches between its tiled
+      and gather paths itself.
+``conv2d`` (opt-in)
     * ``native`` -- a shape-specialized C kernel emitted, compiled and
       bitwise-verified by :mod:`repro.runtime.codegen`.  Only registered
       as *applicable* when the backend is enabled, a compiler exists, the
@@ -41,16 +35,21 @@ between:
       the zero-cost heuristic never picks it: only a tuner measurement
       (or a persisted tuned record) selects native kernels.
 
+Every conv and linear variant runs over the weight the lowering packed
+once (:func:`repro.kernels.pack_weight_matrix`: integer codes cast to
+contiguous ``float64``, which is exact).
+
 **Byte-exactness is the admission rule**: a variant's ``applies``
 predicate may only accept geometries where its output is bitwise-identical
-to the reference implementation (the PR-5 pass discipline).  That is why
-``avg_pool2d.gather`` excludes geometries the tiled path covers (tiled
-sum-then-scale differs in the last ulp from ``mean`` for non-power-of-two
-kernel areas) while ``max_pool2d.gather`` accepts everything (max is exact
-under any evaluation order), and why the packed variants are admissible at
-all (integer codes convert to ``float64`` exactly, and the GEMM then runs
-over identical operand values).  The test-suite sweeps every registered
-variant against the reference kernels, bit for bit.
+to the reference implementation (``max_pool2d.gather`` accepts every
+geometry because max is exact under any evaluation order).  The
+test-suite sweeps every registered variant against the reference kernels,
+bit for bit.
+
+**A variant stays only if it wins somewhere.**  ``docs/variant_census.json``
+(written by ``tools/variant_census.py``) records the tuner's pick for every
+kernel signature of every registry model; the test-suite requires every
+non-reference variant to be the pick somewhere in it.
 
 Selection is recorded on the IR node (``attrs["kernel_variant"]``) by the
 ``select_kernels`` pass -- driven by the :mod:`~repro.runtime.tuning`
@@ -79,18 +78,7 @@ __all__ = [
 ]
 
 #: Ops that have registered variants (everything else lowers one way).
-VARIED_OPS = (
-    "conv2d", "linear", "max_pool2d", "avg_pool2d", "fused_elementwise"
-)
-
-#: Live column-matrix target for the blocked conv (bytes per gathered
-#: batch chunk); the full-batch column matrix is never materialised.
-_BLOCK_TARGET_BYTES = 256 * 1024
-
-#: Minimum per-sample column-matrix size (bytes) before blocking can pay:
-#: below this the whole matrix already fits the cache and blocking only
-#: adds loop overhead.
-_BLOCK_MIN_BYTES = 1 << 20
+VARIED_OPS = ("conv2d", "linear", "max_pool2d", "avg_pool2d")
 
 
 @dataclass(frozen=True)
@@ -112,10 +100,6 @@ class KernelDesc:
     out_channels: int = 0
     weight_dtype: str = ""
     bits: int = 32
-    #: Op-specific refinement of the signature (the fused-elementwise
-    #: chain encoding); empty for ops that don't need one, which keeps
-    #: every pre-existing cache signature byte-identical.
-    detail: str = ""
 
     def signature(self) -> str:
         """Stable string key for the persistent tuning cache."""
@@ -132,8 +116,6 @@ class KernelDesc:
             parts.append(f"co={self.out_channels}")
             parts.append(f"w={self.weight_dtype}")
             parts.append(f"b={self.bits}")
-        if self.detail:
-            parts.append(f"d={self.detail}")
         return "|".join(parts)
 
 
@@ -202,7 +184,7 @@ def heuristic_choice(desc: KernelDesc) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Quantised-weight helpers (shared with the executor's lowering)
+# Quantised-weight helpers (shared by the select_kernels pass and lowering)
 # --------------------------------------------------------------------------- #
 def smallest_int_dtype(low: int, high: int) -> np.dtype:
     """The narrowest numpy integer dtype holding ``[low, high]``."""
@@ -223,28 +205,6 @@ def centred_codes(qt) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Convolution variants
 # --------------------------------------------------------------------------- #
-def _conv_cols_bytes(desc: KernelDesc) -> int:
-    """Per-sample size of the full im2col column matrix, in bytes."""
-    channels = desc.x_shape[0]
-    out_h, out_w = kernels.conv_output_hw(
-        desc.x_shape[1], desc.x_shape[2], desc.kernel_size, desc.stride, desc.padding
-    )
-    k_rows = channels * desc.kernel_size[0] * desc.kernel_size[1]
-    return 8 * k_rows * out_h * out_w
-
-
-def prepare_conv_weight(variant: str, weight_matrix: np.ndarray) -> np.ndarray:
-    """The execution-time form of a conv filter matrix under ``variant``.
-
-    The reference ``im2col`` variant keeps the baked matrix as stored
-    (integer codes for quantised plans); every other variant pre-packs it
-    (see :func:`repro.kernels.pack_weight_matrix`).
-    """
-    if variant == "im2col":
-        return weight_matrix
-    return kernels.pack_weight_matrix(weight_matrix)
-
-
 def run_conv(
     variant: str,
     x: np.ndarray,
@@ -256,11 +216,12 @@ def run_conv(
 ) -> np.ndarray:
     """Run one convolution variant; returns ``(N, C_out, out_h*out_w)``.
 
-    ``weight_exec`` must come from :func:`prepare_conv_weight` for the same
-    variant.  ``out`` (when given) receives the result for variants that
-    can write in place; the returned array is authoritative either way.
+    ``weight_exec`` is the ``(C_out, C*kh*kw)`` filter matrix, packed by
+    :func:`repro.kernels.pack_weight_matrix`.  ``out`` (when given)
+    receives the result for variants that can write in place; the returned
+    array is authoritative either way.
     """
-    if variant in ("im2col", "im2col_packed"):
+    if variant == "im2col":
         cols, _, _, _ = kernels.im2col(x, kernel_size, stride, padding)
         return kernels.matmul_cols(weight_exec, cols, out=out)
     if variant == "gemm_1x1":
@@ -271,8 +232,6 @@ def run_conv(
         return np.matmul(weight_exec, flat)  # pragma: no cover - non-f64 input
     if variant == "im2col_slices":
         return _run_conv_slices(x, weight_exec, kernel_size, stride, padding, out)
-    if variant == "blocked":
-        return _run_conv_blocked(x, weight_exec, kernel_size, stride, padding, out)
     if variant == "native":
         return _run_conv_native(x, weight_exec, kernel_size, stride, padding, out)
     raise ValueError(f"unknown conv2d variant {variant!r}")
@@ -349,62 +308,12 @@ def _run_conv_slices(
     return kernels.matmul_cols(weight_exec, cols, out=out)
 
 
-def _run_conv_blocked(
-    x: np.ndarray,
-    weight_exec: np.ndarray,
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out: Optional[np.ndarray],
-) -> np.ndarray:
-    """Batch-chunked im2col: gather + GEMM a few samples at a time.
-
-    The reference materialises the whole batch's column matrix at once;
-    this variant pads once, then gathers and multiplies one batch chunk at
-    a time, bounding the live column matrix to roughly
-    :data:`_BLOCK_TARGET_BYTES`.  Chunking over the *batch* dimension is
-    what keeps it admissible: ``np.matmul`` broadcasts the weight over the
-    batch and runs one independent, identically-shaped GEMM per sample, so
-    each sample's result is computed by exactly the same code path as the
-    reference -- bitwise identical by construction.  (Blocking over output
-    *columns* would not be: BLAS kernels accumulate differently for
-    different matrix widths, which shows up in the last ulp.)
-    """
-    padded = kernels.pad_nchw(x, padding[0], padding[1])
-    batch, channels, height, width = x.shape
-    k, i, j, out_h, out_w = kernels.im2col_indices(
-        channels, height, width, kernel_size, stride, padding
-    )
-    k_rows = channels * kernel_size[0] * kernel_size[1]
-    positions = out_h * out_w
-    per_sample = 8 * k_rows * positions
-    chunk = max(1, _BLOCK_TARGET_BYTES // per_sample)
-    if out is None or out.dtype != np.result_type(weight_exec, padded):
-        out = np.empty(  # pragma: no cover - non-f64 input
-            (batch, weight_exec.shape[0], positions), dtype=np.float64
-        )
-    for start in range(0, batch, chunk):
-        stop = min(start + chunk, batch)
-        cols = padded[start:stop, k, i, j]
-        np.matmul(weight_exec, cols, out=out[start:stop])
-    return out
-
-
 register_variant(KernelVariant(
     op="conv2d",
     name="im2col",
     applies=lambda desc: True,
     rank=0,
     description="reference im2col gather + dense GEMM",
-))
-register_variant(KernelVariant(
-    op="conv2d",
-    name="im2col_packed",
-    # Packing only changes anything when the stored matrix is integer
-    # codes (quantised plans); float weights are already packed.
-    applies=lambda desc: desc.bits < 32,
-    rank=10,
-    description="im2col over a pre-packed float64 filter matrix",
 ))
 register_variant(KernelVariant(
     op="conv2d",
@@ -430,25 +339,11 @@ register_variant(KernelVariant(
     rank=30,
     description="1x1 convolution as a plain channel GEMM (no gather)",
 ))
-register_variant(KernelVariant(
-    op="conv2d",
-    name="blocked",
-    applies=lambda desc: _conv_cols_bytes(desc) >= _BLOCK_MIN_BYTES,
-    rank=20,
-    description="batch-chunked im2col (bounded column working set)",
-))
 
 
 # --------------------------------------------------------------------------- #
 # Linear variants
 # --------------------------------------------------------------------------- #
-def prepare_linear_weight(variant: str, weight: np.ndarray) -> np.ndarray:
-    """The execution-time form of a dense weight under ``variant``."""
-    if variant == "matmul":
-        return weight
-    return kernels.pack_weight_matrix(weight)
-
-
 def run_linear(
     variant: str,
     x: np.ndarray,
@@ -456,12 +351,8 @@ def run_linear(
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Run one dense-matmul variant against a baked ``(in, out)`` weight."""
-    if variant not in ("matmul", "packed", "native"):
+    if variant != "matmul":
         raise ValueError(f"unknown linear variant {variant!r}")
-    if variant == "native":
-        result = _run_linear_native(x, weight_exec, out)
-        if result is not None:
-            return result
     if (
         x.ndim == 2
         and np.result_type(x, weight_exec) == np.float64
@@ -471,44 +362,12 @@ def run_linear(
     return x @ weight_exec
 
 
-def _run_linear_native(
-    x: np.ndarray, weight_exec: np.ndarray, out: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
-    """The generated C GEMM, or ``None`` to fall back to the reference."""
-    from repro.runtime import codegen
-
-    if (
-        out is None
-        or x.ndim != 2
-        or x.dtype != np.float64 or not x.flags.c_contiguous
-        or weight_exec.dtype != np.float64
-        or not weight_exec.flags.c_contiguous
-        or out.dtype != np.float64 or not out.flags.c_contiguous
-    ):
-        return None
-    geom = codegen.LinearGeom(
-        in_features=int(weight_exec.shape[0]),
-        out_features=int(weight_exec.shape[1]),
-    )
-    kernel = codegen.native_linear_kernel(geom)
-    if kernel is None or not kernel.run(x, weight_exec, out):
-        return None
-    return out
-
-
 register_variant(KernelVariant(
     op="linear",
     name="matmul",
     applies=lambda desc: True,
     rank=0,
-    description="reference dense matmul against the stored weight",
-))
-register_variant(KernelVariant(
-    op="linear",
-    name="packed",
-    applies=lambda desc: desc.bits < 32,
-    rank=10,
-    description="dense matmul over a pre-packed float64 weight",
+    description="reference dense matmul",
 ))
 
 
@@ -540,8 +399,6 @@ _POOL_IMPLS = {
     ("max_pool2d", "tiled"): kernels.max_pool2d_tiled,
     ("max_pool2d", "gather"): kernels.max_pool2d_gather,
     ("avg_pool2d", "auto"): kernels.avg_pool2d,
-    ("avg_pool2d", "tiled"): kernels.avg_pool2d_tiled,
-    ("avg_pool2d", "gather"): kernels.avg_pool2d_gather,
 }
 
 register_variant(KernelVariant(
@@ -575,45 +432,11 @@ register_variant(KernelVariant(
     rank=0,
     description="reference kernel with its own tiled/gather dispatch",
 ))
-register_variant(KernelVariant(
-    op="avg_pool2d",
-    name="tiled",
-    applies=_pool_tiled_ok,
-    rank=10,
-    description="non-overlapping strided-slice sum-and-scale",
-))
-register_variant(KernelVariant(
-    op="avg_pool2d",
-    # Sum-then-scale vs mean differ in the last ulp for non-power-of-two
-    # kernel areas, so the gather variant only admits geometries the
-    # tiled fast path (which the reference dispatch would take) rejects.
-    name="gather",
-    applies=lambda desc: not _pool_tiled_ok(desc),
-    rank=1,
-    description="im2col gather mean (overlapping / ragged geometry)",
-))
 
 
 # --------------------------------------------------------------------------- #
-# Fused-elementwise variants + native codegen admission
+# Native codegen admission
 # --------------------------------------------------------------------------- #
-# The fused-elementwise op joins the registry so chains become tunable call
-# sites like convs are.  Its descriptor carries the chain encoding in
-# ``detail``; the matching ChainSpec (which ``detail`` deliberately cannot
-# be parsed back into) is registered here by the select_kernels pass.
-_CHAIN_SPECS: Dict[Tuple[Tuple[int, ...], str], object] = {}
-
-
-def register_chain_spec(spec) -> None:
-    """Record a fused chain's native spec under its descriptor identity."""
-    _CHAIN_SPECS[(tuple(spec.x_shape), spec.detail())] = spec
-
-
-def chain_spec_for(desc: KernelDesc):
-    """The registered ChainSpec matching ``desc``, or ``None``."""
-    return _CHAIN_SPECS.get((tuple(desc.x_shape), desc.detail))
-
-
 def _conv_geom(desc: KernelDesc):
     from repro.runtime import codegen
 
@@ -642,42 +465,6 @@ def _native_conv_applies(desc: KernelDesc) -> bool:
     return codegen.native_conv_kernel(geom) is not None
 
 
-def _native_linear_applies(desc: KernelDesc) -> bool:
-    from repro.runtime import codegen
-
-    if not codegen.enabled() or len(desc.x_shape) != 1:
-        return False
-    geom = codegen.LinearGeom(
-        in_features=int(desc.x_shape[0]), out_features=desc.out_channels
-    )
-    return codegen.native_linear_kernel(geom) is not None
-
-
-def _native_elementwise_applies(desc: KernelDesc) -> bool:
-    from repro.runtime import codegen
-
-    if not codegen.enabled() or not desc.detail:
-        return False
-    spec = chain_spec_for(desc)
-    if spec is None:
-        return False
-    return codegen.native_elementwise_kernel(spec) is not None
-
-
-register_variant(KernelVariant(
-    op="fused_elementwise",
-    name="ufunc",
-    applies=lambda desc: True,
-    rank=0,
-    description="reference in-place ufunc chain replay",
-))
-register_variant(KernelVariant(
-    op="fused_elementwise",
-    name="native",
-    applies=_native_elementwise_applies,
-    rank=-10,
-    description="generated C single-loop chain (bitwise-verified)",
-))
 register_variant(KernelVariant(
     op="conv2d",
     name="native",
@@ -685,11 +472,4 @@ register_variant(KernelVariant(
     rank=-10,
     description="generated C im2col+GEMM via numpy's own BLAS "
                 "(bitwise-verified)",
-))
-register_variant(KernelVariant(
-    op="linear",
-    name="native",
-    applies=_native_linear_applies,
-    rank=-10,
-    description="generated C GEMM via numpy's own BLAS (bitwise-verified)",
 ))

@@ -138,12 +138,10 @@ class ServeStats:
     counter / histogram (shared with dashboards, the ``repro.cli metrics``
     command and the SLO monitor), and the historical attribute surface --
     ``stats.requests``, ``stats.rejected`` and friends -- reads straight
-    through to it.  Mutation goes through the atomic recorders
-    (:meth:`record_batch`, :meth:`record_rejected`,
-    :meth:`record_feedback`); the property setters remain for tests and
-    compatibility but replace the stored total wholesale, so concurrent
-    writers must use the recorders (this is what fixed the historical
-    feedback-vs-batch-counter race under multi-worker load).
+    through to it.  The attributes are read-only: every mutation goes
+    through the atomic recorders (:meth:`record_batch`,
+    :meth:`record_rejected`, :meth:`record_feedback`), which is what fixed
+    the historical feedback-vs-batch-counter race under multi-worker load.
 
     Args:
         registry: Registry to publish into; ``None`` creates a private
@@ -198,10 +196,6 @@ class ServeStats:
         """Requests served so far (all models)."""
         return int(self._requests.total())
 
-    @requests.setter
-    def requests(self, value: int) -> None:
-        self._replace_by_model(self._requests, value)
-
     @property
     def requests_by_model(self) -> Dict[str, int]:
         """Requests served per repository model (engine traffic excluded)."""
@@ -216,85 +210,46 @@ class ServeStats:
         """Batches executed so far."""
         return int(self._batches.value)
 
-    @batches.setter
-    def batches(self, value: int) -> None:
-        self._batches._default()._force(value)
-
     @property
     def rejected(self) -> int:
         """Requests rejected by queue backpressure."""
         return int(self._rejected.value)
-
-    @rejected.setter
-    def rejected(self, value: int) -> None:
-        self._rejected._default()._force(value)
 
     @property
     def feedback(self) -> int:
         """Labelled feedback samples reported through ``record_feedback``."""
         return int(self._feedback.value)
 
-    @feedback.setter
-    def feedback(self, value: int) -> None:
-        self._feedback._default()._force(value)
-
     @property
     def feedback_predicted(self) -> int:
         """Feedback samples that carried the service's prediction alongside."""
         return int(self._feedback_predicted.value)
-
-    @feedback_predicted.setter
-    def feedback_predicted(self, value: int) -> None:
-        self._feedback_predicted._default()._force(value)
 
     @property
     def feedback_correct(self) -> int:
         """Feedback samples whose reported prediction matched the label."""
         return int(self._feedback_correct.value)
 
-    @feedback_correct.setter
-    def feedback_correct(self, value: int) -> None:
-        self._feedback_correct._default()._force(value)
-
     @property
     def wall_compute_seconds(self) -> float:
         """Wall-clock seconds spent inside plan compute."""
         return self._wall_compute.value
-
-    @wall_compute_seconds.setter
-    def wall_compute_seconds(self, value: float) -> None:
-        self._wall_compute._default()._force(value)
 
     @property
     def energy_pj(self) -> float:
         """Modelled device energy across every batch, in picojoules."""
         return self._energy.value
 
-    @energy_pj.setter
-    def energy_pj(self, value: float) -> None:
-        self._energy._default()._force(value)
-
     @property
     def device_seconds(self) -> float:
         """Modelled device latency summed across every batch."""
         return self._device_seconds.value
-
-    @device_seconds.setter
-    def device_seconds(self, value: float) -> None:
-        self._device_seconds._default()._force(value)
 
     @property
     def latencies(self) -> List[float]:
         """Per-request end-to-end latencies, in execution order (a copy)."""
         with self._lock:
             return list(self._latencies)
-
-    @staticmethod
-    def _replace_by_model(family, value) -> None:
-        """Setter support: replace a labelled counter's whole total."""
-        for _, counter in family.series():
-            counter._force(0.0)
-        family.labels(model="")._force(value)
 
     @property
     def mean_batch_size(self) -> float:

@@ -8,7 +8,7 @@ from repro.adapt import (
     FeedbackBuffer,
     StalenessTrigger,
 )
-from repro.serve import ServeStats
+from repro.serve import BatchRecord, ServeStats
 
 SHAPE = (3,)
 
@@ -142,6 +142,11 @@ class TestAccuracyDropTrigger:
             AccuracyDropTrigger(0.9, window=0)
 
 
+def _serve(stats, requests):
+    """Record ``requests`` more served requests through the atomic recorder."""
+    stats.record_batch(BatchRecord(batch_id=0, size=requests, compute_seconds=0.0), [])
+
+
 class TestStalenessTrigger:
     def test_requires_a_condition(self):
         with pytest.raises(ValueError):
@@ -162,15 +167,15 @@ class TestStalenessTrigger:
         stats = ServeStats()
         # Traffic served before the trigger was attached must not count:
         # the first evaluation anchors the request baseline.
-        stats.requests = 500
+        _serve(stats, 500)
         assert not trigger.evaluate(stats, buffer, now=0.0)
-        stats.requests = 599
+        _serve(stats, 99)
         assert not trigger.evaluate(stats, buffer, now=0.0)
-        stats.requests = 600
+        _serve(stats, 1)
         assert trigger.evaluate(stats, buffer, now=0.0).fire
         trigger.reset(stats, now=0.0)
         assert not trigger.evaluate(stats, buffer, now=0.0)
-        stats.requests = 700
+        _serve(stats, 100)
         assert trigger.evaluate(stats, buffer, now=0.0).fire
 
     def test_reset_rebases_age(self):
@@ -199,7 +204,7 @@ class TestStalenessTrigger:
         buffer = FeedbackBuffer()
         stats = ServeStats()
         staleness.evaluate(stats, buffer, now=0.0)
-        stats.requests = 10
+        _serve(stats, 10)
         assert staleness.evaluate(stats, buffer, now=0.0).trigger == "staleness"
         drop = AccuracyDropTrigger(baseline_accuracy=1.0, max_drop=0.1, min_feedback=4)
         _fill(buffer, 8, correct=False)

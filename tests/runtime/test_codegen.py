@@ -13,28 +13,15 @@ import os
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.quant import export_quantized_model
 from repro.runtime import compile_plan, compile_quantized_plan
 from repro.runtime import codegen
-from repro.runtime.codegen import (
-    ChainSpec,
-    ConvGeom,
-    EpilogueSpec,
-    LinearGeom,
-    elementwise_spec,
-    epilogue_spec,
-)
+from repro.runtime.codegen import ConvGeom, EpilogueSpec, epilogue_spec
 from repro.runtime.codegen import build as codegen_build
 from repro.runtime.codegen.emitter import c_double
 from repro.runtime.tuning import Autotuner, TuningCache, TuningConfig
-from repro.runtime.variants import (
-    KernelDesc,
-    applicable_variants,
-    prepare_conv_weight,
-    prepare_linear_weight,
-    run_conv,
-    run_linear,
-)
+from repro.runtime.variants import KernelDesc, applicable_variants, run_conv
 from zoo import build
 
 RNG = np.random.default_rng(23)
@@ -63,7 +50,7 @@ def disabled_codegen(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# Spec builders: only exactly-reproducible chains are admissible
+# Spec builder: only exactly-reproducible epilogues are admissible
 # --------------------------------------------------------------------------- #
 class TestSpecBuilders:
     def test_c_double_is_exact_hexfloat(self):
@@ -74,44 +61,40 @@ class TestSpecBuilders:
         with pytest.raises(ValueError):
             c_double(float("inf"))
 
-    def test_whitelisted_chain_builds_a_spec(self):
-        spec = elementwise_spec(
-            (4, 8, 8),
+    def test_whitelisted_epilogue_builds_a_spec(self):
+        spec = epilogue_spec(
+            4, True, True,
             [
-                ("add", [("extern", (2, 4, 8, 8), True), ("scalar", 0.5)], {}),
+                ("add", [("chain",), ("extern", (4, 1, 1))], {}),
                 ("clamp", [("chain",)], {"min": 0.0, "max": 6.0}),
             ],
         )
-        assert isinstance(spec, ChainSpec)
-        assert spec.extern_modes == ("full",)
+        assert isinstance(spec, EpilogueSpec)
+        assert spec.externs == 1
         assert "clamp" in spec.detail()
 
     def test_transcendentals_are_rejected(self):
         for op in ("exp", "tanh", "sigmoid", "pow", "log"):
-            assert elementwise_spec(
-                (4,), [(op, [("extern", (2, 4), True)], {})]
-            ) is None
-
-    def test_chain_ref_in_first_op_is_rejected(self):
-        assert elementwise_spec(
-            (4,), [("neg", [("chain",)], {})]
-        ) is None
+            assert epilogue_spec(4, False, False, [(op, [("chain",)], {})]) is None
 
     def test_inverted_clamp_bounds_are_rejected(self):
         # np.clip lets the upper bound win when lo > hi; the C form does
-        # not reproduce that, so the chain must not be admitted.
-        assert elementwise_spec(
-            (4,),
-            [("clamp", [("extern", (2, 4), True)], {"min": 2.0, "max": 1.0})],
+        # not reproduce that, so the epilogue must not be admitted.
+        assert epilogue_spec(
+            4, False, False,
+            [("clamp", [("chain",)], {"min": 2.0, "max": 1.0})],
         ) is None
 
     def test_mismatched_extern_shape_is_rejected(self):
-        assert elementwise_spec(
-            (4, 8, 8), [("add", [("extern", (2, 5), True), ("scalar", 1.0)], {})]
-        ) is None
+        # Only per-channel operands are bakeable: spatial dims are not
+        # known until run time.
+        for shape in ((5, 1, 1), (4,), (4, 3, 3)):
+            assert epilogue_spec(
+                4, False, False, [("add", [("chain",), ("extern", shape)], {})]
+            ) is None
 
     def test_empty_epilogue_is_a_valid_spec(self):
-        spec = epilogue_spec((8,), False, False, [])
+        spec = epilogue_spec(8, False, False, [])
         assert isinstance(spec, EpilogueSpec) and spec.is_empty()
 
 
@@ -137,8 +120,9 @@ class TestBuildCache:
         assert after["cached"] == mid["cached"] + 1
 
     def test_clear_cache_removes_artifacts(self, enabled_codegen):
-        geom = LinearGeom(in_features=6, out_features=4)
-        assert codegen.native_linear_kernel(geom) is not None
+        geom = ConvGeom(c_in=2, h=6, w=6, kh=3, kw=3, sh=1, sw=1, ph=1, pw=1,
+                        c_out=3)
+        assert codegen.native_conv_kernel(geom) is not None
         assert codegen.clear_cache() > 0
         assert not any(
             name.endswith(".so") for name in os.listdir(codegen.cache_dir())
@@ -183,12 +167,12 @@ CONV_GEOMS = [
 
 def _epilogues(channels):
     yield "bare", None
-    yield "affine", epilogue_spec((channels, 0, 0), True, True, [])
+    yield "affine", epilogue_spec(channels, True, True, [])
     yield "affine+relu", epilogue_spec(
-        (channels, 0, 0), True, True, [("relu", [("chain",)], {})]
+        channels, True, True, [("relu", [("chain",)], {})]
     )
     yield "clamp", epilogue_spec(
-        (channels, 0, 0), False, False,
+        channels, False, False,
         [("clamp", [("chain",)], {"min": 0.0, "max": 6.0})],
     )
 
@@ -236,61 +220,61 @@ class TestNativeKernelsBitwise:
                     f"{label}/{tag} batch={batch} diverged"
                 )
 
-    @pytest.mark.parametrize("in_f,out_f", [(16, 8), (784, 100), (120, 84)])
-    def test_linear_matches_matmul_including_gemv_batch_1(
-        self, enabled_codegen, in_f, out_f
-    ):
-        geom = LinearGeom(in_features=in_f, out_features=out_f)
-        kernel = codegen.native_linear_kernel(geom)
-        assert kernel is not None
-        weight = np.ascontiguousarray(RNG.normal(size=(in_f, out_f)))
-        for batch in (1, 2, 7):
-            x = np.ascontiguousarray(RNG.normal(size=(batch, in_f)))
-            reference = np.matmul(x, weight)
-            actual = np.empty((batch, out_f))
-            assert kernel.run(x, weight, actual)
-            assert actual.tobytes() == reference.tobytes(), f"batch={batch}"
-
-    def test_elementwise_chain_matches_ufunc_replay(self, enabled_codegen):
-        spec = elementwise_spec(
-            (3, 6, 6),
+    def test_scalar_and_channel_operands_match_ufunc_replay(self, enabled_codegen):
+        geom = CONV_GEOMS[0][1]
+        epilogue = epilogue_spec(
+            geom.c_out, False, False,
             [
-                ("mul", [("extern", (2, 3, 6, 6), True), ("scalar", 0.75)], {}),
-                ("add", [("chain",), ("extern", (3, 1, 1), False)], {}),
+                ("mul", [("chain",), ("scalar", 0.75)], {}),
+                ("add", [("chain",), ("extern", (geom.c_out, 1, 1))], {}),
                 ("relu", [("chain",)], {}),
             ],
         )
-        assert spec is not None and spec.extern_modes == ("full", "channel")
-        kernel = codegen.native_elementwise_kernel(spec)
+        assert epilogue is not None and epilogue.externs == 1
+        kernel = codegen.native_conv_kernel(geom, epilogue)
         assert kernel is not None
         for batch in (1, 4):
-            full = np.ascontiguousarray(RNG.normal(size=(batch, 3, 6, 6)))
-            channel = np.ascontiguousarray(RNG.normal(size=(3,)))
-            reference = np.maximum(
-                full * np.float64(0.75) + channel.reshape(3, 1, 1), 0.0
+            x = RNG.normal(size=(batch, geom.c_in, geom.h, geom.w))
+            weight = np.ascontiguousarray(RNG.normal(size=(geom.c_out, geom.k_rows)))
+            channel = np.ascontiguousarray(RNG.normal(size=(geom.c_out,)))
+            cols, _, oh, ow = kernels.im2col(
+                x, (geom.kh, geom.kw), (geom.sh, geom.sw), (geom.ph, geom.pw)
             )
-            actual = np.empty((batch, 3, 6, 6))
-            assert kernel.run(actual, [full, channel], batch)
+            raw = np.matmul(weight, cols).reshape(batch, geom.c_out, oh, ow)
+            reference = np.maximum(
+                raw * np.float64(0.75) + channel.reshape(geom.c_out, 1, 1), 0.0
+            )
+            actual = np.empty((batch, geom.c_out, oh, ow))
+            assert kernel.run(x, weight, actual, externs=[channel])
             assert actual.tobytes() == reference.tobytes()
 
-    def test_special_values_survive_the_chain(self, enabled_codegen):
-        # NaN propagation and the -0.0 tie of np.maximum / np.clip.
-        spec = elementwise_spec(
-            (8,),
+    def test_special_values_survive_the_epilogue(self, enabled_codegen):
+        # NaN propagation and the -0.0 tie of np.maximum / np.clip: a zero
+        # filter over a positive input leaves +0.0, and ``special - 0.0``
+        # hands each channel's special value to relu and clamp unchanged.
+        specials = np.ascontiguousarray(
+            [np.nan, -0.0, 0.0, -1.5, 7.5, 1e-320, -np.inf, np.inf]
+        )
+        geom = ConvGeom(c_in=2, h=4, w=4, kh=3, kw=3, sh=1, sw=1, ph=1, pw=1,
+                        c_out=8)
+        epilogue = epilogue_spec(
+            8, False, False,
             [
-                ("mul", [("extern", (2, 8), True), ("scalar", 1.0)], {}),
+                ("sub", [("extern", (8, 1, 1)), ("chain",)], {}),
                 ("relu", [("chain",)], {}),
                 ("clamp", [("chain",)], {"min": -1.0, "max": 6.0}),
             ],
         )
-        kernel = codegen.native_elementwise_kernel(spec)
+        kernel = codegen.native_conv_kernel(geom, epilogue)
         assert kernel is not None
-        full = np.ascontiguousarray(
-            [[np.nan, -0.0, 0.0, -1.5, 7.5, 1e-320, -np.inf, np.inf]] * 2
+        x = np.ones((2, 2, 4, 4))
+        weight = np.zeros((8, geom.k_rows))
+        raw = np.zeros((2, 8, 4, 4))
+        reference = np.clip(
+            np.maximum(specials.reshape(8, 1, 1) - raw, 0.0), -1.0, 6.0
         )
-        reference = np.clip(np.maximum(full * np.float64(1.0), 0.0), -1.0, 6.0)
-        actual = np.empty((2, 8))
-        assert kernel.run(actual, [full], 2)
+        actual = np.empty((2, 8, 4, 4))
+        assert kernel.run(x, weight, actual, externs=[specials])
         assert actual.tobytes() == reference.tobytes()
 
 
@@ -322,32 +306,13 @@ class TestVariantIntegration:
         else:
             high = 2 ** (bits - 1)
             matrix = RNG.integers(-high, high, size=(4, 27)).astype(np.float64)
-        reference = run_conv(
-            "im2col", x, prepare_conv_weight("im2col", matrix),
-            (3, 3), (1, 1), (1, 1),
-        )
+        packed = kernels.pack_weight_matrix(matrix)
+        reference = run_conv("im2col", x, packed, (3, 3), (1, 1), (1, 1))
         out = np.empty((3, 4, 64))
-        produced = run_conv(
-            "native", x, prepare_conv_weight("native", matrix),
-            (3, 3), (1, 1), (1, 1), out=out,
-        )
+        produced = run_conv("native", x, packed, (3, 3), (1, 1), (1, 1), out=out)
         np.testing.assert_array_equal(
             produced.reshape(reference.shape), np.asarray(reference)
         )
-
-    @pytest.mark.parametrize("bits", [32, 8])
-    def test_run_linear_native_bitwise_across_bitwidths(self, enabled_codegen, bits):
-        x = RNG.normal(size=(4, 24))
-        if bits == 32:
-            weight = RNG.normal(size=(24, 5))
-        else:
-            weight = RNG.integers(-128, 128, size=(24, 5)).astype(np.float64)
-        reference = run_linear("matmul", x, prepare_linear_weight("matmul", weight))
-        out = np.empty((4, 5))
-        produced = run_linear(
-            "native", x, prepare_linear_weight("native", weight), out=out
-        )
-        np.testing.assert_array_equal(produced, reference)
 
 
 # --------------------------------------------------------------------------- #
@@ -450,9 +415,10 @@ class TestNoCompilerFallback:
             assert codegen.compiler_command() is None
             status = codegen.status()
             assert status["compiler"] is None
-            geom = LinearGeom(in_features=6, out_features=4)
+            geom = ConvGeom(c_in=2, h=6, w=6, kh=3, kw=3, sh=1, sw=1, ph=1,
+                            pw=1, c_out=3)
             codegen.configure(enable=True, cache_dir_path=str(tmp_path / "cg"))
-            assert codegen.native_linear_kernel(geom) is None
+            assert codegen.native_conv_kernel(geom) is None
         finally:
             codegen.reset()
 
@@ -464,8 +430,9 @@ class TestNoCompilerFallback:
 class TestVerifyBackend:
     def test_cold_then_warm(self, enabled_codegen):
         report = codegen.verify_backend()
-        assert report["conv2d"] and report["linear"] and report["elementwise"]
-        assert report["built"] == 3 and report["failed"] == 0
+        assert report["conv2d"]
+        assert "linear" not in report and "elementwise" not in report
+        assert report["built"] == 1 and report["failed"] == 0
         codegen.configure()  # fresh memos, same artifact dir
         warm = codegen.verify_backend()
-        assert warm["built"] == 0 and warm["cached"] == 3
+        assert warm["built"] == 0 and warm["cached"] == 1

@@ -13,7 +13,13 @@ import pytest
 
 from repro.models import build_model
 from repro.quant import export_quantized_model
-from repro.runtime import ExecutionContext, PlanCache, compile_plan, compile_quantized_plan
+from repro.runtime import (
+    DEFAULT_PASSES,
+    ExecutionContext,
+    PlanCache,
+    compile_plan,
+    compile_quantized_plan,
+)
 
 
 def _build(name="tiny_convnet", seed=0, shape=(1, 12, 12)):
@@ -261,17 +267,21 @@ class TestPlanCachePassConfig:
         cache = PlanCache()
         optimised = cache.get_or_compile(model, export, shape)
         raw = cache.get_or_compile(model, export, shape, optimize=False)
-        subset = cache.get_or_compile(model, export, shape, passes=("fold_constants", "dce"))
+        subset = cache.get_or_compile(model, export, shape, passes=("fold_constants",))
         assert cache.compiles == 3
         assert len({id(optimised), id(raw), id(subset)}) == 3
         # Same request shapes hit their own entries.
         assert cache.get_or_compile(model, export, shape, optimize=False) is raw
         assert cache.hits == 1
 
-    def test_key_for_resolves_fold_affine(self):
+    def test_key_for_resolves_the_pass_pipeline(self):
         model, shape = _build()
         export = export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()})
         full = PlanCache.key_for(model, export, shape)
-        no_affine = PlanCache.key_for(model, export, shape, fold_affine=False)
+        assert PlanCache.key_for(model, export, shape, passes=DEFAULT_PASSES) == full
+        no_affine = PlanCache.key_for(
+            model, export, shape,
+            passes=tuple(p for p in DEFAULT_PASSES if p != "fuse_affine"),
+        )
         assert full != no_affine
         assert "fuse_affine" not in no_affine[3]

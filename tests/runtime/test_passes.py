@@ -4,13 +4,13 @@ The acceptance bar: every pass (and every subset of passes) changes plan
 *shape* only.  For each registry model -- float and quantised -- the plan
 compiled with any single pass disabled, and the fully optimised plan,
 produce **byte-identical** logits to the unoptimised reference interpreter
-(``optimize=False``).
+(``optimize=False``).  And every default pass earns its place: removing
+any one of them changes some registry model's plan.
 """
 
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.quant import export_quantized_model
 from repro.runtime import (
     DEFAULT_PASSES,
@@ -20,7 +20,7 @@ from repro.runtime import (
     compile_quantized_plan,
     resolve_passes,
 )
-from repro.runtime.executor import ConvStep, FusedElementwiseStep, LinearStep
+from repro.runtime.executor import ConvStep, LinearStep
 from zoo import MODEL_CONFIGS, build
 
 #: Every configuration the byte-identity sweep compiles: the full default
@@ -33,6 +33,28 @@ PASS_CONFIGS = [("all", DEFAULT_PASSES)] + [
 
 def _batch(shape, seed=3, batch=4):
     return np.random.default_rng(seed).normal(size=(batch,) + shape)
+
+
+def test_default_pipeline_is_the_three_earning_passes():
+    assert DEFAULT_PASSES == ("fold_constants", "fuse_affine", "select_kernels")
+    assert set(available_passes()) == set(DEFAULT_PASSES)
+
+
+@pytest.mark.parametrize("removed", DEFAULT_PASSES)
+def test_every_default_pass_changes_some_zoo_plan(removed):
+    """A pass earns its place only if some registry plan needs it: dropping
+    it must change at least one zoo model's plan, fp32 or quantised."""
+    passes = tuple(p for p in DEFAULT_PASSES if p != removed)
+    for name in sorted(MODEL_CONFIGS):
+        model, shape = build(name)
+        export = export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()})
+        for compile_ in (
+            lambda **kw: compile_plan(model, shape, **kw),
+            lambda **kw: compile_quantized_plan(model, export, shape, **kw),
+        ):
+            if compile_().describe() != compile_(passes=passes).describe():
+                return
+    pytest.fail(f"removing {removed!r} changes no zoo-model plan")
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
@@ -84,25 +106,16 @@ class TestFoldConstants:
         assert kernel_steps
         assert all(np.issubdtype(s.weight.dtype, np.integer) for s in kernel_steps)
 
+    def test_weight_transposes_fold_out_of_the_default_pipeline(self):
+        # Unoptimised plans still execute the traced parameter transposes
+        # (cheap const views); the default pipeline folds them away.
+        from repro.runtime.executor import TransposeStep
 
-class TestCSE:
-    def test_merges_duplicate_subexpressions(self):
-        class Doubled(nn.Module):
-            def forward(self, x):
-                return x.exp() + x.exp()
-
-        plan = compile_plan(Doubled(), (6,), passes=("cse",))
-        merged = next(r for r in plan.pipeline.passes if r.name == "cse")
-        assert merged.nodes_before - merged.nodes_after == 1
-
-    def test_keeps_distinct_attributes_apart(self):
-        class TwoClamps(nn.Module):
-            def forward(self, x):
-                return x.clamp(0.0, 1.0) + x.clamp(0.0, 2.0)
-
-        plan = compile_plan(TwoClamps(), (6,), passes=("cse",))
-        merged = next(r for r in plan.pipeline.passes if r.name == "cse")
-        assert merged.nodes_before == merged.nodes_after
+        model, shape = build("mlp")
+        unoptimised = compile_plan(model, shape, optimize=False)
+        optimised = compile_plan(model, shape)
+        assert any(isinstance(s, TransposeStep) for s in unoptimised.steps)
+        assert not any(isinstance(s, TransposeStep) for s in optimised.steps)
 
 
 class TestFuseAffine:
@@ -124,69 +137,12 @@ class TestFuseAffine:
         assert linear_steps
         assert all(step.post and step.post[0][0] == "add" for step in linear_steps)
 
-    def test_disabled_by_fold_affine_flag(self):
+    def test_disabled_by_dropping_the_pass(self):
         model, shape = build("tiny_convnet")
-        plan = compile_plan(model, shape, fold_affine=False)
+        passes = tuple(p for p in DEFAULT_PASSES if p != "fuse_affine")
+        plan = compile_plan(model, shape, passes=passes)
         assert "fuse_affine" not in plan.passes
         assert all(not s.post for s in plan.steps if isinstance(s, ConvStep))
-
-
-class TestFuseElementwise:
-    def test_chain_becomes_single_step(self):
-        class Chain(nn.Module):
-            def forward(self, x):
-                return x.relu().clamp(0.0, 1.0).sigmoid()
-
-        plan = compile_plan(Chain(), (8,))
-        fused = [s for s in plan.steps if isinstance(s, FusedElementwiseStep)]
-        assert len(fused) == 1
-        assert [op for op, _, _ in fused[0].ops] == ["relu", "clamp", "sigmoid"]
-        assert plan.num_steps == 1
-
-    def test_unfolded_batch_norm_chain_fuses(self):
-        # With constant folding disabled the BN arithmetic stays in the
-        # graph; the chain pass packs the per-feature ops into fused steps.
-        model, shape = build("tiny_convnet")
-        passes = tuple(p for p in DEFAULT_PASSES if p != "fold_constants")
-        plan = compile_plan(model, shape, passes=passes)
-        fused = [s for s in plan.steps if isinstance(s, FusedElementwiseStep)]
-        assert fused
-
-    def test_branching_consumer_breaks_chain(self):
-        class Branch(nn.Module):
-            def forward(self, x):
-                y = x.relu()
-                return y.sigmoid() + y.exp()
-
-        plan = compile_plan(Branch(), (8,))
-        # relu feeds two consumers: no chain may absorb it (the sigmoid's
-        # own tail, sigmoid -> add, is still free to fuse).
-        fused = [s for s in plan.steps if isinstance(s, FusedElementwiseStep)]
-        assert all("relu" not in [op for op, _, _ in s.ops] for s in fused)
-        assert any(s.describe().startswith("relu") for s in plan.steps)
-
-
-class TestDeadNodeElimination:
-    def test_removes_unused_results(self):
-        class Dead(nn.Module):
-            def forward(self, x):
-                x.exp()  # traced, never used
-                return x.relu()
-
-        plan = compile_plan(Dead(), (8,))
-        removed = next(r for r in plan.pipeline.passes if r.name == "dce")
-        assert removed.nodes_before - removed.nodes_after == 1
-
-    def test_weight_transposes_fold_out_of_the_default_pipeline(self):
-        # Unoptimised plans still execute the traced parameter transposes
-        # (cheap const views); the default pipeline folds them away.
-        from repro.runtime.executor import TransposeStep
-
-        model, shape = build("mlp")
-        unoptimised = compile_plan(model, shape, optimize=False)
-        optimised = compile_plan(model, shape)
-        assert any(isinstance(s, TransposeStep) for s in unoptimised.steps)
-        assert not any(isinstance(s, TransposeStep) for s in optimised.steps)
 
 
 class TestPassManager:
@@ -202,8 +158,7 @@ class TestPassManager:
     def test_resolve_passes_knobs(self):
         assert resolve_passes(optimize=False) == ()
         assert resolve_passes() == DEFAULT_PASSES
-        assert "fuse_affine" not in resolve_passes(fold_affine=False)
-        assert resolve_passes(passes=("dce",)) == ("dce",)
+        assert resolve_passes(passes=("fuse_affine",)) == ("fuse_affine",)
 
     def test_report_records_every_pass(self):
         model, shape = build("mlp")

@@ -16,10 +16,21 @@ import pytest
 
 from repro.models.registry import available_models
 from repro.quant import export_quantized_model, load_into_model
-from repro.runtime import ExecutionPlan, PlanCompileError, compile_plan, compile_quantized_plan
+from repro.runtime import (
+    DEFAULT_PASSES,
+    ExecutionPlan,
+    PlanCompileError,
+    compile_plan,
+    compile_quantized_plan,
+)
 from repro.runtime.plan import ConvStep, ElementwiseStep, LinearStep
 from repro.tensor import Tensor, graph_nodes_created, no_grad
 from zoo import MODEL_CONFIGS, build as _build
+
+
+def _without(name):
+    """The default pipeline minus one pass."""
+    return tuple(p for p in DEFAULT_PASSES if p != name)
 
 
 def test_every_registry_model_has_a_config():
@@ -87,7 +98,7 @@ class TestPlanStructure:
     def test_batch_norm_folds_into_conv(self):
         model, shape = _build("tiny_convnet")
         fused = compile_plan(model, shape)
-        unfused = compile_plan(model, shape, fold_affine=False)
+        unfused = compile_plan(model, shape, passes=_without("fuse_affine"))
         assert fused.num_steps < unfused.num_steps
         # Folding BN absorbs its affine chain into the conv as in-place
         # post-ops (replayed byte-exactly, not collapsed into the weights).
@@ -106,6 +117,23 @@ class TestPlanStructure:
             weight = step.weight_matrix if isinstance(step, ConvStep) else step.weight
             assert np.issubdtype(weight.dtype, np.integer)
             assert step.bits == 8
+
+    def test_unoptimised_quantized_plan_runs_packed_weights(self):
+        # Lowering packs every conv / linear weight once, whatever the
+        # variant: even the pass-free reference interpreter multiplies by
+        # a float64 C-contiguous matrix, while the stored weight keeps the
+        # integer codes.
+        model, shape = _build("tiny_convnet")
+        export = export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()})
+        plan = compile_quantized_plan(model, export, shape, optimize=False)
+        kernel_steps = [s for s in plan.steps if isinstance(s, (ConvStep, LinearStep))]
+        assert {type(s) for s in kernel_steps} == {ConvStep, LinearStep}
+        for step in kernel_steps:
+            weight = step.weight_matrix if isinstance(step, ConvStep) else step.weight
+            assert np.issubdtype(weight.dtype, np.integer)
+            assert step._weight_exec.dtype == np.float64
+            assert step._weight_exec.flags.c_contiguous
+            np.testing.assert_array_equal(step._weight_exec, weight)
 
     def test_compile_quantized_plan_restores_model(self):
         model, shape = _build("tiny_convnet")
@@ -188,13 +216,14 @@ class TestPlanExecutionContract:
             param.data = param.data + 1.0
         np.testing.assert_array_equal(plan.run(x), before)
 
-    @pytest.mark.parametrize("fold_affine", [True, False])
-    def test_snapshot_survives_in_place_mutation(self, fold_affine):
+    @pytest.mark.parametrize("fuse_affine", [True, False])
+    def test_snapshot_survives_in_place_mutation(self, fuse_affine):
         # Folded constants include reshape/transpose *views* of parameters;
         # the plan must copy them, so even in-place writes (which defeat the
         # rebinding check above) cannot reach a compiled plan.
         model, shape = _build("tiny_convnet")
-        plan = compile_plan(model, shape, fold_affine=fold_affine)
+        passes = DEFAULT_PASSES if fuse_affine else _without("fuse_affine")
+        plan = compile_plan(model, shape, passes=passes)
         x = np.random.default_rng(4).normal(size=(2,) + shape)
         before = plan.run(x)
         for param in model.parameters():

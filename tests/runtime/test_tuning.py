@@ -67,14 +67,14 @@ class TestTuningCachePersistence:
     def test_save_is_a_noop_when_clean(self, tmp_path):
         cache = TuningCache(str(tmp_path / "tuning.json"))
         assert cache.save() is False
-        cache.put("sig", TuningRecord("im2col", 1.0, ("im2col", "blocked")))
+        cache.put("sig", TuningRecord("im2col", 1.0, ("im2col", "gemm_1x1")))
         assert cache.save() is True
         assert cache.save() is False
 
     def test_save_creates_missing_parent_directories(self, tmp_path):
         path = str(tmp_path / "deeply" / "nested" / "dirs" / "tuning.json")
         cache = TuningCache(path)
-        cache.put("sig", TuningRecord("im2col", 1.0, ("im2col", "blocked")))
+        cache.put("sig", TuningRecord("im2col", 1.0, ("im2col", "gemm_1x1")))
         assert cache.save() is True
         assert len(TuningCache(path)) == 1
 
@@ -95,7 +95,7 @@ class TestTuningCachePersistence:
 
         monkeypatch.setattr(tuning_module.tempfile, "mkstemp", spying_mkstemp)
         cache = TuningCache(str(tmp_path / "tuning.json"))
-        cache.put("sig", TuningRecord("im2col", 1.0, ("im2col", "blocked")))
+        cache.put("sig", TuningRecord("im2col", 1.0, ("im2col", "gemm_1x1")))
         assert cache.save() is True
         assert seen_dirs == [str(tmp_path)]
         # No tempfile debris left behind after a successful rename.
@@ -103,7 +103,7 @@ class TestTuningCachePersistence:
 
     def test_failed_save_cleans_up_its_tempfile(self, tmp_path, monkeypatch):
         cache = TuningCache(str(tmp_path / "tuning.json"))
-        cache.put("sig", TuningRecord("im2col", 1.0, ("im2col", "blocked")))
+        cache.put("sig", TuningRecord("im2col", 1.0, ("im2col", "gemm_1x1")))
 
         def exploding_replace(src, dst):
             raise OSError("simulated cross-device rename failure")
@@ -121,7 +121,7 @@ class TestTuningCachePersistence:
         worker_a = TuningCache(path)
         worker_b = TuningCache(path)
         worker_a.put("sig-a", TuningRecord("gemm_1x1", 10.0, ("gemm_1x1", "im2col")))
-        worker_b.put("sig-b", TuningRecord("blocked", 20.0, ("blocked", "im2col")))
+        worker_b.put("sig-b", TuningRecord("gemm_1x1", 20.0, ("gemm_1x1", "im2col")))
         assert worker_a.save() is True
         assert worker_b.save() is True
         assert set(TuningCache(path).entries()) == {"sig-a", "sig-b"}
@@ -136,12 +136,12 @@ class TestTuningCachePersistence:
         # loaded from disk, so on a signature conflict it wins the union.
         path = str(tmp_path / "tuning.json")
         first = TuningCache(path)
-        first.put("sig", TuningRecord("im2col", 30.0, ("im2col", "blocked")))
+        first.put("sig", TuningRecord("im2col", 30.0, ("im2col", "gemm_1x1")))
         assert first.save() is True
         second = TuningCache(path)
-        second.put("sig", TuningRecord("blocked", 5.0, ("im2col", "blocked")))
+        second.put("sig", TuningRecord("gemm_1x1", 5.0, ("im2col", "gemm_1x1")))
         assert second.save() is True
-        assert TuningCache(path).entries()["sig"].variant == "blocked"
+        assert TuningCache(path).entries()["sig"].variant == "gemm_1x1"
 
     def test_missing_corrupt_and_stale_files_start_empty(self, tmp_path):
         assert len(TuningCache(str(tmp_path / "absent.json"))) == 0
@@ -163,13 +163,13 @@ class TestTuningCachePersistence:
             "version": TUNING_CACHE_VERSION,
             "entries": {
                 "good": {"variant": "im2col", "best_us": 2.0,
-                         "candidates": ["im2col", "blocked"]},
+                         "candidates": ["im2col", "gemm_1x1"]},
                 "bad": {"variant": "x"},
             },
         }), encoding="utf-8")
         cache = TuningCache(str(path))
         assert len(cache) == 1
-        assert cache.get("good", ["blocked", "im2col"]).variant == "im2col"
+        assert cache.get("good", ["gemm_1x1", "im2col"]).variant == "im2col"
 
 
 class TestTuningCacheLookups:
@@ -180,7 +180,7 @@ class TestTuningCacheLookups:
         cache.put("sig", TuningRecord("gemm_1x1", 3.0, tuple(sorted(candidates))))
         assert cache.get("sig", candidates).variant == "gemm_1x1"
         # Candidate-set drift (a new variant registered) discards the record.
-        assert cache.get("sig", candidates + ["blocked"]) is None
+        assert cache.get("sig", candidates + ["im2col_slices"]) is None
         assert cache.get("sig", candidates) is None  # record is gone
         assert (cache.misses, cache.hits, cache.retunes) == (2, 1, 1)
 
@@ -214,13 +214,18 @@ class TestAutotuner:
         cache = TuningCache(str(tmp_path / "t.json"))
         tuner = Autotuner(TuningConfig(cache=cache, repeats=2, warmup=1))
         variant, provenance = tuner.select(
-            _desc(), ["im2col", "blocked"], _runner_factory(slow={"blocked"}),
+            _desc(), ["im2col", "gemm_1x1"], _runner_factory(slow={"gemm_1x1"}),
         )
         assert (variant, provenance) == ("im2col", "tuned")
         assert tuner.measurements == 4  # 2 candidates x 2 timed repeats
         record = cache.entries()[_desc().signature()]
         assert record.variant == "im2col"
-        assert record.candidates == ("blocked", "im2col")
+        assert record.candidates == ("gemm_1x1", "im2col")
+        # Every candidate's best time stays readable after the race.
+        race = tuner.races[_desc().signature()]
+        assert set(race) == {"gemm_1x1", "im2col"}
+        assert race["gemm_1x1"] > race["im2col"]
+        assert record.best_us == pytest.approx(race["im2col"] * 1e6)
 
     def test_near_tie_keeps_the_ranked_incumbent(self, monkeypatch):
         """A challenger inside DISPLACE_MARGIN must not unseat the incumbent.
@@ -260,20 +265,21 @@ class TestAutotuner:
     def test_warm_cache_answers_with_zero_measurements(self, tmp_path):
         path = str(tmp_path / "t.json")
         first = Autotuner(TuningConfig(cache=TuningCache(path)))
-        first.select(_desc(), ["im2col", "blocked"], _runner_factory(slow={"blocked"}))
+        first.select(_desc(), ["im2col", "gemm_1x1"], _runner_factory(slow={"gemm_1x1"}))
         assert first.config.cache.save()
 
         warm = Autotuner(TuningConfig(cache=TuningCache(path)))
         variant, provenance = warm.select(
-            _desc(), ["im2col", "blocked"], _runner_factory(),
+            _desc(), ["im2col", "gemm_1x1"], _runner_factory(),
         )
         assert (variant, provenance) == ("im2col", "cached")
         assert warm.measurements == 0
+        assert warm.races == {}
 
     def test_budget_exhaustion_falls_back_to_heuristic(self):
         tuner = Autotuner(TuningConfig(budget_s=0.0))
         variant, provenance = tuner.select(
-            _desc(), ["im2col", "blocked"], _runner_factory(),
+            _desc(), ["im2col", "gemm_1x1"], _runner_factory(),
         )
         assert provenance == "heuristic"
         assert variant == "im2col_slices"  # the ranked choice, unmeasured
@@ -283,7 +289,7 @@ class TestAutotuner:
     def test_describe_reports_outcomes_and_budget(self):
         tuner = Autotuner(TuningConfig(budget_s=0.5))
         assert "nothing selected" in tuner.describe()
-        tuner.select(_desc(), ["im2col", "blocked"], _runner_factory())
+        tuner.select(_desc(), ["im2col", "gemm_1x1"], _runner_factory())
         text = tuner.describe()
         assert "1 tuned" in text and "measurements" in text and "budget" in text
 

@@ -3,24 +3,32 @@
 The admission rule under test: for every registered variant and every
 geometry its ``applies`` predicate accepts, the variant's output is
 **bitwise identical** to the reference implementation -- for float weights
-and for quantised integer-code weights alike.  The sweep runs each variant
-over edge-case shapes (1x1 conv, stride > 1, padding, non-overlapping and
-overlapping pooling, batch of one) rather than just the friendly defaults.
+and for quantised integer-code weights alike, and whether or not the weight
+was packed.  The sweep runs each variant over edge-case shapes (1x1 conv,
+stride > 1, padding, non-overlapping and overlapping pooling, batch of one)
+rather than just the friendly defaults.
+
+The census tests hold the registry to its evidence: every non-reference
+variant must win some signature in ``docs/variant_census.json`` by more
+than race noise (regenerate it with ``tools/variant_census.py``).
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.quant import export_quantized_model
 from repro.runtime import compile_plan, compile_quantized_plan
+from repro.runtime.executor import ConvStep, LinearStep
 from repro.runtime.variants import (
     KernelDesc,
     KernelVariant,
     applicable_variants,
     available_variants,
     heuristic_choice,
-    prepare_conv_weight,
-    prepare_linear_weight,
     reference_variant,
     register_variant,
     run_conv,
@@ -31,6 +39,15 @@ from repro.runtime.variants import (
 from zoo import build
 
 RNG = np.random.default_rng(7)
+
+CENSUS_PATH = Path(__file__).resolve().parents[2] / "docs" / "variant_census.json"
+
+#: Variants that run their reference's own dispatch wherever they apply
+#: (``kernels.max_pool2d`` takes the tiled reduction first), so every race
+#: they join is between identical code and no census can show them
+#: winning.  Like references they are exempt from the census gate; each is
+#: the next deletion candidate on the ROADMAP.
+RUNS_REFERENCE_DISPATCH = {("max_pool2d", "tiled")}
 
 #: Conv geometries covering the edge cases: (label, per-sample x_shape,
 #: out_channels, kernel, stride, padding, batch).
@@ -76,17 +93,15 @@ def test_conv_variants_bitwise_identical(label, x_shape, cout, kernel, stride, p
     x = RNG.normal(size=(batch,) + x_shape)
     for tag, weight, bits in _conv_weights(cout, x_shape, kernel):
         desc = _conv_desc(x_shape, cout, kernel, stride, padding, weight, bits)
-        reference = run_conv(
-            "im2col", x, prepare_conv_weight("im2col", weight),
-            kernel, stride, padding,
-        )
+        # The reference over the weight as stored (integer codes for the
+        # int8 case); every variant, the reference included, then runs
+        # over the packed weight the lowering hands it.
+        reference = run_conv("im2col", x, weight, kernel, stride, padding)
         admitted = applicable_variants(desc)
         assert admitted[0].name == "im2col"
-        for variant in admitted[1:]:
-            produced = run_conv(
-                variant.name, x, prepare_conv_weight(variant.name, weight),
-                kernel, stride, padding,
-            )
+        packed = kernels.pack_weight_matrix(weight)
+        for variant in admitted:
+            produced = run_conv(variant.name, x, packed, kernel, stride, padding)
             np.testing.assert_array_equal(
                 produced, np.asarray(reference),
                 err_msg=f"{label}/{tag}: conv2d.{variant.name} changed bytes",
@@ -131,16 +146,6 @@ def test_pool_edge_cases_exercise_every_variant():
         assert admitted == set(available_variants()[op])
 
 
-def test_avg_pool_variants_have_disjoint_applicability():
-    # Tiled sum-then-scale and gather mean differ in the last ulp for 3x3
-    # kernels, so both may never be admissible at one geometry.
-    for _, x_shape, kernel, stride, _ in POOL_CASES:
-        desc = KernelDesc(op="avg_pool2d", x_shape=x_shape,
-                          kernel_size=kernel, stride=stride)
-        names = {v.name for v in applicable_variants(desc)}
-        assert not ({"tiled", "gather"} <= names)
-
-
 @pytest.mark.parametrize("bits,weight_dtype", [(32, np.float64), (8, np.int8)])
 def test_linear_variants_bitwise_identical(bits, weight_dtype):
     x = RNG.normal(size=(4, 24))
@@ -150,12 +155,10 @@ def test_linear_variants_bitwise_identical(bits, weight_dtype):
         weight = RNG.integers(-128, 128, size=(24, 5)).astype(weight_dtype)
     desc = KernelDesc(op="linear", x_shape=(24,), out_channels=5,
                       weight_dtype=str(np.dtype(weight_dtype)), bits=bits)
-    reference = run_linear("matmul", x, prepare_linear_weight("matmul", weight))
-    for variant in applicable_variants(desc)[1:]:
-        np.testing.assert_array_equal(
-            run_linear(variant.name, x, prepare_linear_weight(variant.name, weight)),
-            reference,
-        )
+    reference = run_linear("matmul", x, weight)
+    packed = kernels.pack_weight_matrix(weight)
+    for variant in applicable_variants(desc):
+        np.testing.assert_array_equal(run_linear(variant.name, x, packed), reference)
 
 
 class TestRegistry:
@@ -166,15 +169,12 @@ class TestRegistry:
         assert reference_variant("avg_pool2d") == "auto"
 
     def test_available_variants_lists_every_op(self):
-        listing = available_variants()
-        assert set(listing) == {
-            "conv2d", "linear", "max_pool2d", "avg_pool2d", "fused_elementwise",
+        assert available_variants() == {
+            "conv2d": ("im2col", "im2col_slices", "gemm_1x1", "native"),
+            "linear": ("matmul",),
+            "max_pool2d": ("auto", "tiled", "gather"),
+            "avg_pool2d": ("auto",),
         }
-        assert "gemm_1x1" in listing["conv2d"]
-        assert "blocked" in listing["conv2d"]
-        assert "native" in listing["conv2d"]
-        assert "native" in listing["linear"]
-        assert listing["fused_elementwise"] == ("ufunc", "native")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -208,7 +208,7 @@ class TestRegistry:
         assert heuristic_choice(desc) == "im2col_slices"
 
     def test_heuristic_falls_back_to_reference(self):
-        # A float32-weight linear admits only the reference matmul.
+        # A linear admits only the reference matmul.
         desc = KernelDesc(op="linear", x_shape=(24,), out_channels=5,
                           weight_dtype="float64", bits=32)
         assert heuristic_choice(desc) == "matmul"
@@ -244,14 +244,24 @@ class TestCompiledPlanVariants:
         x = RNG.normal(size=(3,) + shape)
         np.testing.assert_array_equal(plan.run(x), baseline.run(x))
 
-    def test_quantized_plan_selects_packed_variants(self):
+    def test_quantized_plan_runs_float_plan_variants_over_packed_codes(self):
+        # Packing erases the integer/float difference at the kernel call:
+        # a quantised plan picks exactly the float plan's variants, every
+        # conv / linear multiplies by a packed float64 matrix, and the
+        # output matches the unoptimised reference byte for byte.
         model, shape = build("tiny_convnet")
         export = export_quantized_model(
             model, {n: 8 for n, _ in model.named_parameters()}
         )
         plan = compile_quantized_plan(model, export, shape)
-        chosen = {v for v, _ in plan.kernel_variants().values()}
-        assert "im2col_packed" in chosen or "packed" in chosen
+        float_plan = compile_plan(model, shape)
+        assert [v for v, _ in plan.kernel_variants().values()] == [
+            v for v, _ in float_plan.kernel_variants().values()
+        ]
+        for step in plan.steps:
+            if isinstance(step, (ConvStep, LinearStep)):
+                assert step._weight_exec.dtype == np.float64
+                assert step._weight_exec.flags.c_contiguous
         baseline = compile_quantized_plan(model, export, shape, optimize=False)
         x = RNG.normal(size=(3,) + shape)
         np.testing.assert_array_equal(plan.run(x), baseline.run(x))
@@ -262,3 +272,71 @@ class TestCompiledPlanVariants:
         text = plan.describe()
         assert "variant=" in text and "(heuristic)" in text
         assert "variants:" in plan.describe_pipeline()
+
+
+class TestCensus:
+    """Every variant must earn its place in the checked-in census."""
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        return json.loads(CENSUS_PATH.read_text())
+
+    @staticmethod
+    def won(census):
+        """(op, variant) pairs that win a signature by more than noise: the
+        pick in most of its races there, by a median margin over the
+        runner-up above the tuner's displace margin.  A heuristic incumbent
+        the tuner merely kept (margin inside the displace margin) has not
+        won."""
+        won = set()
+        for row in census["signatures"].values():
+            for mode in row["modes"].values():
+                races = sum(mode["picks"].values())
+                for variant, count in mode["picks"].items():
+                    margin = mode["median_margin"].get(variant)
+                    if (2 * count > races and margin is not None
+                            and margin > census["displace_margin"]):
+                        won.add((row["op"], variant))
+        return won
+
+    def test_every_non_reference_variant_wins_a_signature(self, census):
+        won = self.won(census)
+        for op, names in available_variants().items():
+            for name in names:
+                if name == reference_variant(op):
+                    continue  # references stay: every variant is tested against them
+                if (op, name) in RUNS_REFERENCE_DISPATCH:
+                    continue
+                assert (op, name) in won, (
+                    f"{op}.{name} wins no signature in the census by more than "
+                    f"the displace margin; delete it or show where it wins "
+                    f"(tools/variant_census.py)"
+                )
+
+    def test_exempt_variants_run_the_reference_dispatch(self, monkeypatch):
+        # Every exemption needs its proof here; drop it with its variant.
+        assert RUNS_REFERENCE_DISPATCH == {("max_pool2d", "tiled")}
+        assert "tiled" in available_variants()["max_pool2d"]
+        x = RNG.normal(size=(2, 8, 12, 12))
+        tiled = run_pool("max_pool2d", "tiled", x, (2, 2), (2, 2))
+
+        def no_gather(*args, **kwargs):
+            raise AssertionError("the reference gathered where tiled applies")
+
+        monkeypatch.setattr("repro.kernels.pool.max_pool2d_gather", no_gather)
+        reference = run_pool("max_pool2d", "auto", x, (2, 2), (2, 2))
+        np.testing.assert_array_equal(reference, tiled)
+
+    def test_census_names_only_registered_variants(self, census):
+        registered = {
+            (op, name) for op, names in available_variants().items() for name in names
+        }
+        named = set()
+        for row in census["signatures"].values():
+            named.add((row["op"], row["heuristic"]))
+            for mode in row["modes"].values():
+                named.update((row["op"], name) for name in mode["candidates"])
+                named.update((row["op"], name) for name in mode["picks"])
+        for op, names in census["variants"].items():
+            named.update((op, name) for name in names)
+        assert named <= registered, sorted(named - registered)

@@ -206,15 +206,9 @@ class TestServeStatsView:
         ).count == 3
         # Exact percentiles still come from the raw latency list.
         assert stats.latency_percentile(50) == pytest.approx(0.2)
-
-    def test_legacy_setters_keep_trigger_tests_working(self):
-        stats = ServeStats()
-        stats.requests = 500
-        assert stats.requests == 500
-        stats.requests = 600
-        assert stats.requests == 600
-        stats.rejected = 3
-        assert stats.rejected == 3
+        # Read-only views: the atomic recorders are the only writers.
+        with pytest.raises(AttributeError):
+            stats.requests = 0
 
     def test_feedback_and_batch_recording_race(self):
         """Regression: feedback counters updated concurrently with batch

@@ -14,7 +14,7 @@ import pytest
 from repro.models import build_model
 from repro.obs import merge_registry_dumps, total_counter
 from repro.quant import export_quantized_model
-from repro.runtime import codegen, compile_quantized_plan
+from repro.runtime import codegen, compile_plan, compile_quantized_plan
 from repro.runtime.tuning import TuningCache, TuningConfig
 from repro.serve import (
     InferenceService,
@@ -24,11 +24,19 @@ from repro.serve import (
 from repro.serve.bench import run_backend_bench
 
 SHAPE = (16,)
+CONV_SHAPE = (1, 12, 12)
 
 
 def _model(seed=0):
     return build_model(
         "mlp", num_classes=5, in_channels=SHAPE[0], rng=np.random.default_rng(seed)
+    )
+
+
+def _conv_model(seed=0):
+    return build_model(
+        "tiny_convnet", num_classes=5, in_channels=CONV_SHAPE[0],
+        rng=np.random.default_rng(seed),
     )
 
 
@@ -173,14 +181,15 @@ class TestProcessCodegen:
     directory through :class:`ShardWorkerConfig`, so a plan compiled in
     the worker loads the parent's cached ``.so`` instead of rebuilding --
     and a host whose compiler is broken falls back to numpy silently.
+    Native kernels are conv kernels, so these tests serve a small convnet.
     """
 
     def _tuned_repo(self, tuning_path, bits=8):
         repo = ModelRepository(tuning=TuningConfig(
             cache=TuningCache(tuning_path), budget_s=2.0,
         ))
-        model = _model(0)
-        repo.add_model("alpha", model, SHAPE)
+        model = _conv_model()
+        repo.add_model("alpha", model, CONV_SHAPE)
         repo.add_export(
             "alpha",
             export_quantized_model(model, {n: bits for n, _ in model.named_parameters()}),
@@ -192,7 +201,7 @@ class TestProcessCodegen:
         if codegen.compiler_command() is None:
             pytest.skip("no C compiler on this host")
         rng = np.random.default_rng(11)
-        samples = [rng.normal(size=SHAPE) for _ in range(8)]
+        samples = [rng.normal(size=CONV_SHAPE) for _ in range(8)]
         baseline = _serve(
             InferenceService(self._tuned_repo(str(tmp_path / "base.json")),
                              workers=1, queue_policy=_policy()),
@@ -203,15 +212,17 @@ class TestProcessCodegen:
         codegen.reset()
         codegen.configure(enable=True, cache_dir_path=str(tmp_path / "codegen"))
         try:
-            # Pre-build in the parent: tune the quantized plan so native
-            # kernels compile into the shared artifact directory and the
-            # winners persist where the workers will look.
+            # Pre-build in the parent: tune the plans the worker serves
+            # (the 8-bit export and the fp32 variant) so native kernels,
+            # fused epilogues included, compile into the shared artifact
+            # directory and the winners persist where the workers will look.
             tuning = TuningConfig(cache=TuningCache(tuning_path), budget_s=2.0)
-            model = _model(0)
+            model = _conv_model()
             export = export_quantized_model(
                 model, {n: 8 for n, _ in model.named_parameters()}
             )
-            compile_quantized_plan(model, export, SHAPE, tuning=tuning)
+            compile_quantized_plan(model, export, CONV_SHAPE, tuning=tuning)
+            compile_plan(model, CONV_SHAPE, tuning=tuning)
             tuning.cache.save()
             cache_dir = codegen.cache_dir()
             before = {
@@ -240,7 +251,7 @@ class TestProcessCodegen:
 
     def test_broken_compiler_worker_falls_back_to_numpy(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(12)
-        samples = [rng.normal(size=SHAPE) for _ in range(8)]
+        samples = [rng.normal(size=CONV_SHAPE) for _ in range(8)]
         baseline = _serve(
             InferenceService(self._tuned_repo(str(tmp_path / "base.json")),
                              workers=1, queue_policy=_policy()),

@@ -1,10 +1,13 @@
 """Sharding primitives: router, export arenas, slab-ring transport."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.models import build_model
 from repro.quant import export_quantized_model
+from repro.runtime import compile_quantized_plan
 from repro.serve.shards import (
     ARENA_ALIGNMENT,
     ShardRouter,
@@ -137,6 +140,55 @@ class TestExportArena:
         try:
             assert manifest.exports == ()
             assert segment.size >= ARENA_ALIGNMENT
+        finally:
+            segment.close()
+            segment.unlink()
+
+
+class TestExportPickle:
+    """Crossing the process boundary changes nothing about the numbers."""
+
+    def test_export_round_trip_is_byte_identical(self):
+        export = _export()
+        clone = pickle.loads(pickle.dumps(export))
+        assert clone.content_hash() == export.content_hash()
+        for name, tensor in export.quantized.items():
+            np.testing.assert_array_equal(clone.quantized[name].codes, tensor.codes)
+
+    def test_arena_view_pickle_round_trip_is_byte_identical(self):
+        export = _export()
+        segment, manifest = pack_exports({"tiny@8": export})
+        try:
+            attached = attach_segment(segment.name)
+            view = attach_exports(manifest, attached)["tiny@8"]
+            # Pickling an arena view materialises it (the receiving process
+            # has no segment mapping) without changing a byte.
+            clone = pickle.loads(pickle.dumps(view))
+            assert clone.content_hash() == export.content_hash()
+            for name, tensor in export.quantized.items():
+                np.testing.assert_array_equal(clone.quantized[name].codes, tensor.codes)
+                assert clone.quantized[name].qparams == tensor.qparams
+            for name, array in export.float_parameters.items():
+                np.testing.assert_array_equal(clone.float_parameters[name], array)
+            del view, clone
+            attached.close()
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_arena_view_plans_match_original_export_plans(self):
+        model = _model()
+        export = _export()
+        segment, manifest = pack_exports({"tiny@8": export})
+        try:
+            attached = attach_segment(segment.name)
+            view = attach_exports(manifest, attached)["tiny@8"]
+            x = np.random.default_rng(2).normal(size=(2,) + SHAPE)
+            expected = compile_quantized_plan(model, export, SHAPE).run(x)
+            actual = compile_quantized_plan(model, view, SHAPE).run(x)
+            np.testing.assert_array_equal(actual, expected)
+            del view
+            attached.close()
         finally:
             segment.close()
             segment.unlink()

@@ -370,7 +370,7 @@ class TestPlanInspectCommand:
     def test_prints_pass_by_pass_summary(self, export_path, capsys):
         assert cli.run_plan_inspect(self._argv(export_path)) == 0
         out = capsys.readouterr().out
-        for name in ("fold_constants", "cse", "fuse_affine", "fuse_elementwise", "dce"):
+        for name in ("fold_constants", "fuse_affine", "select_kernels"):
             assert f"pass {name}:" in out
         assert "trace:" in out and "arena" in out and "steps:" in out
 
@@ -384,15 +384,15 @@ class TestPlanInspectCommand:
         assert "passes=[]" in capsys.readouterr().out
 
     def test_explicit_pass_subset(self, export_path, capsys):
-        argv = self._argv(export_path, "--passes", "fold_constants,dce")
+        argv = self._argv(export_path, "--passes", "fold_constants,select_kernels")
         assert cli.run_plan_inspect(argv) == 0
         out = capsys.readouterr().out
-        assert "pass fold_constants:" in out and "pass cse:" not in out
+        assert "pass fold_constants:" in out and "pass fuse_affine:" not in out
 
     def test_pass_names_tolerate_whitespace(self, export_path, capsys):
-        argv = self._argv(export_path, "--passes", "fold_constants, dce")
+        argv = self._argv(export_path, "--passes", "fold_constants, select_kernels")
         assert cli.run_plan_inspect(argv) == 0
-        assert "pass dce:" in capsys.readouterr().out
+        assert "pass select_kernels:" in capsys.readouterr().out
 
     def test_unknown_pass_rejected(self, export_path, capsys):
         argv = self._argv(export_path, "--passes", "loop_unrolling")
@@ -628,13 +628,14 @@ class TestCodegenCommand:
             pytest.skip("no C compiler on this host")
         assert cli.run_codegen(["--verify", "--cache-dir", codegen_tmp]) == 0
         cold = capsys.readouterr().out
-        assert "conv2d: ok" in cold and "linear: ok" in cold
-        assert "3 compiled" in cold
+        assert "conv2d: ok" in cold
+        assert "linear" not in cold and "elementwise" not in cold
+        assert "1 compiled" in cold
 
         codegen.reset()  # drop in-process kernel memos; disk artifacts stay
         assert cli.run_codegen(["--verify", "--cache-dir", codegen_tmp]) == 0
         warm = capsys.readouterr().out
-        assert "0 compiled" in warm and "3 from warm cache" in warm
+        assert "0 compiled" in warm and "1 from warm cache" in warm
 
     def test_clear_cache_removes_artifacts(self, codegen_tmp, capsys):
         from repro.runtime import codegen
@@ -644,7 +645,7 @@ class TestCodegenCommand:
         assert cli.run_codegen(["--verify", "--cache-dir", codegen_tmp]) == 0
         capsys.readouterr()
         assert cli.run_codegen(["--clear-cache", "--cache-dir", codegen_tmp]) == 0
-        assert "removed 6 cached artifacts" in capsys.readouterr().out
+        assert "removed 2 cached artifacts" in capsys.readouterr().out
 
     def test_main_dispatch(self, codegen_tmp, capsys):
         assert cli.main(["codegen", "--cache-dir", codegen_tmp]) == 0
