@@ -24,6 +24,7 @@ from repro.kernels.conv import (
     im2col_cache_clear,
     im2col_cache_info,
     im2col_indices,
+    im2col_slices,
     matmul_cols,
     pack_weight_matrix,
     pad_nchw,
@@ -59,6 +60,7 @@ __all__ = [
     "im2col_cache_info",
     "im2col_indices",
     "im2col",
+    "im2col_slices",
     "col2im",
     "conv_output_hw",
     "matmul_cols",

@@ -1,5 +1,11 @@
 """Convolution kernels: im2col lowering and the dense matmul it enables.
 
+Two column builders produce the same values.  :func:`im2col` gathers them
+with one fancy-index read; it is the runtime's reference lowering.
+:func:`im2col_slices` copies them with strided slices into a C-contiguous
+buffer; training and the ``im2col_slices`` runtime variant use it.
+:func:`col2im`, the adjoint, scatters gradients back by strided-slice adds.
+
 The gather indices used by the im2col lowering depend only on the spatial
 geometry (channels, height, width, kernel, stride, padding) -- not on the
 batch size or the data -- so they are memoised with ``functools.lru_cache``.
@@ -51,16 +57,9 @@ def im2col_indices(
     """
     kernel_h, kernel_w = kernel_size
     stride_h, stride_w = stride
-    pad_h, pad_w = padding
-
-    out_h = (height + 2 * pad_h - kernel_h) // stride_h + 1
-    out_w = (width + 2 * pad_w - kernel_w) // stride_w + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"convolution output size would be non-positive for input "
-            f"(C={channels}, H={height}, W={width}), kernel {kernel_size}, "
-            f"stride {stride}, padding {padding}"
-        )
+    out_h, out_w = _checked_output_hw(
+        channels, height, width, kernel_size, stride, padding
+    )
 
     i0 = np.repeat(np.arange(kernel_h), kernel_w)
     i0 = np.tile(i0, channels)
@@ -99,6 +98,25 @@ def conv_output_hw(
     """Spatial output size of a convolution, without building any indices."""
     out_h = (height + 2 * padding[0] - kernel_size[0]) // stride[0] + 1
     out_w = (width + 2 * padding[1] - kernel_size[1]) // stride[1] + 1
+    return out_h, out_w
+
+
+def _checked_output_hw(
+    channels: int,
+    height: int,
+    width: int,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Tuple[int, int]:
+    """:func:`conv_output_hw`, raising when the output would be empty."""
+    out_h, out_w = conv_output_hw(height, width, kernel_size, stride, padding)
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"convolution output size would be non-positive for input "
+            f"(C={channels}, H={height}, W={width}), kernel {kernel_size}, "
+            f"stride {stride}, padding {padding}"
+        )
     return out_h, out_w
 
 
@@ -149,18 +167,73 @@ def im2col(
     return cols, (k, i, j), out_h, out_w
 
 
+def im2col_slices(
+    array: np.ndarray,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Tuple[np.ndarray, int, int]:
+    """:func:`im2col` by slice copies: the same columns, C-contiguous.
+
+    The fancy-index gather walks a ``C*kh*kw x out_h*out_w`` index table
+    and leaves the batch axis innermost, a layout every GEMM or einsum over
+    the columns must repack first.  Here the column matrix is assembled
+    with ``kh*kw`` strided slice copies straight into a C-contiguous
+    ``(batch, C*kh*kw, out_h*out_w)`` buffer.  Every element is an exact
+    copy of the value the gather reads, so any product over the columns
+    sees operands of identical values, shape and dtype.  Returns
+    ``(cols, out_h, out_w)``.
+    """
+    batch, channels, height, width = array.shape
+    kernel_h, kernel_w = kernel_size
+    stride_h, stride_w = stride
+    out_h, out_w = _checked_output_hw(
+        channels, height, width, kernel_size, stride, padding
+    )
+    padded = pad_nchw(array, padding[0], padding[1])
+    cols = np.empty(
+        (batch, channels * kernel_h * kernel_w, out_h * out_w), dtype=padded.dtype
+    )
+    view = cols.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
+    for di in range(kernel_h):
+        for dj in range(kernel_w):
+            view[:, :, di, dj] = padded[
+                :, :,
+                di : di + (out_h - 1) * stride_h + 1 : stride_h,
+                dj : dj + (out_w - 1) * stride_w + 1 : stride_w,
+            ]
+    return cols, out_h, out_w
+
+
 def col2im(
     cols: np.ndarray,
     input_shape: Tuple[int, int, int, int],
-    indices: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
     padding: Tuple[int, int],
 ) -> np.ndarray:
-    """Scatter-add columns back to an NCHW array (the adjoint of im2col)."""
+    """Scatter-add columns back to an NCHW array (the adjoint of im2col).
+
+    One strided-slice ``+=`` per kernel offset, in row-major ``(ki, kj)``
+    order, into a zeroed padded buffer.  A pixel gets at most one
+    contribution per offset, so it receives them in the order ``np.add.at``
+    over the gather indices adds them, starting from 0.0: the result is
+    bitwise the same, without the scatter.
+    """
     batch, channels, height, width = input_shape
+    kernel_h, kernel_w = kernel_size
+    stride_h, stride_w = stride
     pad_h, pad_w = padding
-    k, i, j = indices
+    out_h, out_w = conv_output_hw(height, width, kernel_size, stride, padding)
     padded = np.zeros((batch, channels, height + 2 * pad_h, width + 2 * pad_w), dtype=cols.dtype)
-    np.add.at(padded, (slice(None), k, i, j), cols)
+    view = cols.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
+    for di in range(kernel_h):
+        for dj in range(kernel_w):
+            padded[
+                :, :,
+                di : di + (out_h - 1) * stride_h + 1 : stride_h,
+                dj : dj + (out_w - 1) * stride_w + 1 : stride_w,
+            ] += view[:, :, di, dj]
     if pad_h == 0 and pad_w == 0:
         return padded
     return padded[:, :, pad_h : pad_h + height, pad_w : pad_w + width]

@@ -11,29 +11,29 @@ from repro.kernels.conv import IntPair, as_pair, im2col
 
 def _pool_cols(
     x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]
-) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray], Tuple[int, ...], int, int]:
+) -> Tuple[np.ndarray, Tuple[int, ...], int, int]:
     """Reshape channels into the batch dim and gather pooling windows."""
     batch, channels, height, width = x.shape
     reshaped = x.reshape(batch * channels, 1, height, width)
-    cols, indices, out_h, out_w = im2col(reshaped, kernel, stride, (0, 0))
-    return cols, indices, reshaped.shape, out_h, out_w
+    cols, _, out_h, out_w = im2col(reshaped, kernel, stride, (0, 0))
+    return cols, reshaped.shape, out_h, out_w
 
 
 def max_pool2d_cols(
     x: np.ndarray, kernel_size: IntPair, stride: Optional[IntPair] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray], Tuple[int, ...]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, ...]]:
     """Max pooling returning the intermediates autograd needs.
 
-    Returns ``(out, cols, argmax, indices, reshaped_shape)`` where ``out``
-    has shape ``(N, C, out_h, out_w)``.
+    Returns ``(out, cols, argmax, reshaped_shape)`` where ``out`` has shape
+    ``(N, C, out_h, out_w)``.
     """
     kernel = as_pair(kernel_size)
     stride_pair = as_pair(stride) if stride is not None else kernel
     batch, channels = x.shape[:2]
-    cols, indices, reshaped_shape, out_h, out_w = _pool_cols(x, kernel, stride_pair)
+    cols, reshaped_shape, out_h, out_w = _pool_cols(x, kernel, stride_pair)
     argmax = cols.argmax(axis=1)
     out = cols.max(axis=1).reshape(batch, channels, out_h, out_w)
-    return out, cols, argmax, indices, reshaped_shape
+    return out, cols, argmax, reshaped_shape
 
 
 def _tiled_reduce(
@@ -107,7 +107,7 @@ def max_pool2d_gather(
     kernel = as_pair(kernel_size)
     stride_pair = as_pair(stride) if stride is not None else kernel
     batch, channels = x.shape[:2]
-    cols, _, _, out_h, out_w = _pool_cols(x, kernel, stride_pair)
+    cols, _, out_h, out_w = _pool_cols(x, kernel, stride_pair)
     return cols.max(axis=1).reshape(batch, channels, out_h, out_w)
 
 
@@ -123,14 +123,17 @@ def max_pool2d(x: np.ndarray, kernel_size: IntPair, stride: Optional[IntPair] = 
 
 def avg_pool2d_cols(
     x: np.ndarray, kernel_size: IntPair, stride: Optional[IntPair] = None
-) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray], Tuple[int, ...]]:
-    """Average pooling returning the intermediates autograd needs."""
+) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]:
+    """Average pooling returning the intermediates autograd needs.
+
+    Returns ``(out, cols, reshaped_shape)``.
+    """
     kernel = as_pair(kernel_size)
     stride_pair = as_pair(stride) if stride is not None else kernel
     batch, channels = x.shape[:2]
-    cols, indices, reshaped_shape, out_h, out_w = _pool_cols(x, kernel, stride_pair)
+    cols, reshaped_shape, out_h, out_w = _pool_cols(x, kernel, stride_pair)
     out = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
-    return out, cols, indices, reshaped_shape
+    return out, cols, reshaped_shape
 
 
 def avg_pool2d_tiled(

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import kernels
 from repro.nn.module import Module
-from repro.tensor import Tensor, functional as F
+from repro.tensor import Tensor, functional as F, is_grad_enabled
 
 
 class MaxPool2d(Module):
@@ -17,6 +18,11 @@ class MaxPool2d(Module):
         self.stride = stride if stride is not None else kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
+        if not is_grad_enabled():
+            # Evaluation under no_grad: no backward will run, so skip the
+            # window gather and argmax and run the grad-free kernel (tiled
+            # where it applies; max is exact, so the same result).
+            return Tensor(kernels.max_pool2d(x.data, self.kernel_size, self.stride))
         return F.max_pool2d(x, self.kernel_size, self.stride)
 
 

@@ -13,7 +13,9 @@ between:
       gather (which produces a batch-innermost layout the GEMM then has
       to repack); the column *values* are exact copies, so the GEMM is
       handed identical operands and the result is unchanged -- but both
-      the gather and the GEMM run substantially faster;
+      the gather and the GEMM run substantially faster.  Training's
+      ``F.conv2d`` uses the same builder,
+      :func:`repro.kernels.im2col_slices`;
     * ``gemm_1x1`` -- a 1x1 / stride-1 / pad-0 convolution is a plain GEMM
       over the channel dimension: skip the im2col gather copy entirely.
 ``linear``
@@ -231,7 +233,8 @@ def run_conv(
             return np.matmul(weight_exec, flat, out=out)
         return np.matmul(weight_exec, flat)  # pragma: no cover - non-f64 input
     if variant == "im2col_slices":
-        return _run_conv_slices(x, weight_exec, kernel_size, stride, padding, out)
+        cols, _, _ = kernels.im2col_slices(x, kernel_size, stride, padding)
+        return kernels.matmul_cols(weight_exec, cols, out=out)
     if variant == "native":
         return _run_conv_native(x, weight_exec, kernel_size, stride, padding, out)
     raise ValueError(f"unknown conv2d variant {variant!r}")
@@ -266,45 +269,6 @@ def _run_conv_native(
         if kernel is not None and kernel.run(x, weight_exec, out):
             return out
     cols, _, _, _ = kernels.im2col(x, kernel_size, stride, padding)
-    return kernels.matmul_cols(weight_exec, cols, out=out)
-
-
-def _run_conv_slices(
-    x: np.ndarray,
-    weight_exec: np.ndarray,
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out: Optional[np.ndarray],
-) -> np.ndarray:
-    """Slice-copied im2col: contiguous columns without the index gather.
-
-    The reference gathers columns with one fancy-index read, which walks a
-    ``C*kh*kw x out_h*out_w`` index table per sample and leaves the batch
-    axis innermost -- a layout the GEMM must repack before it can run.
-    Here the same column matrix is assembled with ``kh*kw`` strided slice
-    copies straight into a C-contiguous buffer.  Every element is an exact
-    copy of the same input value the reference gathers, and the GEMM then
-    receives operands of identical values, shape and dtype, so the result
-    is bitwise identical -- the variant only changes how the bytes got
-    there (and how fast).
-    """
-    padded = kernels.pad_nchw(x, padding[0], padding[1])
-    batch, channels, height, width = x.shape
-    kernel_h, kernel_w = kernel_size
-    stride_h, stride_w = stride
-    out_h, out_w = kernels.conv_output_hw(height, width, kernel_size, stride, padding)
-    cols = np.empty(
-        (batch, channels * kernel_h * kernel_w, out_h * out_w), dtype=padded.dtype
-    )
-    view = cols.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
-    for di in range(kernel_h):
-        for dj in range(kernel_w):
-            view[:, :, di, dj] = padded[
-                :, :,
-                di : di + (out_h - 1) * stride_h + 1 : stride_h,
-                dj : dj + (out_w - 1) * stride_w + 1 : stride_w,
-            ]
     return kernels.matmul_cols(weight_exec, cols, out=out)
 
 

@@ -3,7 +3,10 @@
 The raw forward arithmetic lives in the grad-free :mod:`repro.kernels`
 subpackage (im2col lowering, dense matmuls, pooling); the functions here are
 thin differentiable wrappers that call those kernels and attach the backward
-closures.  All functions take and return
+closures.  Convolution builds its columns by slice copies, and every
+gradient that flows back through columns (convolution and pooling) is
+scattered by slice adds; both compute the same bits as the fancy-index
+gather and the ``np.add.at`` scatter.  All functions take and return
 :class:`~repro.tensor.tensor.Tensor` objects.
 
 Layout convention: image tensors are NCHW (batch, channels, height, width),
@@ -17,7 +20,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro import kernels
-from repro.kernels.conv import as_pair as _as_pair, col2im as _col2im, im2col as _im2col
+from repro.kernels.conv import as_pair as _as_pair, col2im as _col2im
 from repro.tensor.tensor import Tensor
 
 IntPair = Union[int, Tuple[int, int]]
@@ -51,9 +54,8 @@ def conv2d(
             f"input has {x.data.shape[1]} channels but weight expects {in_channels}"
         )
 
-    cols, indices, out_h, out_w = _im2col(
-        x.data, (kernel_h, kernel_w), stride_pair, padding_pair
-    )
+    kernel = (kernel_h, kernel_w)
+    cols, out_h, out_w = kernels.im2col_slices(x.data, kernel, stride_pair, padding_pair)
     weight_matrix = weight.data.reshape(out_channels, -1)
     # (batch, C_out, out_h*out_w)
     out = kernels.matmul_cols(weight_matrix, cols)
@@ -72,7 +74,9 @@ def conv2d(
             bias._accumulate_grad(grad_flat.sum(axis=(0, 2)))
         if x.requires_grad:
             grad_cols = np.einsum("of,bop->bfp", weight_matrix, grad_flat, optimize=True)
-            x._accumulate_grad(_col2im(grad_cols, input_shape, indices, padding_pair))
+            x._accumulate_grad(
+                _col2im(grad_cols, input_shape, kernel, stride_pair, padding_pair)
+            )
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(
@@ -85,19 +89,18 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     kernel = _as_pair(kernel_size)
     stride_pair = _as_pair(stride) if stride is not None else kernel
     batch, channels, height, width = x.data.shape
-    out, cols, argmax, indices, reshaped_shape = kernels.max_pool2d_cols(
-        x.data, kernel, stride_pair
-    )
+    out, cols, argmax, reshaped_shape = kernels.max_pool2d_cols(x.data, kernel, stride_pair)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
         grad_flat = grad.reshape(batch * channels, -1)
-        grad_cols = np.zeros_like(cols)
+        # C-contiguous (the gathered cols are not), so col2im reshapes it for free.
+        grad_cols = np.zeros(cols.shape, dtype=cols.dtype)
         rows = np.arange(cols.shape[0])[:, None]
         positions = np.arange(cols.shape[2])[None, :]
         grad_cols[rows, argmax, positions] = grad_flat
-        grad_input = _col2im(grad_cols, reshaped_shape, indices, (0, 0))
+        grad_input = _col2im(grad_cols, reshaped_shape, kernel, stride_pair, (0, 0))
         x._accumulate_grad(grad_input.reshape(batch, channels, height, width))
 
     return Tensor._make(
@@ -110,7 +113,7 @@ def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     kernel = _as_pair(kernel_size)
     stride_pair = _as_pair(stride) if stride is not None else kernel
     batch, channels, height, width = x.data.shape
-    out, cols, indices, reshaped_shape = kernels.avg_pool2d_cols(x.data, kernel, stride_pair)
+    out, cols, reshaped_shape = kernels.avg_pool2d_cols(x.data, kernel, stride_pair)
     window = kernel[0] * kernel[1]
 
     def backward(grad: np.ndarray) -> None:
@@ -118,7 +121,7 @@ def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
             return
         grad_flat = grad.reshape(batch * channels, 1, -1)
         grad_cols = np.broadcast_to(grad_flat / window, cols.shape).copy()
-        grad_input = _col2im(grad_cols, reshaped_shape, indices, (0, 0))
+        grad_input = _col2im(grad_cols, reshaped_shape, kernel, stride_pair, (0, 0))
         x._accumulate_grad(grad_input.reshape(batch, channels, height, width))
 
     return Tensor._make(

@@ -37,6 +37,23 @@ class TestRandomCrop:
                     found = True
         assert found
 
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3, 4])
+    def test_matches_np_pad_crop_with_shared_seed(self, image, padding):
+        image[0, 0, :3] = [-0.0, np.inf, np.nan]
+        crop = RandomCrop(padding=padding, rng=np.random.default_rng(9))
+        reference_rng = np.random.default_rng(9)
+        for _ in range(12):
+            out = crop(image)
+            expected = image
+            if padding:
+                padded = np.pad(image, ((0, 0), (padding, padding), (padding, padding)))
+                top = int(reference_rng.integers(0, 2 * padding + 1))
+                left = int(reference_rng.integers(0, 2 * padding + 1))
+                expected = padded[:, top : top + 8, left : left + 8]
+            assert out.dtype == expected.dtype
+            assert out.tobytes() == expected.tobytes()
+        assert crop.rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_rejects_non_chw(self, rng):
         with pytest.raises(ValueError):
             RandomCrop(2)(rng.normal(size=(8, 8)))

@@ -21,7 +21,7 @@ class TestConvKernel:
         for stride, padding in [(1, 0), (1, 1), (2, 1), ((1, 2), (1, 0))]:
             expected = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
             got = kernels.conv2d(x, w, b, stride=stride, padding=padding)
-            np.testing.assert_allclose(got, expected.data)
+            np.testing.assert_array_equal(got, expected.data)
 
     def test_pad_nchw_matches_np_pad(self, rng):
         from repro.kernels.conv import pad_nchw
