@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import kernels
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, is_grad_enabled
+from repro.tensor import Tensor, functional as F, is_grad_enabled
 
 
 class _BatchNorm(Module):
@@ -28,20 +28,19 @@ class _BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def _normalise(self, x: Tensor, axes, view_shape) -> Tensor:
+    def _normalise(self, x: Tensor, view_shape) -> Tensor:
+        if x.shape[1] != self.num_features:
+            raise ValueError(
+                f"input has {x.shape[1]} channels but {type(self).__name__} "
+                f"expects {self.num_features}"
+            )
         if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            batch_mean = mean.data.reshape(self.num_features)
-            batch_var = var.data.reshape(self.num_features)
+            out, batch_mean, batch_var = F.batch_norm(x, self.weight, self.bias, self.eps)
             new_mean = (1 - self.momentum) * self.running_mean + self.momentum * batch_mean
             new_var = (1 - self.momentum) * self.running_var + self.momentum * batch_var
             self.update_buffer("running_mean", new_mean)
             self.update_buffer("running_var", new_var)
-            normalised = (x - mean) / (var + self.eps).sqrt()
-            scale = self.weight.reshape(view_shape)
-            shift = self.bias.reshape(view_shape)
-            return normalised * scale + shift
+            return out
         if not is_grad_enabled():
             # Evaluation under no_grad: skip the per-op Tensor wrappers and
             # run the grad-free kernel (same arithmetic, same result).
@@ -77,7 +76,7 @@ class BatchNorm2d(_BatchNorm):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
-        return self._normalise(x, axes=(0, 2, 3), view_shape=(1, self.num_features, 1, 1))
+        return self._normalise(x, view_shape=(1, self.num_features, 1, 1))
 
 
 class BatchNorm1d(_BatchNorm):
@@ -86,4 +85,4 @@ class BatchNorm1d(_BatchNorm):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2:
             raise ValueError(f"BatchNorm1d expects (N, C) input, got shape {x.shape}")
-        return self._normalise(x, axes=(0,), view_shape=(1, self.num_features))
+        return self._normalise(x, view_shape=(1, self.num_features))

@@ -8,8 +8,8 @@ It provides the pieces the paper's training stack needs:
   the operations applied to it and can compute gradients via
   :meth:`~repro.tensor.tensor.Tensor.backward`.
 * Functional operations in :mod:`repro.tensor.functional` (convolution,
-  pooling, softmax / cross-entropy helpers) implemented with im2col so they
-  are fast enough for CPU-only experiments.
+  pooling, training-mode batch norm, softmax / cross-entropy helpers)
+  implemented with im2col so they are fast enough for CPU-only experiments.
 * Weight initialisers in :mod:`repro.tensor.init` (He / Kaiming, Xavier,
   uniform ranges) matching the recipes referenced by the paper.
 

@@ -6,8 +6,10 @@ thin differentiable wrappers that call those kernels and attach the backward
 closures.  Convolution builds its columns by slice copies, and every
 gradient that flows back through columns (convolution and pooling) is
 scattered by slice adds; both compute the same bits as the fancy-index
-gather and the ``np.add.at`` scatter.  All functions take and return
-:class:`~repro.tensor.tensor.Tensor` objects.
+gather and the ``np.add.at`` scatter.  Training-mode batch norm is one node
+that computes the same bits as the chain of Tensor ops it replaced.
+Functions take and return :class:`~repro.tensor.tensor.Tensor` objects;
+batch norm also returns its batch statistics as arrays.
 
 Layout convention: image tensors are NCHW (batch, channels, height, width),
 matching the paper's PyTorch reference implementation.
@@ -21,7 +23,7 @@ import numpy as np
 
 from repro import kernels
 from repro.kernels.conv import as_pair as _as_pair, col2im as _col2im
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, _unbroadcast
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -90,15 +92,17 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     stride_pair = _as_pair(stride) if stride is not None else kernel
     batch, channels, height, width = x.data.shape
     out, cols, argmax, reshaped_shape = kernels.max_pool2d_cols(x.data, kernel, stride_pair)
+    # The closure keeps the columns' layout, not the input-sized columns.
+    cols_shape, cols_dtype = cols.shape, cols.dtype
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
         grad_flat = grad.reshape(batch * channels, -1)
         # C-contiguous (the gathered cols are not), so col2im reshapes it for free.
-        grad_cols = np.zeros(cols.shape, dtype=cols.dtype)
-        rows = np.arange(cols.shape[0])[:, None]
-        positions = np.arange(cols.shape[2])[None, :]
+        grad_cols = np.zeros(cols_shape, dtype=cols_dtype)
+        rows = np.arange(cols_shape[0])[:, None]
+        positions = np.arange(cols_shape[2])[None, :]
         grad_cols[rows, argmax, positions] = grad_flat
         grad_input = _col2im(grad_cols, reshaped_shape, kernel, stride_pair, (0, 0))
         x._accumulate_grad(grad_input.reshape(batch, channels, height, width))
@@ -114,19 +118,85 @@ def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     stride_pair = _as_pair(stride) if stride is not None else kernel
     batch, channels, height, width = x.data.shape
     out, cols, reshaped_shape = kernels.avg_pool2d_cols(x.data, kernel, stride_pair)
+    cols_shape = cols.shape
     window = kernel[0] * kernel[1]
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
         grad_flat = grad.reshape(batch * channels, 1, -1)
-        grad_cols = np.broadcast_to(grad_flat / window, cols.shape).copy()
+        grad_cols = np.broadcast_to(grad_flat / window, cols_shape).copy()
         grad_input = _col2im(grad_cols, reshaped_shape, kernel, stride_pair, (0, 0))
         x._accumulate_grad(grad_input.reshape(batch, channels, height, width))
 
     return Tensor._make(
         out, (x,), backward, "avg_pool2d", ctx={"kernel_size": kernel, "stride": stride_pair}
     )
+
+
+def batch_norm(
+    x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5
+) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+    """Training-mode batch normalisation over every axis except channels (1).
+
+    Normalises ``x`` (NCHW or ``(N, C)``) by its own per-channel batch mean
+    and biased variance, then scales by ``weight`` and shifts by ``bias``
+    (both ``(C,)``).  Returns the output together with the batch mean and
+    variance as ``(C,)`` arrays, from which the caller updates its running
+    statistics.
+
+    This is one autograd node for what ``x.mean``, ``x.var``, a subtract, a
+    divide, a square root and the affine would record as 16 Tensor ops.  It
+    applies the same ufuncs to the same operands in both directions, so its
+    output and gradients carry exactly the bits that tape produces, and it
+    hands ``x`` its four gradient terms in the tape's order.  Backward
+    recomputes ``x - mean`` from ``x``'s data, which the graph holds anyway,
+    so the node keeps only per-channel arrays alive; the tape kept five
+    input-sized intermediates and a gradient on each of its nodes.
+    """
+    data = x.data
+    channels = data.shape[1]
+    axes = (0,) + tuple(range(2, data.ndim))
+    stat_shape = (1, channels) + (1,) * (data.ndim - 2)
+    inv_count = 1.0 / int(np.prod([data.shape[axis] for axis in axes]))
+
+    mean = data.sum(axis=axes, keepdims=True) * inv_count
+    centered = data - mean
+    var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+    sd = np.sqrt(var + eps)
+    normalised = centered / sd
+    scale = weight.data.reshape(stat_shape)
+    out = normalised * scale + bias.data.reshape(stat_shape)
+
+    def backward(grad: np.ndarray) -> None:
+        # Recomputed rather than kept alive since forward: the same bytes.
+        centered = data - mean
+        if bias.requires_grad:
+            bias._accumulate_grad(_unbroadcast(grad, stat_shape).reshape(channels))
+        if weight.requires_grad:
+            normalised = centered / sd
+            weight._accumulate_grad(_unbroadcast(grad * normalised, stat_shape).reshape(channels))
+        if not x.requires_grad:
+            return
+
+        def through_centering(grad_centered: np.ndarray) -> None:
+            # One of the tape's two ``x - mean``: x's own term, then the
+            # mean's sum broadcast back.
+            x._accumulate_grad(grad_centered)
+            grad_mean = _unbroadcast(-grad_centered, stat_shape) * inv_count
+            x._accumulate_grad(np.broadcast_to(grad_mean, data.shape))
+
+        # The divide's numerator, then its denominator back through the
+        # square root and the variance to the variance's own centering.
+        grad_normalised = grad * scale
+        through_centering(grad_normalised / sd)
+        grad_sd = _unbroadcast(-grad_normalised * centered / (sd ** 2), stat_shape)
+        grad_var = grad_sd * 0.5 / np.maximum(sd, 1e-12)
+        grad_square = (grad_var * inv_count) * centered
+        through_centering(grad_square + grad_square)
+
+    out_tensor = Tensor._make(out, (x, weight, bias), backward, "batch_norm", ctx={"eps": eps})
+    return out_tensor, mean.reshape(channels), var.reshape(channels)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

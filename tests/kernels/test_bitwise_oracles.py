@@ -1,11 +1,12 @@
-"""Training's slice-built columns and slice-add scatter equal the
-gather/scatter implementations they replaced, bit for bit.
+"""Training's slice-built columns, slice-add scatter and one-node batch norm
+equal the implementations they replaced, bit for bit.
 
 The ``reference_*`` functions below are those implementations: columns
 gathered with one fancy-index read (``kernels.im2col``), gradients
-scattered back with ``np.add.at``, and the crop padded with ``np.pad``.
-Every comparison is on raw bytes, so ``-0.0``, NaN payloads and the
-rounding of each sum must all match.
+scattered back with ``np.add.at``, the crop padded with ``np.pad``, and
+training-mode batch norm composed from 16 Tensor ops.  Every comparison is
+on raw bytes, so ``-0.0``, NaN payloads and the rounding of each sum must
+all match.
 """
 
 import dataclasses
@@ -93,6 +94,18 @@ def reference_max_pool2d(x, kernel_size, stride=None):
     return Tensor._make(
         out, (x,), backward, "max_pool2d", ctx={"kernel_size": kernel, "stride": stride_pair}
     )
+
+
+def reference_batch_norm(x, weight, bias, eps=1e-5):
+    """``F.batch_norm`` as the 16-op Tensor composition it replaced."""
+    channels = x.shape[1]
+    axes = (0,) + tuple(range(2, x.ndim))
+    view_shape = (1, channels) + (1,) * (x.ndim - 2)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    normalised = (x - mean) / (var + eps).sqrt()
+    out = normalised * weight.reshape(view_shape) + bias.reshape(view_shape)
+    return out, mean.data.reshape(channels), var.data.reshape(channels)
 
 
 def reference_random_crop(crop, image):
@@ -284,6 +297,111 @@ class TestMaxPool2d:
 
 
 # --------------------------------------------------------------------------- #
+# Training-mode batch norm
+# --------------------------------------------------------------------------- #
+def constant_channel(rng, shape):
+    x = wide_range(rng, shape)
+    x[:, 1] = 3.0
+    return x
+
+
+def with_zeros_and_nonfinite(rng, shape):
+    x = wide_range(rng, shape)
+    x[:, 0] = sprinkle(rng, x[:, 0], [-0.0], share=0.5)
+    return sprinkle(rng, x, [np.inf, -np.inf, np.nan], share=0.05)
+
+
+BN_INPUTS = [wide_range, constant_channel, with_zeros_and_nonfinite]
+#: Batch 1 with 1x1 maps, and batch 1 of flat features, leave one sample per
+#: channel: zero variance, so only eps keeps the divide finite.  (2, 3, 1, 3)
+#: has a size-1 spatial axis that the per-channel sums must still reduce.
+BN_SHAPES = [(4, 3, 5, 5), (1, 3, 1, 1), (2, 3, 1, 3), (6, 4), (1, 4)]
+BN_IDS = ["2d", "2d_batch1_1x1", "2d_rows", "1d", "1d_batch1"]
+
+
+def run_batch_norm(monkeypatch, implementation, x_data, grad, frozen=False, second=None):
+    """One training-mode forward and backward through the BatchNorm module.
+
+    ``second`` adds another consumer of ``x``: ``"after"`` sums it after
+    the batch norm's output, so its gradient reaches ``x`` after the batch
+    norm's four terms; ``"before"`` sums it first, so it lands before them.
+    """
+    monkeypatch.setattr(F, "batch_norm", implementation)
+    rng = np.random.default_rng(23)
+    channels = x_data.shape[1]
+    bn = (nn.BatchNorm2d if x_data.ndim == 4 else nn.BatchNorm1d)(channels)
+    bn.weight.data = rng.normal(size=channels)
+    bn.bias.data = rng.normal(size=channels)
+    bn.update_buffer("running_mean", rng.normal(size=channels))
+    bn.update_buffer("running_var", rng.random(channels))
+    if frozen:
+        bn.weight.requires_grad = False
+        bn.bias.requires_grad = False
+    x = Tensor(x_data, requires_grad=True)
+    with np.errstate(all="ignore"):  # inf - inf, 0 / 0 on both sides
+        out = bn(x)
+        if second is not None:
+            other = x * Tensor(wide_range(rng, x_data.shape))
+            out = out + other if second == "after" else other + out
+        out.backward(grad)
+    return {
+        "out": out.data,
+        "running_mean": bn.running_mean,
+        "running_var": bn.running_var,
+        "x.grad": x.grad,
+        "weight.grad": bn.weight.grad,
+        "bias.grad": bn.bias.grad,
+    }
+
+
+def assert_same_results(got, expected):
+    assert got.keys() == expected.keys()
+    for name in got:
+        if expected[name] is None:
+            assert got[name] is None, name
+        else:
+            assert_same_bits(got[name], expected[name])
+
+
+class TestBatchNorm:
+    @pytest.mark.parametrize("make_input", BN_INPUTS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("shape", BN_SHAPES, ids=BN_IDS)
+    @pytest.mark.parametrize("grad_values", [(), (np.inf, -np.inf, np.nan, -0.0)],
+                             ids=["finite_grad", "nonfinite_grad"])
+    def test_output_stats_and_gradients_match_reference(
+        self, monkeypatch, make_input, shape, grad_values
+    ):
+        rng = np.random.default_rng(19)
+        x_data = make_input(rng, shape)
+        grad = wide_range(rng, shape)
+        if grad_values:
+            sprinkle(rng, grad, grad_values, share=0.1)
+        got = run_batch_norm(monkeypatch, F.batch_norm, x_data, grad)
+        expected = run_batch_norm(monkeypatch, reference_batch_norm, x_data, grad)
+        assert_same_results(got, expected)
+
+    @pytest.mark.parametrize("shape", BN_SHAPES, ids=BN_IDS)
+    def test_frozen_affine_matches_reference(self, monkeypatch, shape):
+        rng = np.random.default_rng(29)
+        x_data, grad = with_zeros_and_nonfinite(rng, shape), wide_range(rng, shape)
+        got = run_batch_norm(monkeypatch, F.batch_norm, x_data, grad, frozen=True)
+        expected = run_batch_norm(monkeypatch, reference_batch_norm, x_data, grad, frozen=True)
+        assert got["weight.grad"] is None and got["bias.grad"] is None
+        assert_same_results(got, expected)
+
+    @pytest.mark.parametrize("second", ["after", "before"])
+    @pytest.mark.parametrize("shape", BN_SHAPES, ids=BN_IDS)
+    def test_second_consumer_of_x_matches_reference(self, monkeypatch, shape, second):
+        rng = np.random.default_rng(31)
+        x_data, grad = wide_range(rng, shape), wide_range(rng, shape)
+        got = run_batch_norm(monkeypatch, F.batch_norm, x_data, grad, second=second)
+        expected = run_batch_norm(
+            monkeypatch, reference_batch_norm, x_data, grad, second=second
+        )
+        assert_same_results(got, expected)
+
+
+# --------------------------------------------------------------------------- #
 # Whole training runs
 # --------------------------------------------------------------------------- #
 def _apt_fit(scale):
@@ -308,6 +426,7 @@ def test_apt_training_matches_reference_kernels(monkeypatch, scale):
     fast = _apt_fit(scale)
     monkeypatch.setattr(F, "conv2d", reference_conv2d)
     monkeypatch.setattr(F, "max_pool2d", reference_max_pool2d)
+    monkeypatch.setattr(F, "batch_norm", reference_batch_norm)
     monkeypatch.setattr(RandomCrop, "__call__", reference_random_crop)
     reference = _apt_fit(scale)
     assert fast[0].keys() == reference[0].keys()

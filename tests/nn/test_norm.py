@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.tensor import Tensor
+from repro.tensor import Tensor, graph_nodes_created, no_grad
 
 
 class TestBatchNorm2d:
@@ -71,3 +71,28 @@ class TestBatchNorm1d:
         assert out[:, 0].mean() == pytest.approx(1.0, abs=1e-6)
         assert out[:, 1].mean() == pytest.approx(-1.0, abs=1e-6)
         assert out[:, 0].std() == pytest.approx(2.0, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "make_bn,shape", [(nn.BatchNorm2d, (2, 3, 4, 4)), (nn.BatchNorm1d, (4, 5))], ids=["2d", "1d"]
+)
+class TestBatchNorm1dAnd2d:
+    def test_training_forward_is_one_graph_node(self, rng, make_bn, shape):
+        bn = make_bn(shape[1])
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        before = graph_nodes_created()
+        bn(x)
+        assert graph_nodes_created() == before + 1
+
+    @pytest.mark.parametrize("mode", ["train", "eval", "eval_no_grad"])
+    def test_rejects_wrong_channel_count(self, rng, make_bn, shape, mode):
+        bn = make_bn(1)
+        bn.train(mode == "train")
+        x = Tensor(rng.normal(size=shape))
+        expected = f"{shape[1]} channels but {make_bn.__name__} expects 1"
+        with pytest.raises(ValueError, match=expected):
+            if mode == "eval_no_grad":
+                with no_grad():
+                    bn(x)
+            else:
+                bn(x)

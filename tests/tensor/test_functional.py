@@ -90,6 +90,50 @@ class TestConv2d:
         assert_grad_close(b.grad, numeric_gradient(scalar_b, b_values.copy()), atol=1e-3)
 
 
+class TestBatchNorm:
+    """Training-mode ``F.batch_norm``: batch statistics and gradients."""
+
+    SHAPES = [(3, 2, 3, 3), (5, 3)]
+    IDS = ["2d", "1d"]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
+    def test_normalises_by_batch_statistics(self, rng, shape):
+        x = rng.normal(loc=2.0, scale=3.0, size=shape)
+        w = rng.normal(size=shape[1])
+        b = rng.normal(size=shape[1])
+        out, mean, var = F.batch_norm(Tensor(x), Tensor(w), Tensor(b), eps=1e-5)
+        axes = (0,) + tuple(range(2, len(shape)))
+        np.testing.assert_allclose(mean, x.mean(axis=axes))
+        np.testing.assert_allclose(var, x.var(axis=axes))
+        view = (1, shape[1]) + (1,) * (len(shape) - 2)
+        expected = (x - mean.reshape(view)) / np.sqrt(var.reshape(view) + 1e-5)
+        np.testing.assert_allclose(out.data, expected * w.reshape(view) + b.reshape(view))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
+    def test_gradients_input_weight_and_bias(self, rng, shape):
+        x_values = rng.normal(size=shape)
+        w_values = rng.normal(size=shape[1])
+        b_values = rng.normal(size=shape[1])
+        # A random upstream gradient: sum(out) alone has zero gradient in x.
+        upstream = rng.normal(size=shape)
+        x = Tensor(x_values.copy(), requires_grad=True)
+        w = Tensor(w_values.copy(), requires_grad=True)
+        b = Tensor(b_values.copy(), requires_grad=True)
+        out, _, _ = F.batch_norm(x, w, b)
+        (out * Tensor(upstream)).sum().backward()
+
+        def loss(x_array, w_array, b_array):
+            out, _, _ = F.batch_norm(Tensor(x_array), Tensor(w_array), Tensor(b_array))
+            return float((out.data * upstream).sum())
+
+        numeric_x = numeric_gradient(lambda a: loss(a, w_values, b_values), x_values.copy())
+        numeric_w = numeric_gradient(lambda a: loss(x_values, a, b_values), w_values.copy())
+        numeric_b = numeric_gradient(lambda a: loss(x_values, w_values, a), b_values.copy())
+        assert_grad_close(x.grad, numeric_x, atol=1e-4)
+        assert_grad_close(w.grad, numeric_w, atol=1e-4)
+        assert_grad_close(b.grad, numeric_b, atol=1e-4)
+
+
 class TestPooling:
     def test_max_pool_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
