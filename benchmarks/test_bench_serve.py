@@ -11,7 +11,6 @@ job checks the headline claim -- plan inference at least 2x the
 Module-forward throughput on TinyConvNet -- on every run.
 """
 
-import json
 import os
 
 import numpy as np
@@ -20,7 +19,7 @@ import pytest
 from repro.models import build_model
 from repro.quant import export_quantized_model
 from repro.runtime import compile_plan, compile_quantized_plan
-from repro.serve import run_backend_bench, run_scaling_bench, run_serve_bench
+from repro.serve import run_scaling_bench, run_serve_bench
 from repro.tensor import Tensor, no_grad
 
 _INPUT_SHAPE = (1, 12, 12)
@@ -168,79 +167,13 @@ def test_multiworker_throughput_scales_over_one_worker(report_rows):
         )
 
 
-def test_process_backend_vs_thread_backend(report_rows):
-    """Acceptance: process sharding beats the thread pool on a multi-model load.
-
-    The same request stream -- two TinyConvNet variants served round-robin --
-    runs through the thread ``WorkerPool`` and the shared-memory
-    ``ProcessWorkerPool``.  Identical batching policy means identical batch
-    composition, so the logits must come back bitwise identical on every
-    host; that part always asserts.  The throughput claim needs a second
-    core (each shard process owns one), so on a single-CPU host the strict
-    comparison skips after the correctness pass, mirroring the thread
-    scaling test above.  Either way the measured pair lands in
-    ``BENCH_serve.json`` so the serving perf trajectory is machine-readable.
-    """
-    cpus = os.cpu_count() or 1
-    smoke = os.environ.get("REPRO_BENCH_SCALE") == "smoke"
-    shape = (1, 24, 24)
-    models = {
-        f"convnet_{index}": (
-            build_model(
-                "tiny_convnet", num_classes=10, in_channels=1,
-                rng=np.random.default_rng(index),
-            ),
-            shape,
-        )
-        for index in range(2)
-    }
-    requests = 96 if smoke else 256
-    shards = min(4, max(2, cpus))
-    best = 0.0
-    for _ in range(3):
-        report = run_backend_bench(
-            models, bits=8, workers=shards, shards=shards,
-            batch_size=16, requests=requests, repeats=2,
-        )
-        assert report.identical, "process backend logits diverged from thread backend"
-        best = max(best, report.row("process").speedup_vs_thread)
-        if best > 1.05:
-            break
-    payload = {
-        "cpus": cpus,
-        "requests": requests,
-        "shards": shards,
-        "identical": report.identical,
-        "rows": [vars(row) for row in report.rows],
-        "best_process_speedup": best,
-    }
-    with open("BENCH_serve.json", "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    report_rows(
-        f"thread vs process backend (2x TinyConvNet, {cpus} cpus)",
-        report.format_rows()
-        + [f"best of attempts: {best:.2f}x with {shards} shards -> BENCH_serve.json"],
-    )
-    assert report.row("thread").throughput_rps > 0
-    assert report.row("process").throughput_rps > 0
-    if cpus < 2:
-        pytest.skip(
-            f"single-CPU host cannot demonstrate process scaling "
-            f"(measured {best:.2f}x); process backend exercised and bitwise-checked"
-        )
-    assert best > 1.0, (
-        f"{shards}-shard process serving only reached {best:.2f}x the "
-        f"thread-pool throughput on {cpus} cpus (expected > 1.0x)"
-    )
-
-
 def test_serve_bench_report(served, report_rows):
-    """End-to-end serving report through the micro-batching engine."""
+    """End-to-end serve-bench report: every variant timed on the same batches."""
     report = run_serve_bench(
         served["model"], _INPUT_SHAPE, bits_list=(8,), batch_size=_BATCH, requests=128, repeats=3
     )
     report_rows("serve-bench (TinyConvNet)", report.format_rows())
-    # Engine throughput includes queue bookkeeping; it must still beat the
-    # training-stack path, and the quantised plan holds ~4x fewer bytes.
+    # The float plan must beat the training-stack path, and the quantised
+    # plan holds ~4x fewer bytes.
     assert report.row("plan-fp32").throughput_rps > report.row("module-forward").throughput_rps
     assert report.row("plan-8bit").weight_kib < report.row("plan-fp32").weight_kib / 2

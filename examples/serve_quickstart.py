@@ -1,4 +1,4 @@
-"""Serve quickstart: train -> export -> compile -> serve -> scale out.
+"""Serve quickstart: train -> export -> compile -> serve -> observe.
 
 The full deployment path this library now supports end to end:
 
@@ -9,14 +9,14 @@ The full deployment path this library now supports end to end:
    folding, affine fusion, kernel-variant selection), plans all
    scratch buffers into one arena, and lowers to integer-weight kernel
    steps with zero autograd at run time; `repro.cli plan-inspect` prints
-   the same pass-by-pass summary for any saved export,
-4. serve a batch of requests through the micro-batching engine and compare
-   throughput / agreement with the training-stack Module forward,
-5. scale out: register the model's bitwidth variants in a ModelRepository
-   and serve the same test set through the concurrent InferenceService --
-   a worker-pool of threads sharing one immutable plan per variant, with
-   per-request precision-aware SLO routing,
-6. observe: read back the metrics registry the whole stack reported into
+   the same pass-by-pass summary for any saved export; then check the plan
+   against the training-stack Module forward it replaces,
+4. serve: register the model's bitwidth variants in a ModelRepository and
+   serve the test set through the concurrent InferenceService -- a
+   worker-pool of threads sharing one immutable plan per variant, with
+   per-request precision-aware SLO routing and throughput / latency /
+   modelled-energy accounting,
+5. observe: read back the metrics registry the whole stack reported into
    (phase histograms, queue/routing counters, plan-cache hits) and the
    per-request trace spans; `python -m repro.cli metrics --json` dumps
    the same registry for a synthetic load.
@@ -37,18 +37,12 @@ import numpy as np
 from repro.cli import run_plan_inspect
 from repro.core import APTConfig, APTTrainer
 from repro.data import DataLoader, make_synthetic_digits
-from repro.hardware import EnergyModel, profile_model
+from repro.hardware import EnergyModel
 from repro.hardware.latency import COMPUTE_PROFILES
 from repro.models import build_model
 from repro.quant import export_quantized_model, save_export
 from repro.runtime import compile_quantized_plan
-from repro.serve import (
-    InferenceService,
-    MicroBatchServer,
-    ModelRepository,
-    QueuePolicy,
-    RequestSLO,
-)
+from repro.serve import InferenceService, ModelRepository, QueuePolicy, RequestSLO
 from repro.tensor import Tensor, no_grad
 
 
@@ -92,35 +86,7 @@ def main() -> None:
             "--batch", "32",
         ])
 
-    # 4. Serve the whole test set through the micro-batching engine.
-    profile = profile_model(model, (1, 12, 12))
-    server = MicroBatchServer(
-        plan,
-        max_batch_size=32,
-        max_queue_delay_s=float("inf"),
-        profile=profile,
-        energy_model=EnergyModel(),
-        compute_profile=COMPUTE_PROFILES["smartphone_npu"],
-    )
-    results = []
-    for index in range(len(test_set)):
-        sample, _ = test_set[index]
-        server.submit(sample)
-        results.extend(server.step())
-    results.extend(server.drain())
-    stats = server.stats
-
-    labels = np.array([test_set[index][1] for index in range(len(test_set))])
-    predictions = np.array([r.prediction for r in results])
-    print(f"\nserved {stats.requests} requests in {stats.batches} batches "
-          f"(mean batch {stats.mean_batch_size:.1f})")
-    print(f"accuracy through the plan: {(predictions == labels).mean():.3f}")
-    print(f"host throughput: {stats.throughput_rps:,.0f} req/s   "
-          f"p95 latency {stats.latency_percentile(95) * 1e3:.2f} ms")
-    print(f"modelled edge energy: {stats.energy_pj / stats.requests * 1e-6:.3f} uJ/request   "
-          f"device time {stats.device_seconds * 1e3:.2f} ms total")
-
-    # Sanity: the plan agrees with the Module forward it replaced.
+    # Sanity: the plan agrees with the Module forward it replaces.
     batch = np.stack([test_set[index][0] for index in range(32)])
     model.eval()
     started = time.perf_counter()
@@ -134,10 +100,11 @@ def main() -> None:
     print(f"\nplan vs module on one batch: {agree.mean():.0%} prediction agreement, "
           f"{module_seconds / plan_seconds:.1f}x faster than the Module forward")
 
-    # 5. Scale out: the concurrent multi-variant service.  The repository
-    # holds the APT export alongside the fp32 plan; each worker thread owns
-    # its own buffer arena over the *same* immutable plans, and every
-    # request is routed to the cheapest bitwidth variant meeting its SLO.
+    # 4. Serve the whole test set through the concurrent multi-variant
+    # service.  The repository holds the APT export alongside the fp32 plan;
+    # each worker thread owns its own buffer arena over the *same* immutable
+    # plans, and every request is routed to the cheapest bitwidth variant
+    # meeting its SLO.  The device models price every batch.
     repo = ModelRepository()
     repo.add_model("digits", model, (1, 12, 12))
     apt_bits = repo.add_export("digits", export)
@@ -146,6 +113,7 @@ def main() -> None:
         workers=2,
         queue_policy=QueuePolicy(max_batch_size=32, max_queue_delay_s=0.0, max_depth=512),
         compute_profile=COMPUTE_PROFILES["smartphone_npu"],
+        energy_model=EnergyModel(),
     )
     slo = RequestSLO(min_bits=4)  # quality floor; router picks the cheapest >= 4 bits
     with service:
@@ -154,15 +122,19 @@ def main() -> None:
             for index in range(len(test_set))
         ]
         routed = [future.result(timeout=10.0) for future in futures]
+    labels = np.array([test_set[index][1] for index in range(len(test_set))])
     predictions = np.array([r.prediction for r in routed])
     stats = service.stats
-    print(f"\nconcurrent service: {stats.requests} requests in {stats.batches} batches "
-          f"over 2 workers, all routed to the {routed[0].bits}-bit variant "
-          f"(APT export stores {apt_bits} bits max)")
-    print(f"accuracy through the service: {(predictions == labels).mean():.3f}   "
+    print(f"\nserved {stats.requests} requests in {stats.batches} batches "
+          f"(mean batch {stats.mean_batch_size:.1f}) over 2 workers, all routed to the "
+          f"{routed[0].bits}-bit variant (APT export stores {apt_bits} bits max)")
+    print(f"accuracy through the service: {(predictions == labels).mean():.3f}")
+    print(f"host throughput: {stats.throughput_rps:,.0f} req/s   "
           f"p95 latency {stats.latency_percentile(95) * 1e3:.2f} ms")
+    print(f"modelled edge energy: {stats.energy_pj / stats.requests * 1e-6:.3f} uJ/request   "
+          f"device time {stats.device_seconds * 1e3:.2f} ms total")
 
-    # 6. Observe: every layer above reported into the service's metrics
+    # 5. Observe: every layer above reported into the service's metrics
     # registry, and each result carries its trace -- contiguous spans
     # covering the request from enqueue to response.
     snapshot = service.metrics_snapshot()

@@ -18,8 +18,9 @@ The package layers, bottom to top:
 * :mod:`repro.experiments` -- one runner per figure / table of the paper.
 * :mod:`repro.runtime`, :mod:`repro.serve` -- the inference side: compile a
   trained (or quantised-exported) model into a static, autograd-free
-  :class:`~repro.runtime.plan.ExecutionPlan` and serve it through a
-  micro-batching engine (``repro.cli serve-bench``).
+  :class:`~repro.runtime.plan.ExecutionPlan` and serve it through the
+  micro-batching :class:`~repro.serve.service.InferenceService`
+  (``repro.cli serve-bench``).
 
 Quickstart::
 

@@ -32,14 +32,11 @@ Two entry points (also exposed as console scripts in ``pyproject.toml``):
     Compile a model into execution plans (float, and quantised at each
     requested bitwidth -- or from a saved export / checkpoint) and report
     serving throughput, latency and analytic energy per request against the
-    training-stack Module forward.  With ``--workers`` the bench switches
-    to the concurrent :class:`~repro.serve.service.InferenceService` and
-    reports throughput scaling across worker-pool sizes instead;
-    ``--model`` then accepts a comma-separated list to exercise multi-model
-    scheduling.  With ``--backend process`` it compares the thread and
-    process (shared-memory sharded) serving backends on one identical
-    request stream and exits non-zero unless the responses come back
-    bitwise identical.
+    training-stack Module forward, every variant timed on the same bare
+    batches.  With ``--workers`` the bench switches to the concurrent
+    :class:`~repro.serve.service.InferenceService` and reports throughput
+    scaling across worker-pool sizes instead; ``--model`` then accepts a
+    comma-separated list to exercise multi-model scheduling.
 
     .. code-block:: bash
 
@@ -49,8 +46,6 @@ Two entry points (also exposed as console scripts in ``pyproject.toml``):
         python -m repro.cli serve-bench --model tiny_convnet --workers 1,4
         python -m repro.cli serve-bench --model tiny_convnet,small_convnet \
             --workers 2 --scaling-bits 8
-        python -m repro.cli serve-bench --model mlp,tiny_convnet \
-            --backend process --shards 2 --scaling-bits 8
 
 ``plan-inspect`` (``python -m repro.cli plan-inspect``)
     Compile a saved quantised export into an execution plan and print the
@@ -484,23 +479,6 @@ def build_serve_bench_parser() -> argparse.ArgumentParser:
         help="bitwidth variant served by the scaling bench: 'fp32' or an integer",
     )
     parser.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help=(
-            "'process' runs the thread-vs-process backend comparison: the "
-            "same request stream through both, asserting bitwise-identical "
-            "responses (exit 1 on mismatch)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="process-backend shard count (also the thread backend's worker "
-        "count in the --backend process comparison)",
-    )
-    parser.add_argument(
         "--device",
         default="smartphone_npu",
         choices=sorted(COMPUTE_PROFILES) + ["none"],
@@ -583,74 +561,6 @@ def _run_scaling_bench(args, model_names: List[str]) -> int:
     return 0
 
 
-def _run_backend_bench(args, model_names: List[str]) -> int:
-    import numpy as np
-
-    from repro.models import build_model
-    from repro.serve import run_backend_bench
-
-    if args.scaling_bits == "fp32":
-        bits = None
-    else:
-        try:
-            bits = int(args.scaling_bits)
-        except ValueError:
-            print(f"--scaling-bits must be 'fp32' or an integer, got {args.scaling_bits!r}",
-                  file=sys.stderr)
-            return 2
-    if args.shards < 1:
-        print(f"--shards must be positive, got {args.shards}", file=sys.stderr)
-        return 2
-
-    models = {}
-    for index, name in enumerate(model_names):
-        module = build_model(
-            name,
-            num_classes=args.num_classes,
-            width_multiplier=args.width_multiplier,
-            in_channels=args.in_channels,
-            rng=np.random.default_rng(args.seed + index),
-        )
-        models[name] = (module, _model_input_shape(name, args))
-
-    try:
-        report = run_backend_bench(
-            models,
-            bits=bits,
-            workers=args.shards,
-            shards=args.shards,
-            batch_size=args.batch_size,
-            requests=args.requests,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    except (RuntimeError, ValueError) as error:
-        # Bad parameters, or a shard worker failed to come up.
-        print(f"serve-bench failed: {error}", file=sys.stderr)
-        return 2
-    print(
-        f"serve-bench backends: models={','.join(report.models)} "
-        f"variant={'fp32' if report.bits is None else f'{report.bits}bit'} "
-        f"batch={report.batch_size} requests={report.requests} shards={report.shards}"
-    )
-    for line in report.format_rows():
-        print(line)
-    if args.json_out:
-        path = dump_json(
-            {"identical": report.identical, "rows": [vars(row) for row in report.rows]},
-            args.json_out,
-        )
-        print(f"\nreport written to {path}")
-    if not report.identical:
-        print(
-            "FAIL: thread and process backends returned different logits "
-            "for an identical request stream",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def run_serve_bench(argv: Optional[Sequence[str]] = None) -> int:
     import numpy as np
 
@@ -669,18 +579,6 @@ def run_serve_bench(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.backend == "process":
-        if args.export or args.checkpoint:
-            print(
-                "--export/--checkpoint are not supported by the --backend "
-                "process comparison (it synthesises variants via --scaling-bits)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.workers is not None:
-            print("note: --workers ignored by --backend process (use --shards)",
-                  file=sys.stderr)
-        return _run_backend_bench(args, model_names)
     if args.workers is not None:
         if args.export or args.checkpoint:
             # The scaling bench rebuilds models from the registry; silently

@@ -19,7 +19,6 @@ Zero-dependency substrate the serving stack reports into:
   ``time.sleep`` to test.
 """
 
-from repro.obs.aggregate import merge_registry_dumps, total_counter
 from repro.obs.clock import MONOTONIC_CLOCK, Clock, ManualClock
 from repro.obs.registry import (
     DEFAULT_BATCH_SIZE_BUCKETS,
@@ -63,6 +62,4 @@ __all__ = [
     "ManualClock",
     "Clock",
     "MONOTONIC_CLOCK",
-    "merge_registry_dumps",
-    "total_counter",
 ]

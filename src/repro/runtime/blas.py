@@ -18,9 +18,9 @@ OpenBLAS runs each GEMM on as many threads as it loaded with, one per CPU by
 default.  N worker threads that each call it ask for N times that many, and
 on a small host the extra BLAS threads only contend: on 2 CPUs, two serving
 workers over a 2-thread OpenBLAS served *slower* than one.  So each
-component that runs kernels concurrently -- the serving ``WorkerPool``,
-every process-backend shard, every experiment-orchestrator worker process
--- :func:`reserve`\\ s its number of concurrent compute threads.
+component that runs kernels concurrently -- the serving ``WorkerPool``
+and every experiment-orchestrator worker process -- :func:`reserve`\\ s
+its number of concurrent compute threads.
 Reservations add up across the process; while any is held OpenBLAS runs
 ``max(1, usable_cpus() // reserved)`` threads, never more than it loaded
 with, and the last release restores the loaded count.  The count changes

@@ -8,8 +8,8 @@ shared objects, with every expensive step memoised:
   backend unavailable (never an error -- numpy simply keeps serving);
 * **on-disk build cache** -- artifacts are keyed by
   ``sha256(source + compiler + flags)``, so identical kernels are compiled
-  **at most once per machine**, not once per process: a shard worker that
-  compiles the same plan as its parent finds the parent's ``.so`` and just
+  **at most once per machine**, not once per process: a later process that
+  compiles the same plan finds the earlier one's ``.so`` and just
   ``dlopen``\\ s it.  The cache directory defaults to a ``codegen/``
   directory next to the active tuning cache (the two caches travel
   together), overridable via :func:`configure` or ``$REPRO_CODEGEN_CACHE``;

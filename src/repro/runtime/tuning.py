@@ -151,9 +151,9 @@ class TuningCache:
     def save(self) -> bool:
         """Merge with the on-disk state, then atomically rename; ``False`` if clean.
 
-        Concurrent savers over one path -- e.g. several shard worker
-        processes each tuning a different subset of signatures -- must not
-        lose each other's winners to a last-writer-wins rename.  Before
+        Concurrent savers over one path -- e.g. two processes sharing one
+        cache file, each tuning a different subset of signatures -- must
+        not lose each other's winners to a last-writer-wins rename.  Before
         writing, the file is re-read and any signature this instance does
         not hold is adopted (a *union*; this instance's own records win on
         conflicts, since they are at least as fresh as what it loaded).

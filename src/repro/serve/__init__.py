@@ -13,21 +13,13 @@ Layered concurrent serving stack:
 * :class:`~repro.serve.workers.WorkerPool` -- threads executing shared
   plans concurrently, one buffer arena per worker, with OpenBLAS fitted
   to the workers by the process-wide budget of :mod:`repro.runtime.blas`.
-* :class:`~repro.serve.workers.ProcessWorkerPool` -- spawned worker
-  processes (one per :class:`~repro.serve.shards.ShardRouter` shard)
-  executing plans against exports in ``multiprocessing.shared_memory``
-  arenas, batches crossing over a
-  :class:`~repro.serve.shards.SlabRing` of preallocated slabs.
-* :class:`~repro.serve.service.InferenceService` -- the composition:
-  ``submit(model, x, slo) -> ResultFuture``.
-* :class:`~repro.serve.engine.MicroBatchServer` -- the cooperative
-  single-model façade over the same layers (deterministic, testable).
+* :class:`~repro.serve.service.InferenceService` -- the composition and
+  the one way into serving: ``submit(model, x, slo) -> ResultFuture``.
 * :func:`~repro.serve.bench.run_serve_bench` /
   :func:`~repro.serve.bench.run_scaling_bench` -- throughput / latency /
   energy benchmarks behind ``repro.cli serve-bench``.
 """
 
-from repro.serve.engine import MicroBatchServer
 from repro.serve.repository import FLOAT_BITS, ModelRepository, ModelVersion, SwapListener
 from repro.serve.routing import (
     DEFAULT_SLO,
@@ -47,33 +39,17 @@ from repro.serve.types import (
     ServeStats,
     VariantCost,
 )
-from repro.serve.shards import (
-    ArenaManifest,
-    ArenaTensorSpec,
-    ExportManifest,
-    ShardRouter,
-    ShardWorkerConfig,
-    SlabRing,
-    attach_exports,
-    attach_segment,
-    pack_exports,
-    variant_key,
-)
-from repro.serve.workers import BatchExecutor, ProcessWorkerPool, WorkerPool
+from repro.serve.workers import BatchExecutor, WorkerPool
 from repro.serve.bench import (
-    BackendBenchReport,
-    BackendBenchRow,
     ScalingBenchReport,
     ScalingBenchRow,
     ServeBenchReport,
     ServeBenchRow,
-    run_backend_bench,
     run_scaling_bench,
     run_serve_bench,
 )
 
 __all__ = [
-    "MicroBatchServer",
     "ModelRepository",
     "ModelVersion",
     "SwapListener",
@@ -88,18 +64,7 @@ __all__ = [
     "QueuePolicy",
     "QueueFullError",
     "WorkerPool",
-    "ProcessWorkerPool",
     "BatchExecutor",
-    "ShardRouter",
-    "SlabRing",
-    "ShardWorkerConfig",
-    "ArenaManifest",
-    "ArenaTensorSpec",
-    "ExportManifest",
-    "pack_exports",
-    "attach_exports",
-    "attach_segment",
-    "variant_key",
     "InferenceRequest",
     "InferenceResult",
     "ResultFuture",
@@ -111,9 +76,6 @@ __all__ = [
     "ServeBenchRow",
     "ScalingBenchReport",
     "ScalingBenchRow",
-    "BackendBenchReport",
-    "BackendBenchRow",
     "run_serve_bench",
     "run_scaling_bench",
-    "run_backend_bench",
 ]

@@ -1,8 +1,9 @@
 """Serving benchmark: compiled plans vs the training-stack forward.
 
-:func:`run_serve_bench` feeds a stream of synthetic requests through the
-micro-batching engine for each requested variant and reports throughput,
-latency and analytic per-request energy:
+:func:`run_serve_bench` splits a stream of synthetic requests into
+micro-batches, times every variant on the same bare batches (best of
+``repeats`` passes) and reports throughput, per-request latency (the
+duration of the batch a request rode in) and analytic per-request energy:
 
 * ``module-forward`` -- the status-quo deployment path this PR replaces:
   dequantised weights in the training ``Module``, whose ``__call__`` builds
@@ -22,34 +23,27 @@ release the GIL; what lets the workers scale on a small host is the BLAS
 thread budget (:mod:`repro.runtime.blas`), which gives each of N workers
 ``cpus // N`` OpenBLAS threads instead of letting every worker fan out over
 all of them.  Each row records the BLAS thread count it ran at.
-
-:func:`run_backend_bench` compares the thread and process serving
-backends on one identical request stream: same models, same samples, same
-batching policy and the same BLAS thread count per worker when ``workers ==
-shards``, so the logits must come back bitwise identical (the report
-records whether they did) while the process backend escapes the GIL
-entirely.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.energy import EnergyModel
-from repro.hardware.latency import COMPUTE_PROFILES, ComputeProfile
-from repro.hardware.profile import ModelProfile, profile_model
+from repro.hardware.latency import COMPUTE_PROFILES
+from repro.hardware.profile import profile_model
 from repro.nn.module import Module
 from repro.quant.affine import FLOAT_BITS_THRESHOLD
 from repro.quant.deploy import QuantizedModelExport, export_quantized_model
 from repro.runtime.plan import ExecutionPlan, compile_plan, compile_quantized_plan
-from repro.serve.engine import MicroBatchServer
 from repro.serve.repository import ModelRepository
 from repro.serve.scheduler import QueuePolicy
 from repro.serve.service import InferenceService
+from repro.serve.types import BatchAccountant, BatchRecord
 from repro.tensor import Tensor, no_grad
 
 
@@ -109,53 +103,37 @@ def _request_stream(
     return rng.normal(size=(count,) + tuple(input_shape))
 
 
-def _time_module(model: Module, batches: Sequence[np.ndarray], grad: bool, repeats: int) -> float:
-    """Best-of-``repeats`` seconds to push all batches through the module."""
-    best = float("inf")
+def _time_batches(
+    run: Callable[[np.ndarray], object], batches: Sequence[np.ndarray], repeats: int
+) -> List[float]:
+    """Per-batch seconds of the fastest of ``repeats`` passes of ``run``
+    over ``batches``."""
+    best: Optional[List[float]] = None
     for _ in range(repeats):
-        started = time.perf_counter()
-        if grad:
-            for batch in batches:
-                model(Tensor(batch))
-        else:
-            with no_grad():
-                for batch in batches:
-                    model(Tensor(batch))
-        best = min(best, time.perf_counter() - started)
+        seconds = []
+        for batch in batches:
+            started = time.perf_counter()
+            run(batch)
+            seconds.append(time.perf_counter() - started)
+        if best is None or sum(seconds) < sum(best):
+            best = seconds
+    assert best is not None
     return best
 
 
-def _serve_through_engine(
-    plan: ExecutionPlan,
-    samples: np.ndarray,
-    batch_size: int,
-    profile: Optional[ModelProfile],
-    energy_model: Optional[EnergyModel],
-    compute_profile: Optional[ComputeProfile],
-    repeats: int,
-) -> Tuple[float, MicroBatchServer]:
-    """Best-of-``repeats`` seconds to serve all samples; returns last server."""
-    best = float("inf")
-    server: Optional[MicroBatchServer] = None
-    for _ in range(repeats):
-        # Infinite delay: a batch dispatches exactly when it is full, so the
-        # benchmark measures full micro-batches (drain flushes the tail).
-        server = MicroBatchServer(
-            plan,
-            max_batch_size=batch_size,
-            max_queue_delay_s=float("inf"),
-            profile=profile,
-            energy_model=energy_model,
-            compute_profile=compute_profile,
-        )
-        started = time.perf_counter()
-        for sample in samples:
-            server.submit(sample)
-            server.step()
-        server.drain()
-        best = min(best, time.perf_counter() - started)
-    assert server is not None
-    return best, server
+def _energy_uj_per_request(
+    accountant: Optional[BatchAccountant], plan: ExecutionPlan, batches: Sequence[np.ndarray]
+) -> Optional[float]:
+    """Modelled energy per request of serving ``batches`` through ``plan``."""
+    if accountant is None:
+        return None
+    forward_bits = plan.bits_by_layer()
+    energy_pj = 0.0
+    for batch_id, batch in enumerate(batches):
+        record = BatchRecord(batch_id=batch_id, size=len(batch), compute_seconds=0.0)
+        accountant.annotate(record, forward_bits)
+        energy_pj += record.energy_pj
+    return energy_pj / sum(len(batch) for batch in batches) * 1e-6  # pJ -> uJ
 
 
 def run_serve_bench(
@@ -207,9 +185,11 @@ def run_serve_bench(
     batches = [
         samples[start : start + batch_size] for start in range(0, requests, batch_size)
     ]
-    profile = profile_model(model, input_shape) if device else None
-    energy_model = EnergyModel() if device else None
-    compute_profile = COMPUTE_PROFILES[device] if device else None
+    accountant = (
+        BatchAccountant(profile_model(model, input_shape), EnergyModel(), COMPUTE_PROFILES[device])
+        if device
+        else None
+    )
 
     report = ServeBenchReport(
         model=type(model).__name__,
@@ -221,58 +201,53 @@ def run_serve_bench(
     was_training = model.training
     model.eval()
 
-    def module_weight_kib() -> float:
-        return sum(p.data.nbytes for p in model.parameters()) / 1024
+    def forward(batch: np.ndarray) -> None:
+        model(Tensor(batch))
 
     # Baseline: the training-stack forward (builds an autograd graph).
-    module_seconds = _time_module(model, batches, grad=True, repeats=repeats)
-    report.rows.append(
-        ServeBenchRow(
-            variant="module-forward",
-            bits=None,
-            weight_kib=module_weight_kib(),
-            throughput_rps=requests / module_seconds,
-            mean_latency_ms=module_seconds / len(batches) * 1e3,
-            p95_latency_ms=module_seconds / len(batches) * 1e3,
-            energy_uj_per_request=None,
-            speedup_vs_module=1.0,
-        )
-    )
-    no_grad_seconds = _time_module(model, batches, grad=False, repeats=repeats)
-    report.rows.append(
-        ServeBenchRow(
-            variant="module-no-grad",
-            bits=None,
-            weight_kib=module_weight_kib(),
-            throughput_rps=requests / no_grad_seconds,
-            mean_latency_ms=no_grad_seconds / len(batches) * 1e3,
-            p95_latency_ms=no_grad_seconds / len(batches) * 1e3,
-            energy_uj_per_request=None,
-            speedup_vs_module=module_seconds / no_grad_seconds,
-        )
-    )
+    module_batch_seconds = _time_batches(forward, batches, repeats)
+    module_seconds = sum(module_batch_seconds)
 
-    def add_plan_row(variant: str, plan: ExecutionPlan, bits: Optional[int]) -> None:
-        seconds, server = _serve_through_engine(
-            plan, samples, batch_size, profile, energy_model, compute_profile, repeats
-        )
-        stats = server.stats
-        energy = (
-            stats.energy_pj / stats.requests * 1e-6 if stats.energy_pj else None
-        )  # pJ -> uJ
+    def add_row(
+        variant: str,
+        bits: Optional[int],
+        weight_kib: float,
+        batch_seconds: List[float],
+        energy_uj_per_request: Optional[float] = None,
+    ) -> None:
+        seconds = sum(batch_seconds)
+        # A request's latency is the duration of the batch it rode in.
+        latencies = np.repeat(batch_seconds, [len(batch) for batch in batches])
         report.rows.append(
             ServeBenchRow(
                 variant=variant,
                 bits=bits,
-                weight_kib=plan.weight_bytes() / 1024,
+                weight_kib=weight_kib,
                 throughput_rps=requests / seconds,
-                mean_latency_ms=float(np.mean(stats.latencies)) * 1e3,
-                p95_latency_ms=stats.latency_percentile(95) * 1e3,
-                energy_uj_per_request=energy,
+                mean_latency_ms=float(np.mean(latencies)) * 1e3,
+                p95_latency_ms=float(np.percentile(latencies, 95)) * 1e3,
+                energy_uj_per_request=energy_uj_per_request,
                 speedup_vs_module=module_seconds / seconds,
             )
         )
 
+    def add_plan_row(variant: str, plan: ExecutionPlan, bits: Optional[int]) -> None:
+        # One arena, preallocated by the plan's memory planner at the
+        # largest batch the bench runs.
+        ctx = plan.create_context(batch_size=batch_size)
+        add_row(
+            variant,
+            bits,
+            plan.weight_bytes() / 1024,
+            _time_batches(lambda batch: plan.run(batch, ctx=ctx), batches, repeats),
+            _energy_uj_per_request(accountant, plan, batches),
+        )
+
+    module_weight_kib = sum(p.data.nbytes for p in model.parameters()) / 1024
+    add_row("module-forward", None, module_weight_kib, module_batch_seconds)
+    with no_grad():
+        add_row("module-no-grad", None, module_weight_kib,
+                _time_batches(forward, batches, repeats))
     try:
         add_plan_row("plan-fp32", compile_plan(model, input_shape), 32)
         if export is not None:
@@ -446,216 +421,3 @@ def run_scaling_bench(
         row.speedup_vs_baseline = row.throughput_rps / baseline if baseline > 0 else 0.0
     return report
 
-
-# --------------------------------------------------------------------------- #
-# Thread vs process backend benchmark
-# --------------------------------------------------------------------------- #
-@dataclass
-class BackendBenchRow:
-    """Throughput of one serving backend on the shared request stream."""
-
-    backend: str
-    #: Worker threads (thread backend) or shard processes (process backend).
-    workers: int
-    seconds: float
-    throughput_rps: float
-    #: Relative to the thread row (the report's baseline backend).
-    speedup_vs_thread: float
-    mean_batch_size: float
-    #: OpenBLAS threads each worker thread / shard process ran at
-    #: (``None``: unreadable).
-    blas_threads: Optional[int] = None
-
-
-@dataclass
-class BackendBenchReport:
-    """Result of one thread-vs-process backend comparison."""
-
-    models: List[str]
-    bits: Optional[int]
-    batch_size: int
-    requests: int
-    shards: int
-    #: Whether both backends returned bitwise-identical logits for every
-    #: request (same plans, same batch composition -- they must).
-    identical: bool = True
-    rows: List[BackendBenchRow] = field(default_factory=list)
-
-    def row(self, backend: str) -> BackendBenchRow:
-        """The row for one backend (raises ``KeyError`` when absent)."""
-        for row in self.rows:
-            if row.backend == backend:
-                return row
-        raise KeyError(f"no backend row named {backend!r}")
-
-    def format_rows(self) -> List[str]:
-        """The report as aligned text lines (one per backend)."""
-        header = (
-            f"{'backend':<8s} {'workers':>7s} {'seconds':>9s} {'req/s':>10s} "
-            f"{'vs thread':>9s} {'mean batch':>11s} {'blas thr':>8s}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{row.backend:<8s} {row.workers:7d} {row.seconds:9.3f} "
-                f"{row.throughput_rps:10.0f} {row.speedup_vs_thread:8.2f}x "
-                f"{row.mean_batch_size:11.1f} {_format_threads(row.blas_threads):>8s}"
-            )
-        lines.append(
-            "responses bitwise-identical across backends: "
-            + ("yes" if self.identical else "NO")
-        )
-        return lines
-
-
-def _serve_stream(
-    repository: ModelRepository,
-    names: Sequence[str],
-    streams: Mapping[str, np.ndarray],
-    requests: int,
-    policy: QueuePolicy,
-    *,
-    backend: str,
-    workers: int,
-    shards: Optional[int],
-) -> Tuple[float, List[np.ndarray], float, Optional[int]]:
-    """Serve the stream once; returns (seconds, per-request logits, mean
-    batch, BLAS threads per worker).
-
-    Requests are submitted from this single thread in a fixed order; with
-    an infinite queue delay a batch dispatches exactly when it is full, so
-    batch composition -- and therefore the BLAS reduction order inside each
-    batch -- is identical for every backend, making the returned logits
-    comparable bit-for-bit.
-    """
-    service = InferenceService(
-        repository,
-        workers=workers,
-        queue_policy=policy,
-        warm=True,
-        backend=backend,
-        shards=shards,
-    )
-    futures = []
-    with service:
-        # Timing starts after start-up (worker spawn, arena packing, plan
-        # compilation): both backends are measured warm, on serving alone.
-        started = time.perf_counter()
-        for index in range(requests):
-            name = names[index % len(names)]
-            sample = streams[name][index // len(names)]
-            futures.append(service.submit(name, sample))
-        service.stop()
-        results = [future.result(timeout=120.0) for future in futures]
-        seconds = time.perf_counter() - started
-    logits = [np.array(result.logits, copy=True) for result in results]
-    return seconds, logits, service.stats.mean_batch_size, service.pool.blas_threads
-
-
-def run_backend_bench(
-    models: Mapping[str, Tuple[Module, Tuple[int, ...]]],
-    *,
-    bits: Optional[int] = None,
-    workers: int = 2,
-    shards: Optional[int] = None,
-    batch_size: int = 16,
-    requests: int = 128,
-    repeats: int = 1,
-    seed: int = 0,
-) -> BackendBenchReport:
-    """Serve one request stream through both backends and compare.
-
-    Parameters
-    ----------
-    models:
-        ``name -> (module, per_sample_input_shape)``.  Requests alternate
-        round-robin over the named models (the multi-model case is where
-        process sharding pays: each shard compiles and serves only its
-        own models).
-    bits:
-        Serve every model's uniform ``bits``-bit quantised export, or
-        (default) the compiled fp32 plan.
-    workers:
-        Thread count for the thread backend.
-    shards:
-        Shard (process) count for the process backend; defaults to
-        ``workers`` so both backends get the same parallelism budget --
-        and the same BLAS thread count per worker, which the bitwise
-        identity check relies on.
-    batch_size, requests, repeats, seed:
-        As in :func:`run_scaling_bench`.  The identity check always uses
-        the first repeat of each backend (identical streams).
-    """
-    if not models:
-        raise ValueError("models mapping must not be empty")
-    if bits is not None and not 2 <= bits < FLOAT_BITS_THRESHOLD:
-        raise ValueError(
-            f"bits must be in [2, {FLOAT_BITS_THRESHOLD - 1}] or None for fp32, got {bits}"
-        )
-    if requests < 1:
-        raise ValueError(f"requests must be at least 1, got {requests}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
-    shard_count = shards if shards is not None else workers
-
-    rng = np.random.default_rng(seed)
-    names = list(models)
-    streams = {
-        name: _request_stream(models[name][1], requests // len(names) + 1, rng)
-        for name in names
-    }
-    policy = QueuePolicy(max_batch_size=batch_size, max_queue_delay_s=float("inf"))
-
-    report = BackendBenchReport(
-        models=names,
-        bits=bits,
-        batch_size=batch_size,
-        requests=requests,
-        shards=shard_count,
-    )
-    reference: Optional[List[np.ndarray]] = None
-    for backend, parallelism in (("thread", workers), ("process", shard_count)):
-        best = float("inf")
-        best_mean_batch = 0.0
-        for repeat in range(repeats):
-            # A fresh repository per run: plan caches and schedulers start
-            # cold for both backends alike.
-            repository = ModelRepository()
-            for name, (model, input_shape) in models.items():
-                repository.add_model(name, model, input_shape)
-                if bits is not None:
-                    uniform = {p: bits for p, _ in model.named_parameters()}
-                    repository.add_export(
-                        name, export_quantized_model(model, uniform), bits=bits
-                    )
-            seconds, logits, mean_batch, threads = _serve_stream(
-                repository, names, streams, requests, policy,
-                backend=backend, workers=parallelism, shards=shard_count,
-            )
-            if repeat == 0:
-                if reference is None:
-                    reference = logits
-                else:
-                    report.identical = report.identical and len(logits) == len(
-                        reference
-                    ) and all(
-                        np.array_equal(a, b) for a, b in zip(reference, logits)
-                    )
-            if seconds < best:
-                best = seconds
-                best_mean_batch = mean_batch
-        report.rows.append(
-            BackendBenchRow(
-                backend=backend,
-                workers=parallelism,
-                seconds=best,
-                throughput_rps=requests / best,
-                speedup_vs_thread=0.0,  # filled below
-                mean_batch_size=best_mean_batch,
-                blas_threads=threads,
-            )
-        )
-    baseline = report.row("thread").throughput_rps
-    for row in report.rows:
-        row.speedup_vs_thread = row.throughput_rps / baseline if baseline > 0 else 0.0
-    return report

@@ -673,34 +673,3 @@ class ModelRepository:
             model = self._entry(name).model
         with compile_lock():
             return copy.deepcopy(model)
-
-    # ------------------------------------------------------------------ #
-    # Shared-memory arena export (process-sharded serving)
-    # ------------------------------------------------------------------ #
-    def export_arena(self, *, generation: int = 0):
-        """Pack every quantized variant into one shared-memory arena.
-
-        The segment holds the code / scale / float tensors of each
-        ``model@bits`` export, 64-byte aligned, with an
-        :class:`~repro.serve.shards.ArenaManifest` describing the layout;
-        worker processes map the segment and rebuild zero-copy
-        :class:`~repro.quant.deploy.QuantizedModelExport` views via
-        :func:`~repro.serve.shards.attach_exports`.  fp32 variants carry
-        no export and are omitted (workers compile them from the pickled
-        module directly).
-
-        The caller owns the returned segment: ``close()`` + ``unlink()``
-        it when the last worker has detached.
-
-        Returns:
-            ``(segment, manifest)`` from
-            :func:`~repro.serve.shards.pack_exports`.
-        """
-        from repro.serve.shards import pack_exports, variant_key
-
-        exports = {}
-        with self._lock:
-            for name, entry in self._entries.items():
-                for bits, export in entry.exports.items():
-                    exports[variant_key(name, bits)] = export
-        return pack_exports(exports, generation=generation)

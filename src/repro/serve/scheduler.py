@@ -1,10 +1,9 @@
 """Per-model micro-batch queues with admission control and dispatch policy.
 
 The scheduler is the seam between request producers (front-ends calling
-``submit``) and batch consumers (the cooperative single-model engine, or the
-threads of a :class:`~repro.serve.workers.WorkerPool`).  Each registered
-model gets its own bounded FIFO queue; a batch for a model is *due* when
-either
+``submit``) and batch consumers (the threads of a
+:class:`~repro.serve.workers.WorkerPool`).  Each registered model gets its
+own bounded FIFO queue; a batch for a model is *due* when either
 
 * ``max_batch_size`` requests are pending for it, or
 * the oldest pending request has waited ``max_queue_delay_s``.
@@ -15,9 +14,9 @@ letting the queue (and tail latency) grow without bound.  The caller decides
 what rejection means -- shed the request, retry later, or route to another
 model.
 
-All methods are thread-safe.  Consumers either poll (``pop_due``, used by
-the cooperative engine) or block (``get_batch``, used by worker threads,
-woken by submissions and by ``stop``).
+All methods are thread-safe.  Consumers call ``get_batch``, which blocks
+until a batch is due (woken by submissions and by ``stop``); a ``timeout``
+of 0 makes it a non-blocking poll.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class QueuePolicy:
     max_batch_size: int = 32
     max_queue_delay_s: float = 0.0
     #: Maximum pending requests before ``submit`` rejects; ``None`` is
-    #: unbounded (the single-model engine's backwards-compatible default).
+    #: unbounded.
     max_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -242,26 +241,6 @@ class Scheduler:
         # the batch later finishes dispatch.
         self._stamp_depth_locked(model, queue)
         return batch
-
-    def pop_due(self) -> Optional[Tuple[str, List[InferenceRequest]]]:
-        """Non-blocking: the next due ``(model, batch)``, or ``None``."""
-        with self._cond:
-            model = self._due_model_locked(self.clock())
-            if model is None:
-                return None
-            return model, self._pop_batch_locked(model)
-
-    def pop_any(self, model: Optional[str] = None) -> Optional[Tuple[str, List[InferenceRequest]]]:
-        """Non-blocking: pop pending requests regardless of the delay policy.
-
-        Used by ``drain`` flows to flush partial tail batches.
-        """
-        with self._cond:
-            candidates = [model] if model is not None else list(self._rotation)
-            for name in candidates:
-                if self._queue_of(name).pending:
-                    return name, self._pop_batch_locked(name)
-            return None
 
     def get_batch(
         self, timeout: Optional[float] = None

@@ -18,10 +18,9 @@ Queues are per **variant**, not per model: a dispatched batch executes
 through exactly one compiled plan, so requests routed to different
 bitwidths of the same model must never share a batch.
 
-The service is the concurrent big sibling of the cooperative
-:class:`~repro.serve.engine.MicroBatchServer` (which remains the
-deterministic single-model, single-thread façade used by tests and
-benchmarks).
+The service is the one way into serving.  Deterministic tests drive it
+with an injected clock: requests submitted before :meth:`InferenceService.start`
+wait in their queues, and :meth:`InferenceService.stop` drains them.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ from repro.serve.types import (
     ResultFuture,
     ServeStats,
 )
-from repro.serve.shards import ShardRouter
-from repro.serve.workers import BatchExecutor, ProcessWorkerPool, WorkerPool
+from repro.serve.workers import BatchExecutor, WorkerPool
 
 
 def _queue_key(model: str, bits: int) -> str:
@@ -136,18 +134,6 @@ class InferenceService:
         (default: one on this registry / clock with default windowing).
     trace_capacity:
         Completed traces retained in the :attr:`traces` ring.
-    backend:
-        ``"thread"`` (default) keeps the in-process :class:`WorkerPool`;
-        ``"process"`` shards the repository across spawned worker
-        processes (:class:`~repro.serve.workers.ProcessWorkerPool`) with
-        exports in shared-memory arenas and one scheduler per shard.
-        The process backend serves the variants registered at
-        construction; variants added later raise in the owning worker.
-    shards:
-        Process-backend shard count (defaults to ``workers``).  Each
-        shard is one spawned process owning one scheduler; the
-        consistent-hash router pins every ``(model, bits)`` variant to
-        exactly one shard.
     """
 
     def __init__(
@@ -164,11 +150,7 @@ class InferenceService:
         tracing: bool = True,
         slo_monitor: Optional[SLOMonitor] = None,
         trace_capacity: int = 256,
-        backend: str = "thread",
-        shards: Optional[int] = None,
     ) -> None:
-        if backend not in ("thread", "process"):
-            raise ValueError(f"backend must be 'thread' or 'process', got {backend!r}")
         self.repository = repository
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self.tracing = tracing
@@ -186,20 +168,7 @@ class InferenceService:
         self.modelled_accounting = compute_profile is not None or energy_model is not None
         self.clock = clock
         self.stats = ServeStats(self.metrics)
-        self.backend = backend
-        self.shards = (shards if shards is not None else workers) if backend == "process" else 1
-        if self.shards < 1:
-            raise ValueError(f"shards must be at least 1, got {self.shards}")
-        if backend == "process":
-            self.shard_router = ShardRouter(self.shards)
-            self.schedulers = [
-                Scheduler(clock=clock, metrics=self.metrics) for _ in range(self.shards)
-            ]
-            self.scheduler = self.schedulers[0]
-        else:
-            self.shard_router = None
-            self.scheduler = Scheduler(clock=clock, metrics=self.metrics)
-            self.schedulers = [self.scheduler]
+        self.scheduler = Scheduler(clock=clock, metrics=self.metrics)
         self.traces = TraceLog(trace_capacity)
         self.slo = (
             slo_monitor
@@ -230,43 +199,20 @@ class InferenceService:
         for model in repository.models():
             for bits in repository.variants(model):
                 key = _queue_key(model, bits)
-                self._scheduler_for(key).register(key, self._queue_policy)
+                self.scheduler.register(key, self._queue_policy)
                 self._known_queues.add(key)
-        if backend == "process":
-            # Workers compile (and warm) their own shard's plans; warming
-            # the parent's plan cache would just duplicate the compiles.
-            self.pool = ProcessWorkerPool(
-                self.schedulers,
-                repository,
-                self.shard_router,
-                stats=self.stats,
-                clock=clock,
-                metrics=self.metrics,
-                trace_log=self.traces,
-                slo_monitor=self.slo,
-                accountant_for=self.router.accountant if self.modelled_accounting else None,
-                warm=warm,
-            )
-        else:
-            if warm:
-                repository.warm()
-            self.pool = WorkerPool(
-                self.scheduler,
-                _RepositoryExecutor(self),
-                workers=workers,
-                stats=self.stats,
-                clock=clock,
-                metrics=self.metrics,
-                trace_log=self.traces,
-                slo_monitor=self.slo,
-            )
-
-    def _scheduler_for(self, key: str) -> Scheduler:
-        """The scheduler owning one variant queue (shard-routed under the
-        process backend; the single scheduler otherwise)."""
-        if self.shard_router is None:
-            return self.scheduler
-        return self.schedulers[self.shard_router.shard_for_key(key)]
+        if warm:
+            repository.warm()
+        self.pool = WorkerPool(
+            self.scheduler,
+            _RepositoryExecutor(self),
+            workers=workers,
+            stats=self.stats,
+            clock=clock,
+            metrics=self.metrics,
+            trace_log=self.traces,
+            slo_monitor=self.slo,
+        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -349,7 +295,7 @@ class InferenceService:
         key = _queue_key(model, decision.bits)
         self._ensure_queue(key)
         try:
-            self._scheduler_for(key).submit(key, request)
+            self.scheduler.submit(key, request)
         except QueueFullError:
             self.stats.record_rejected()
             raise
@@ -363,7 +309,7 @@ class InferenceService:
         if key in self._known_queues:
             return
         try:
-            self._scheduler_for(key).register(key, self._queue_policy)
+            self.scheduler.register(key, self._queue_policy)
         except ValueError:
             pass  # another submitter registered it first
         self._known_queues.add(key)
@@ -437,15 +383,19 @@ class InferenceService:
     def pending(self, model: Optional[str] = None) -> int:
         """Queued-but-unserved request count (one model, or the service).
 
+        A variant added to the repository after construction counts from
+        its first request; until then it has no queue and nothing pending.
+
         Raises:
             KeyError: ``model`` is not registered.
         """
         if model is None:
-            return sum(scheduler.pending() for scheduler in self.schedulers)
+            return self.scheduler.pending()
         total = 0
         for bits in self.repository.variants(model):
             key = _queue_key(model, bits)
-            total += self._scheduler_for(key).pending(key)
+            if key in self._known_queues:
+                total += self.scheduler.pending(key)
         return total
 
     @property
@@ -456,15 +406,6 @@ class InferenceService:
     def metrics_snapshot(self) -> MetricsSnapshot:
         """A point-in-time, immutable snapshot of every service metric."""
         return self.metrics.snapshot()
-
-    def worker_metrics(self) -> Dict[str, dict]:
-        """Per-shard worker metric dumps, keyed by shard index (process
-        backend; the thread backend publishes straight into
-        :attr:`metrics` and returns ``{}``).  Merge into one view with
-        :func:`repro.obs.aggregate.merge_registry_dumps`."""
-        if isinstance(self.pool, ProcessWorkerPool):
-            return self.pool.worker_metrics()
-        return {}
 
     def evaluate_slo(self) -> List:
         """Run one SLO burn evaluation now; returns the alerts raised

@@ -1,11 +1,11 @@
 """Shared request / result / accounting types of the serving stack.
 
 Every layer of the stack speaks these types: the scheduler queues
-:class:`InferenceRequest` objects, workers and the single-model engine
-produce :class:`InferenceResult` per request and one :class:`BatchRecord`
-per dispatched batch, and :class:`ServeStats` aggregates either side.
+:class:`InferenceRequest` objects, workers produce an
+:class:`InferenceResult` per request and one :class:`BatchRecord` per
+dispatched batch, and :class:`ServeStats` aggregates them.
 :class:`BatchAccountant` owns the modelled (energy / device-latency) side of
-the accounting so the cooperative engine and the threaded worker pool share
+the accounting, so the worker pool and ``serve-bench`` price batches with
 one implementation.
 """
 
@@ -75,14 +75,13 @@ class InferenceRequest:
     request_id: int
     x: np.ndarray
     enqueued_at: float
-    #: Name of the repository model this request targets ("" for the
-    #: single-model engine, which serves exactly one plan).
+    #: Name of the repository model this request targets.
     model: str = ""
     #: Bitwidth variant the router picked for this request (None before
-    #: routing / for the single-model engine).
+    #: routing).
     bits: Optional[int] = None
-    #: Completion handle fulfilled by the executing worker (None in the
-    #: cooperative single-model engine, which returns results directly).
+    #: Completion handle fulfilled by the executing worker (None when no
+    #: one waits on the result).
     future: Optional[ResultFuture] = None
     #: Per-request span recorder (:class:`repro.obs.Trace`); opened by the
     #: service at submit time, marked by the executing worker, attached to
@@ -198,7 +197,7 @@ class ServeStats:
 
     @property
     def requests_by_model(self) -> Dict[str, int]:
-        """Requests served per repository model (engine traffic excluded)."""
+        """Requests served per repository model (unnamed traffic excluded)."""
         return {
             labels["model"]: int(counter.value)
             for labels, counter in self._requests.series()

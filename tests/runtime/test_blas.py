@@ -2,9 +2,9 @@
 
 The arithmetic runs against a fake ``(get, set)`` pair, so it holds on any
 host and under any environment.  The end-to-end cases drive numpy's real
-OpenBLAS through the components that reserve -- the serving ``WorkerPool``,
-process-backend shards and experiment-orchestrator workers -- and skip
-where the library's count cannot be read.
+OpenBLAS through the components that reserve -- the serving ``WorkerPool``
+and experiment-orchestrator workers -- and skip where the library's count
+cannot be read.
 """
 
 import os
@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments import orchestrator
 from repro.models import build_model
+from repro.quant import export_quantized_model
 from repro.runtime import blas
 from repro.runtime.plan import VALIDATION_ATOL, VALIDATION_RTOL
 from repro.serve import InferenceService, ModelRepository, QueuePolicy
@@ -205,22 +206,50 @@ class TestComponentsReserve:
         assert reports == [_expected_fit(2)] * 4
         assert blas.current_threads() == _LOADED
 
-    def test_shard_children_report_the_fitted_count(self):
-        repo = _mlp_repo()
-        repo.add_model(
-            "mlp2",
-            build_model("mlp", num_classes=5, in_channels=16, rng=np.random.default_rng(1)),
-            (16,),
+    def test_mobilenetv2_responses_match_plan_run_at_the_pool_count_bitwise(self):
+        """mobilenetv2 x0.35's logits depend on the BLAS thread count (1 vs
+        2 OpenBLAS threads differ in the last bits), so identity holds only
+        at equal counts: a ``plan.run`` made while the pool still holds its
+        reservation runs at the workers' count."""
+        shape = (3, 32, 32)
+        names = ["mbv2_a", "mbv2_b"]
+        repo = ModelRepository()
+        for index, name in enumerate(names):
+            model = build_model(
+                "mobilenetv2", num_classes=10, in_channels=3, width_multiplier=0.35,
+                rng=np.random.default_rng(index),
+            )
+            repo.add_model(name, model, shape)
+            repo.add_export(
+                name,
+                export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()}),
+                bits=8,
+            )
+        rng = np.random.default_rng(3)
+        samples = [rng.normal(size=shape) for _ in range(16)]
+        service = InferenceService(
+            repo, workers=2,
+            queue_policy=QueuePolicy(max_batch_size=4, max_queue_delay_s=float("inf")),
         )
-        service = InferenceService(repo, backend="process", shards=2)
         with service:
-            assert service.pool.blas_threads == _expected_fit(2)
-            dumps = service.worker_metrics()
-            # The parent runs no kernels of its own and reserves nothing.
-            assert blas.current_threads() == _LOADED
-        assert sorted(dumps) == ["0", "1"]
-        for dump in dumps.values():
-            assert dump["blas_threads"]["series"][0]["value"] == _expected_fit(2)
+            futures = [
+                service.submit(names[index % len(names)], sample)
+                for index, sample in enumerate(samples)
+            ]
+            results = [future.result(timeout=120.0) for future in futures]
+            assert blas.current_threads() == _expected_fit(2)
+            # Each model's requests formed full batches of 4 in submission order.
+            for offset, name in enumerate(names):
+                own = list(range(offset, len(samples), len(names)))
+                for start in range(0, len(own), 4):
+                    batch = own[start:start + 4]
+                    assert {results[index].batch_size for index in batch} == {4}
+                    live = repo.plan(name, results[batch[0]].bits).run(
+                        np.stack([samples[index] for index in batch])
+                    )
+                    for row, index in enumerate(batch):
+                        np.testing.assert_array_equal(results[index].logits, live[row])
+        assert blas.current_threads() == _LOADED
 
     def test_pool_churn_keeps_a_serving_pool_within_the_compiler_tolerance(self):
         """Two pools start and stop over and over (each refits the

@@ -114,9 +114,9 @@ class TestTuningCachePersistence:
         assert list(tmp_path.iterdir()) == []
 
     def test_interleaved_saves_over_one_path_merge_not_clobber(self, tmp_path):
-        # Two caches standing in for two shard worker processes sharing one
-        # path: each tunes a different signature, each saves.  Last-writer-
-        # wins would erase the first worker's record; merge-on-save unions.
+        # Two caches standing in for two processes sharing one path: each
+        # tunes a different signature, each saves.  Last-writer-wins would
+        # erase the first worker's record; merge-on-save unions.
         path = str(tmp_path / "tuning.json")
         worker_a = TuningCache(path)
         worker_b = TuningCache(path)

@@ -170,7 +170,7 @@ class TestQueueDepthGauge:
         # Dequeue-commit: popping a full batch drops the gauge by the
         # batch size the moment the requests leave the pending deque --
         # the requests are now the worker's, not the queue's.
-        key, batch = scheduler.pop_any()
+        key, batch = scheduler.get_batch(timeout=0)
         assert key == "m@8"
         assert len(batch) == 2
         assert self._depth(registry) == 1

@@ -6,11 +6,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.hardware import EnergyModel, profile_model
 from repro.hardware.latency import COMPUTE_PROFILES
 from repro.models import build_model
 from repro.quant import export_quantized_model
+from repro.runtime import compile_plan
 from repro.serve import (
     FLOAT_BITS,
+    BatchAccountant,
+    BatchRecord,
     InferenceRequest,
     InferenceService,
     ModelRepository,
@@ -20,6 +24,7 @@ from repro.serve import (
     QueuePolicy,
     RequestSLO,
     Scheduler,
+    run_serve_bench,
 )
 from repro.tensor import Tensor, no_grad
 
@@ -61,7 +66,7 @@ class TestScheduler:
             scheduler.submit("m", _request(3))
         assert scheduler.pending("m") == 3
         # Popping a batch frees capacity again.
-        scheduler.pop_any("m")
+        scheduler.get_batch(timeout=0)
         scheduler.submit("m", _request(4))
 
     def test_full_batch_is_due_partial_waits_for_delay(self):
@@ -69,13 +74,13 @@ class TestScheduler:
         scheduler = Scheduler(clock=clock)
         scheduler.register("m", QueuePolicy(max_batch_size=2, max_queue_delay_s=1.0))
         scheduler.submit("m", _request(0, clock()))
-        assert scheduler.pop_due() is None
+        assert scheduler.get_batch(timeout=0) is None
         clock.advance(1.5)
-        name, batch = scheduler.pop_due()
+        name, batch = scheduler.get_batch(timeout=0)
         assert name == "m" and [r.request_id for r in batch] == [0]
         scheduler.submit("m", _request(1, clock()))
         scheduler.submit("m", _request(2, clock()))
-        assert scheduler.pop_due() is not None  # full batch, no waiting
+        assert scheduler.get_batch(timeout=0) is not None  # full batch, no waiting
 
     def test_round_robin_across_models(self):
         clock = FakeClock()
@@ -85,7 +90,7 @@ class TestScheduler:
         for index in range(4):
             scheduler.submit("a", _request(index, clock()))
             scheduler.submit("b", _request(10 + index, clock()))
-        served = [scheduler.pop_due()[0] for _ in range(8)]
+        served = [scheduler.get_batch(timeout=0)[0] for _ in range(8)]
         assert served.count("a") == 4 and served.count("b") == 4
         assert served[:2] in (["a", "b"], ["b", "a"])  # neither starves
 
@@ -359,6 +364,26 @@ class TestInferenceService:
             ).result(timeout=10.0)
         assert result.bits == 4
 
+    def test_pending_counts_a_late_variant_from_its_first_request(self):
+        repo, model = _repo(bits=(8,))
+        service = InferenceService(
+            repo,
+            workers=1,
+            queue_policy=QueuePolicy(max_batch_size=4, max_queue_delay_s=float("inf")),
+        )
+        repo.add_export(
+            "tiny",
+            export_quantized_model(model, {n: 4 for n, _ in model.named_parameters()}),
+        )
+        # The 4-bit variant has no queue yet, so nothing is pending in it.
+        assert service.pending("tiny") == 0
+        service.submit("tiny", np.zeros(SHAPE))  # routed to the new 4-bit variant
+        assert service.pending("tiny") == 1
+        assert service.pending() == 1
+        with pytest.raises(KeyError):
+            service.pending("ghost")
+        service.stop()
+
     def test_submit_after_stop_raises_instead_of_hanging(self):
         repo, _ = _repo(bits=(8,))
         service = InferenceService(repo, workers=1)
@@ -386,3 +411,172 @@ class TestInferenceService:
         assert record.energy_pj and record.energy_pj > 0
         assert record.device_seconds and record.device_seconds > 0
         assert service.stats.energy_pj > 0
+
+
+def _unstarted(clock, bits=(8,), batch=4, delay=float("inf"), **kwargs):
+    repo, model = _repo(bits=bits)
+    service = InferenceService(
+        repo,
+        workers=1,
+        clock=clock,
+        queue_policy=QueuePolicy(max_batch_size=batch, max_queue_delay_s=delay),
+        **kwargs,
+    )
+    return service, repo
+
+
+def _drain(service, futures):
+    """Start the worker on what is already queued; ``stop`` flushes the tail."""
+    service.start()
+    service.stop(timeout=10.0)
+    return [future.result(timeout=10.0) for future in futures]
+
+
+class TestDeterministicServing:
+    """Requests submitted to an unstarted one-worker service under a
+    ManualClock wait in their queue; ``start`` and ``stop`` then serve them
+    in a fixed sequence of batches."""
+
+    def test_submit_copies_the_sample(self):
+        service, repo = _unstarted(FakeClock(), batch=2)
+        buffer = np.zeros(SHAPE)
+        first = np.random.default_rng(0).normal(size=SHAPE)
+        buffer[...] = first
+        futures = [service.submit("tiny", buffer)]
+        buffer[...] = 100.0  # front-end reuses its input buffer
+        futures.append(service.submit("tiny", buffer))
+        results = _drain(service, futures)
+        expected = repo.plan("tiny", 8).run(np.stack([first, buffer]))
+        np.testing.assert_array_equal(results[0].logits, expected[0])
+        np.testing.assert_array_equal(results[1].logits, expected[1])
+
+    def test_results_carry_request_ids_in_submit_order(self):
+        service, _ = _unstarted(FakeClock(), batch=3)
+        rng = np.random.default_rng(1)
+        futures = [service.submit("tiny", rng.normal(size=SHAPE)) for _ in range(5)]
+        results = _drain(service, futures)
+        assert [r.request_id for r in results] == list(range(5))
+
+    def test_delay_turns_a_lone_request_into_a_partial_batch(self):
+        clock = FakeClock()
+        service, _ = _unstarted(clock, batch=8, delay=0.5)
+        future = service.submit("tiny", np.zeros(SHAPE))
+        assert service.scheduler.get_batch(timeout=0) is None  # not due yet
+        clock.advance(0.6)
+        service.start()
+        # Served before stop() could flush it: the delay made it due.
+        result = future.result(timeout=10.0)
+        service.stop(timeout=10.0)
+        assert result.batch_size == 1
+        assert result.queue_seconds == pytest.approx(0.6)
+
+    def test_ten_requests_at_batch_four_drain_as_four_four_two(self):
+        service, _ = _unstarted(FakeClock(), batch=4)
+        rng = np.random.default_rng(2)
+        futures = [service.submit("tiny", rng.normal(size=SHAPE)) for _ in range(10)]
+        assert len(_drain(service, futures)) == 10
+        assert service.pending() == 0
+        assert [record.size for record in service.batch_records] == [4, 4, 2]
+
+    def test_stats_totals(self):
+        # A ticking clock gives every span a non-zero, reproducible duration.
+        service, _ = _unstarted(FakeClock(tick=1e-3), batch=4)
+        rng = np.random.default_rng(3)
+        _drain(service, [service.submit("tiny", rng.normal(size=SHAPE)) for _ in range(9)])
+        stats = service.stats
+        assert stats.requests == 9
+        assert stats.batches == 3
+        assert stats.mean_batch_size == pytest.approx(3.0)
+        assert len(stats.latencies) == 9
+        assert stats.throughput_rps > 0
+        assert stats.latency_percentile(95) >= stats.latency_percentile(50)
+
+    def test_four_bit_variant_models_under_half_the_fp32_energy(self):
+        service, _ = _unstarted(FakeClock(), bits=(4,), batch=4, energy_model=EnergyModel())
+        rng = np.random.default_rng(4)
+        samples = [rng.normal(size=SHAPE) for _ in range(4)]
+        futures = [service.submit("tiny", x) for x in samples]
+        futures += [service.submit("tiny", x, RequestSLO(min_bits=FLOAT_BITS)) for x in samples]
+        _drain(service, futures)
+        energy = {record.bits: record.energy_pj for record in service.batch_records}
+        assert sorted(energy) == [4, FLOAT_BITS]
+        assert energy[4] < energy[FLOAT_BITS] * 0.5
+
+
+@pytest.fixture
+def served_model():
+    model = build_model("tiny_convnet", num_classes=5, in_channels=1, rng=np.random.default_rng(0))
+    shape = (1, 12, 12)
+    return model, shape, compile_plan(model, shape)
+
+
+def _accounted_energy_uj(model, shape, plan, sizes, device="smartphone_npu"):
+    """BatchAccountant's per-request energy over batches of ``sizes``."""
+    accountant = BatchAccountant(
+        profile_model(model, shape), EnergyModel(), COMPUTE_PROFILES[device]
+    )
+    energy_pj = 0.0
+    for size in sizes:
+        record = BatchRecord(batch_id=0, size=size, compute_seconds=0.0)
+        accountant.annotate(record, plan.bits_by_layer())
+        energy_pj += record.energy_pj
+    return energy_pj / sum(sizes) * 1e-6
+
+
+class TestServeBench:
+    def test_report_structure(self, served_model):
+        model, shape, plan = served_model
+        report = run_serve_bench(
+            model, shape, bits_list=(8,), batch_size=4, requests=16, repeats=1
+        )
+        variants = [row.variant for row in report.rows]
+        assert variants == ["module-forward", "module-no-grad", "plan-fp32", "plan-8bit"]
+        assert report.row("plan-8bit").weight_kib < report.row("plan-fp32").weight_kib
+        assert report.row("module-forward").speedup_vs_module == 1.0
+        assert all(row.throughput_rps > 0 for row in report.rows)
+        assert len(report.format_rows()) == len(report.rows) + 2
+        assert report.row("plan-fp32").energy_uj_per_request == _accounted_energy_uj(
+            model, shape, plan, [4, 4, 4, 4]
+        )
+
+    def test_bench_restores_model_weights_and_mode(self, served_model):
+        model, shape, _ = served_model
+        model.train()
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        run_serve_bench(model, shape, bits_list=(4, 8), batch_size=4, requests=8,
+                        repeats=1, device=None)
+        for name, param in model.named_parameters():
+            np.testing.assert_array_equal(param.data, before[name])
+        assert model.training
+
+    def test_bench_validates_sizes(self, served_model):
+        model, shape, _ = served_model
+        with pytest.raises(ValueError, match="repeats"):
+            run_serve_bench(model, shape, repeats=0, requests=4, device=None)
+        with pytest.raises(ValueError, match="requests"):
+            run_serve_bench(model, shape, requests=0, device=None)
+        with pytest.raises(ValueError, match="batch_size"):
+            run_serve_bench(model, shape, batch_size=0, requests=4, device=None)
+
+    def test_bench_variants_export_from_original_weights(self, served_model):
+        from repro.quant import export_quantized_model
+
+        model, shape, _ = served_model
+        # 8-bit after a lossy 4-bit variant must equal a clean 8-bit export.
+        clean = export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()})
+        run_serve_bench(model, shape, bits_list=(4,), batch_size=4, requests=8,
+                        repeats=1, device=None)
+        after = export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()})
+        for name, tensor in clean.quantized.items():
+            assert after.quantized[name] == tensor
+
+    def test_bench_with_prebuilt_export(self, served_model):
+        from repro.quant import export_quantized_model
+
+        model, shape, _ = served_model
+        export = export_quantized_model(model, {n: 6 for n, _ in model.named_parameters()})
+        report = run_serve_bench(
+            model, shape, export=export, batch_size=4, requests=12, repeats=1, device=None
+        )
+        assert report.row("plan-6bit").bits == 6
+        assert report.row("plan-6bit").energy_uj_per_request is None

@@ -278,43 +278,6 @@ class TestServeBenchScalingMode:
         assert [row["workers"] for row in payload["rows"]] == [1, 2]
 
 
-class TestServeBenchBackendMode:
-    def _argv(self, *extra):
-        return [
-            "--model", "mlp", "--in-channels", "16", "--requests", "16",
-            "--batch-size", "4", "--repeats", "1", "--backend", "process",
-            "--shards", "2", "--scaling-bits", "8", *extra,
-        ]
-
-    def test_backend_mode_compares_and_asserts_identity(self, capsys):
-        assert cli.run_serve_bench(self._argv()) == 0
-        out = capsys.readouterr().out
-        assert "serve-bench backends" in out
-        assert "thread" in out and "process" in out
-        assert "bitwise-identical across backends: yes" in out
-
-    def test_backend_json_out(self, tmp_path, capsys):
-        out_path = tmp_path / "backends.json"
-        assert cli.run_serve_bench(self._argv("--json-out", str(out_path))) == 0
-        import json
-
-        payload = json.loads(out_path.read_text())
-        assert payload["identical"] is True
-        assert {row["backend"] for row in payload["rows"]} == {"thread", "process"}
-        # 2 workers and 2 shards fit one BLAS thread count.
-        assert len({row["blas_threads"] for row in payload["rows"]}) == 1
-
-    def test_backend_mode_rejects_export_and_bad_flags(self, capsys):
-        assert cli.run_serve_bench(self._argv("--export", "model.npz")) == 2
-        assert "not supported" in capsys.readouterr().err
-        assert cli.run_serve_bench(self._argv("--shards", "0")) == 2
-        assert cli.run_serve_bench(self._argv("--scaling-bits", "wide")) == 2
-
-    def test_backend_mode_warns_about_ignored_workers(self, capsys):
-        assert cli.run_serve_bench(self._argv("--workers", "1,2")) == 0
-        assert "--workers ignored" in capsys.readouterr().err
-
-
 class TestAdaptBenchCommand:
     def _argv(self, *extra):
         return [

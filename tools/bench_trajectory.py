@@ -1,7 +1,7 @@
 """Fold every ``BENCH_*.json`` record into one machine-readable trajectory.
 
 Each benchmark suite leaves a headline record at the repo root
-(``BENCH_runtime.json``, ``BENCH_serve.json``, ``BENCH_obs.json``, ...).
+(``BENCH_runtime.json``, ``BENCH_obs.json``, ...).
 This tool flattens all of them into a single ``BENCH_trajectory.json``
 keyed by benchmark name, with every numeric leaf addressed by a dotted
 path -- the shape a dashboard or a regression bot can diff across
