@@ -21,6 +21,7 @@ from repro.kernels.conv import (
     conv2d,
     conv_output_hw,
     im2col,
+    im2col_batched,
     im2col_cache_clear,
     im2col_cache_info,
     im2col_indices,
@@ -61,6 +62,7 @@ __all__ = [
     "im2col_indices",
     "im2col",
     "im2col_slices",
+    "im2col_batched",
     "col2im",
     "conv_output_hw",
     "matmul_cols",

@@ -1,10 +1,14 @@
 """Convolution kernels: im2col lowering and the dense matmul it enables.
 
-Two column builders produce the same values.  :func:`im2col` gathers them
-with one fancy-index read; it is the runtime's reference lowering.
+Three column builders produce the same values.  :func:`im2col` gathers
+them with one fancy-index read; it is the runtime's reference lowering.
 :func:`im2col_slices` copies them with strided slices into a C-contiguous
-buffer; training and the ``im2col_slices`` runtime variant use it.
-:func:`col2im`, the adjoint, scatters gradients back by strided-slice adds.
+``(batch, C*kh*kw, out_h*out_w)`` buffer; training and the
+``im2col_slices`` runtime variant use it.  :func:`im2col_batched` copies
+them the same way into one ``(C*kh*kw, batch*out_h*out_w)`` matrix, so the
+whole batch multiplies in one GEMM (the ``im2col_batched`` runtime
+variant).  :func:`col2im`, the adjoint, scatters gradients back by
+strided-slice adds.
 
 The gather indices used by the im2col lowering depend only on the spatial
 geometry (channels, height, width, kernel, stride, padding) -- not on the
@@ -167,6 +171,28 @@ def im2col(
     return cols, (k, i, j), out_h, out_w
 
 
+def _copy_windows(
+    view: np.ndarray,
+    padded: np.ndarray,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    out_h: int,
+    out_w: int,
+) -> None:
+    """``view[a, b, di, dj] = padded[a, b]``'s ``(di, dj)`` window grid, by
+    ``kh*kw`` strided slice copies (``view`` is ``(A, B, kh, kw, out_h,
+    out_w)``, ``padded`` is ``(A, B, H, W)``)."""
+    kernel_h, kernel_w = kernel_size
+    stride_h, stride_w = stride
+    for di in range(kernel_h):
+        for dj in range(kernel_w):
+            view[:, :, di, dj] = padded[
+                :, :,
+                di : di + (out_h - 1) * stride_h + 1 : stride_h,
+                dj : dj + (out_w - 1) * stride_w + 1 : stride_w,
+            ]
+
+
 def im2col_slices(
     array: np.ndarray,
     kernel_size: Tuple[int, int],
@@ -186,7 +212,6 @@ def im2col_slices(
     """
     batch, channels, height, width = array.shape
     kernel_h, kernel_w = kernel_size
-    stride_h, stride_w = stride
     out_h, out_w = _checked_output_hw(
         channels, height, width, kernel_size, stride, padding
     )
@@ -195,13 +220,39 @@ def im2col_slices(
         (batch, channels * kernel_h * kernel_w, out_h * out_w), dtype=padded.dtype
     )
     view = cols.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
-    for di in range(kernel_h):
-        for dj in range(kernel_w):
-            view[:, :, di, dj] = padded[
-                :, :,
-                di : di + (out_h - 1) * stride_h + 1 : stride_h,
-                dj : dj + (out_w - 1) * stride_w + 1 : stride_w,
-            ]
+    _copy_windows(view, padded, kernel_size, stride, out_h, out_w)
+    return cols, out_h, out_w
+
+
+def im2col_batched(
+    array: np.ndarray,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> Tuple[np.ndarray, int, int]:
+    """:func:`im2col_slices` with the batch folded into the columns.
+
+    Returns ``(cols, out_h, out_w)`` where ``cols`` is one C-contiguous
+    ``(C*kh*kw, batch*out_h*out_w)`` matrix: sample ``n``'s columns are
+    ``cols[:, n*out_h*out_w : (n+1)*out_h*out_w]``, element for element
+    the values :func:`im2col_slices` puts in its ``cols[n]``.  A filter
+    matrix then multiplies the whole batch in one GEMM instead of one per
+    sample.  At batch 1 the matrix is :func:`im2col_slices`'s ``cols[0]``.
+    """
+    batch, channels, height, width = array.shape
+    kernel_h, kernel_w = kernel_size
+    out_h, out_w = _checked_output_hw(
+        channels, height, width, kernel_size, stride, padding
+    )
+    padded = pad_nchw(array, padding[0], padding[1])
+    cols = np.empty(
+        (channels * kernel_h * kernel_w, batch * out_h * out_w), dtype=padded.dtype
+    )
+    view = cols.reshape(channels, kernel_h, kernel_w, batch, out_h, out_w)
+    _copy_windows(
+        view.transpose(0, 3, 1, 2, 4, 5), padded.transpose(1, 0, 2, 3),
+        kernel_size, stride, out_h, out_w,
+    )
     return cols, out_h, out_w
 
 

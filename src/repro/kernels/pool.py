@@ -141,10 +141,12 @@ def avg_pool2d_tiled(
 ) -> np.ndarray:
     """Non-overlapping average pooling via the tiled reduction.
 
-    Only valid when :func:`pool_tiled_applicable` holds.  Note the tiled
-    sum-then-scale is *not* bitwise-identical to the gather path's
-    ``mean`` for kernels whose area is not a power of two, which is why
-    the two average-pooling variants have disjoint applicability.
+    Only valid when :func:`pool_tiled_applicable` holds.  The window sum
+    adds the offsets in the gather path's row-major order, and dividing it
+    by the window's element count is what ``mean`` does, so the result is
+    bitwise :func:`avg_pool2d_gather`'s (and ``F.avg_pool2d``'s).
+    Multiplying by the reciprocal instead would round differently whenever
+    the count is not a power of two.
     """
     kernel = as_pair(kernel_size)
     stride_pair = as_pair(stride) if stride is not None else kernel
@@ -155,7 +157,7 @@ def avg_pool2d_tiled(
             f"dividing the input {x.shape[2:]}; got stride {stride_pair}"
         )
     # Not in-place: integer inputs must still produce a float mean.
-    return out * (1.0 / (kernel[0] * kernel[1]))
+    return out / (kernel[0] * kernel[1])
 
 
 def avg_pool2d_gather(

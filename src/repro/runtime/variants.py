@@ -16,6 +16,14 @@ between:
       the gather and the GEMM run substantially faster.  Training's
       ``F.conv2d`` uses the same builder,
       :func:`repro.kernels.im2col_slices`;
+    * ``im2col_batched`` -- the same slice copies into one
+      ``(C*kh*kw, N*oh*ow)`` matrix (:func:`repro.kernels.im2col_batched`),
+      so one GEMM computes the whole batch instead of one per sample, and
+      each conv packs its filter matrix once per batch, not once per
+      sample; the ``(C_out, N, oh*ow)`` product is copied into the step's
+      NCHW scratch.  Admitted only where that GEMM sums every output in
+      the per-sample order (see :data:`BATCHED_PIXEL_TILE` and
+      :data:`BATCHED_MIN_MACS`);
     * ``gemm_1x1`` -- a 1x1 / stride-1 / pad-0 convolution is a plain GEMM
       over the channel dimension: skip the im2col gather copy entirely.
 ``linear``
@@ -46,7 +54,9 @@ predicate may only accept geometries where its output is bitwise-identical
 to the reference implementation (``max_pool2d.gather`` accepts every
 geometry because max is exact under any evaluation order).  The
 test-suite sweeps every registered variant against the reference kernels,
-bit for bit.
+bit for bit; ``im2col_batched``'s predicate, which rests on how OpenBLAS
+tiles a GEMM, is also checked on every census call site it admits at
+batches 1-16 (``tests/runtime/test_batched_conv.py``).
 
 **A variant stays only if it wins somewhere.**  ``docs/variant_census.json``
 (written by ``tools/variant_census.py``) records the tuner's pick for every
@@ -235,6 +245,16 @@ def run_conv(
     if variant == "im2col_slices":
         cols, _, _ = kernels.im2col_slices(x, kernel_size, stride, padding)
         return kernels.matmul_cols(weight_exec, cols, out=out)
+    if variant == "im2col_batched":
+        cols, out_h, out_w = kernels.im2col_batched(x, kernel_size, stride, padding)
+        product = np.matmul(weight_exec, cols).reshape(
+            weight_exec.shape[0], x.shape[0], out_h * out_w
+        )
+        # (C_out, N, oh*ow) -> the (N, C_out, oh*ow) every variant returns.
+        if out is None:
+            return np.ascontiguousarray(product.transpose(1, 0, 2))
+        np.copyto(out, product.transpose(1, 0, 2))
+        return out
     if variant == "native":
         return _run_conv_native(x, weight_exec, kernel_size, stride, padding, out)
     raise ValueError(f"unknown conv2d variant {variant!r}")
@@ -272,6 +292,14 @@ def _run_conv_native(
     return kernels.matmul_cols(weight_exec, cols, out=out)
 
 
+def _is_pointwise(desc: KernelDesc) -> bool:
+    return (
+        desc.kernel_size == (1, 1)
+        and desc.stride == (1, 1)
+        and desc.padding == (0, 0)
+    )
+
+
 register_variant(KernelVariant(
     op="conv2d",
     name="im2col",
@@ -284,22 +312,58 @@ register_variant(KernelVariant(
     name="im2col_slices",
     # For a 1x1 / stride-1 / pad-0 conv the "slices" are one full copy
     # that gemm_1x1 skips outright, so the variant stands aside there.
-    applies=lambda desc: not (
-        desc.kernel_size == (1, 1)
-        and desc.stride == (1, 1)
-        and desc.padding == (0, 0)
-    ),
+    applies=lambda desc: not _is_pointwise(desc),
     rank=25,
     description="slice-copied contiguous columns (no fancy-index gather)",
+))
+
+#: OpenBLAS's SkylakeX dgemm kernel computes the product in tiles of 16
+#: rows of its column-major view -- 16 output pixels here.  A pixel count
+#: off that grid sends the last rows of a sample through the edge kernels,
+#: which sum in another order, and in the batched GEMM those rows fall
+#: elsewhere on the grid than in the per-sample one.
+BATCHED_PIXEL_TILE = 16
+
+#: SkylakeX dgemm takes its small-matrix kernel, which sums in another
+#: order, at or below this many multiply-adds (``C_out * K * oh*ow``).  The
+#: batched GEMM is ``N`` times larger, so each sample's GEMM must already
+#: be above it for both to run the blocked kernel.
+BATCHED_MIN_MACS = 10**6
+
+
+def _batched_conv_applies(desc: KernelDesc) -> bool:
+    """Where one GEMM over the batch equals the per-sample GEMMs bit for bit.
+
+    Both must run the same OpenBLAS kernel on the same tile grid: the
+    per-sample GEMM above the small-matrix cut-off and the pixel count a
+    whole number of tiles (which also keeps numpy off its matrix-vector
+    path at one pixel).  1x1 / stride-1 / pad-0 convs stay with
+    ``gemm_1x1``, which skips the columns.
+    """
+    if _is_pointwise(desc):
+        return False
+    out_h, out_w = kernels.conv_output_hw(
+        desc.x_shape[1], desc.x_shape[2], desc.kernel_size, desc.stride, desc.padding
+    )
+    pixels = out_h * out_w
+    depth = desc.x_shape[0] * desc.kernel_size[0] * desc.kernel_size[1]
+    return (
+        pixels % BATCHED_PIXEL_TILE == 0
+        and desc.out_channels * depth * pixels > BATCHED_MIN_MACS
+    )
+
+
+register_variant(KernelVariant(
+    op="conv2d",
+    name="im2col_batched",
+    applies=_batched_conv_applies,
+    rank=28,
+    description="batch folded into the columns: one GEMM per batch",
 ))
 register_variant(KernelVariant(
     op="conv2d",
     name="gemm_1x1",
-    applies=lambda desc: (
-        desc.kernel_size == (1, 1)
-        and desc.stride == (1, 1)
-        and desc.padding == (0, 0)
-    ),
+    applies=_is_pointwise,
     rank=30,
     description="1x1 convolution as a plain channel GEMM (no gather)",
 ))

@@ -91,11 +91,14 @@ class TestPoolKernels:
         expected = F.max_pool2d(Tensor(x), kernel, stride)
         np.testing.assert_allclose(kernels.max_pool2d(x, kernel, stride), expected.data)
 
-    @pytest.mark.parametrize("kernel,stride", [(2, 2), (2, None), (3, 2), ((2, 3), (2, 3))])
+    @pytest.mark.parametrize(
+        "kernel,stride", [(2, 2), (2, None), (3, 2), (3, None), ((2, 3), (2, 3))]
+    )
     def test_avg_pool_matches_functional(self, rng, kernel, stride):
+        # Bitwise, tiled windows of 6 and 9 elements included.
         x = rng.normal(size=(2, 3, 12, 12))
         expected = F.avg_pool2d(Tensor(x), kernel, stride)
-        np.testing.assert_allclose(kernels.avg_pool2d(x, kernel, stride), expected.data)
+        np.testing.assert_array_equal(kernels.avg_pool2d(x, kernel, stride), expected.data)
 
     def test_tiled_fast_path_does_not_mutate_input(self, rng):
         x = rng.normal(size=(2, 2, 8, 8))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.models.registry import available_models
+from repro.nn import AvgPool2d, Conv2d, Sequential
 from repro.quant import export_quantized_model, load_into_model
 from repro.runtime import (
     DEFAULT_PASSES,
@@ -66,6 +67,21 @@ def test_quantized_plan_matches_dequantised_module(name):
     # instead of materialising dequantised weights; agreement is within
     # floating-point reassociation error, far below one affine grid step.
     np.testing.assert_allclose(plan.run(x), expected, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("window,side", [(2, 8), (3, 9), (5, 10)])
+@pytest.mark.parametrize("optimize", [True, False], ids=["optimised", "unoptimised"])
+def test_avg_pool_plan_matches_module_bitwise(window, side, optimize):
+    # Window areas 4, 9 and 25: the plan's tiled average must round like
+    # the Module's mean whether or not the area is a power of two.
+    model = Sequential(Conv2d(2, 4, 3, padding=1, rng=np.random.default_rng(0)),
+                       AvgPool2d(window))
+    model.eval()
+    x = np.random.default_rng(5).normal(size=(3, 2, side, side))
+    plan = compile_plan(model, (2, side, side), optimize=optimize)
+    with no_grad():
+        expected = model(Tensor(x)).data
+    np.testing.assert_array_equal(plan.run(x), expected)
 
 
 def test_plan_execution_builds_zero_graph_nodes():

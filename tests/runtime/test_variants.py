@@ -59,6 +59,8 @@ CONV_CASES = [
     ("batch_of_one", (3, 7, 7), 5, (3, 3), (1, 1), (0, 0), 1),
     ("large_spatial", (8, 64, 64), 4, (3, 3), (1, 1), (1, 1), 3),
     ("rect_stride", (3, 12, 10), 4, (2, 3), (2, 1), (0, 1), 2),
+    # 256 output pixels, 32 * 144 * 256 multiply-adds a sample: im2col_batched.
+    ("batch_folded", (16, 16, 16), 32, (3, 3), (1, 1), (1, 1), 3),
 ]
 
 #: Pooling geometries: (label, x_shape, kernel, stride, batch).
@@ -170,7 +172,7 @@ class TestRegistry:
 
     def test_available_variants_lists_every_op(self):
         assert available_variants() == {
-            "conv2d": ("im2col", "im2col_slices", "gemm_1x1", "native"),
+            "conv2d": ("im2col", "im2col_slices", "im2col_batched", "gemm_1x1", "native"),
             "linear": ("matmul",),
             "max_pool2d": ("auto", "tiled", "gather"),
             "avg_pool2d": ("auto",),
