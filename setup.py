@@ -1,11 +1,16 @@
-"""Setuptools shim.
+"""Package metadata for ``pip install -e .`` and ``python setup.py develop``.
 
-The canonical project metadata lives in ``pyproject.toml``.  This file exists
-so the package can be installed in environments without the ``wheel``
-package (where PEP 660 editable installs are unavailable), via
-``python setup.py develop`` or legacy ``pip install -e .``.
+The package lives under ``src/`` and needs only numpy at run time.  The
+version must equal ``repro.__version__``; CI's docs job checks that
+``python setup.py --name --version`` prints ``repro`` and that version.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

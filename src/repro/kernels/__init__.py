@@ -40,7 +40,6 @@ from repro.kernels.pool import (
     max_pool2d,
     max_pool2d_cols,
     max_pool2d_gather,
-    max_pool2d_tiled,
     pool_tiled_applicable,
 )
 from repro.kernels.activations import (
@@ -74,7 +73,6 @@ __all__ = [
     "max_pool2d",
     "max_pool2d_cols",
     "max_pool2d_gather",
-    "max_pool2d_tiled",
     "avg_pool2d",
     "avg_pool2d_cols",
     "avg_pool2d_gather",

@@ -3,12 +3,13 @@
 Three column builders produce the same values.  :func:`im2col` gathers
 them with one fancy-index read; it is the runtime's reference lowering.
 :func:`im2col_slices` copies them with strided slices into a C-contiguous
-``(batch, C*kh*kw, out_h*out_w)`` buffer; training and the
-``im2col_slices`` runtime variant use it.  :func:`im2col_batched` copies
-them the same way into one ``(C*kh*kw, batch*out_h*out_w)`` matrix, so the
-whole batch multiplies in one GEMM (the ``im2col_batched`` runtime
-variant).  :func:`col2im`, the adjoint, scatters gradients back by
-strided-slice adds.
+``(batch, C*kh*kw, out_h*out_w)`` buffer; training uses it over the whole
+batch, and the ``im2col_slices`` runtime variant over one cache-sized
+block of samples at a time.  :func:`im2col_batched` copies them the same
+way into one ``(C*kh*kw, batch*out_h*out_w)`` matrix, so the whole batch
+multiplies in one GEMM (the ``im2col_batched`` runtime variant, for maps
+of fewer than 1024 output pixels).  :func:`col2im`, the adjoint, scatters
+gradients back by strided-slice adds.
 
 The gather indices used by the im2col lowering depend only on the spatial
 geometry (channels, height, width, kernel, stride, padding) -- not on the

@@ -78,31 +78,14 @@ def pool_tiled_applicable(
     )
 
 
-def max_pool2d_tiled(
-    x: np.ndarray, kernel_size: IntPair, stride: Optional[IntPair] = None
-) -> np.ndarray:
-    """Non-overlapping max pooling via the tiled strided-slice reduction.
-
-    Only valid when :func:`pool_tiled_applicable` holds for the geometry.
-    """
-    kernel = as_pair(kernel_size)
-    stride_pair = as_pair(stride) if stride is not None else kernel
-    out = _tiled_reduce(x, kernel, stride_pair, np.maximum)
-    if out is None:
-        raise ValueError(
-            f"tiled max pooling needs stride == kernel {kernel} evenly dividing "
-            f"the input {x.shape[2:]}; got stride {stride_pair}"
-        )
-    return out
-
-
 def max_pool2d_gather(
     x: np.ndarray, kernel_size: IntPair, stride: Optional[IntPair] = None
 ) -> np.ndarray:
     """General max pooling through the im2col gather (any geometry).
 
     Max is exact under any evaluation order, so this produces bitwise the
-    same result as :func:`max_pool2d_tiled` wherever both apply.
+    same result as :func:`max_pool2d`'s tiled reduction wherever that
+    applies.
     """
     kernel = as_pair(kernel_size)
     stride_pair = as_pair(stride) if stride is not None else kernel

@@ -13,9 +13,11 @@ between:
       gather (which produces a batch-innermost layout the GEMM then has
       to repack); the column *values* are exact copies, so the GEMM is
       handed identical operands and the result is unchanged -- but both
-      the gather and the GEMM run substantially faster.  Training's
-      ``F.conv2d`` uses the same builder,
-      :func:`repro.kernels.im2col_slices`;
+      the gather and the GEMM run substantially faster.  The columns are
+      built and multiplied one cache-sized block of samples at a time
+      (:data:`COLUMN_BLOCK_BYTES`), so a conv never holds the batch's
+      column matrix.  Training's ``F.conv2d`` uses the same builder,
+      :func:`repro.kernels.im2col_slices`, over the whole batch;
     * ``im2col_batched`` -- the same slice copies into one
       ``(C*kh*kw, N*oh*ow)`` matrix (:func:`repro.kernels.im2col_batched`),
       so one GEMM computes the whole batch instead of one per sample, and
@@ -23,15 +25,18 @@ between:
       sample; the ``(C_out, N, oh*ow)`` product is copied into the step's
       NCHW scratch.  Admitted only where that GEMM sums every output in
       the per-sample order (see :data:`BATCHED_PIXEL_TILE` and
-      :data:`BATCHED_MIN_MACS`);
+      :data:`BATCHED_MIN_MACS`), and only below
+      :data:`BATCHED_MAX_PIXELS` output pixels, where it beats the blocked
+      per-sample GEMMs;
     * ``gemm_1x1`` -- a 1x1 / stride-1 / pad-0 convolution is a plain GEMM
       over the channel dimension: skip the im2col gather copy entirely.
 ``linear``
     * ``matmul`` -- the reference dense matmul.
 ``max_pool2d``
-    * ``auto`` -- the reference kernel's own dispatch;
-    * ``tiled`` -- force the non-overlapping strided-slice reduction;
-    * ``gather`` -- force the general im2col gather path.
+    * ``auto`` -- the reference kernel's own dispatch: the strided-slice
+      reduction on non-overlapping windows, the gather elsewhere;
+    * ``gather`` -- force the general im2col gather path (ranked below the
+      reference: only a tuner measurement selects it).
 ``avg_pool2d``
     * ``auto`` -- the reference kernel, which dispatches between its tiled
       and gather paths itself.
@@ -56,7 +61,8 @@ geometry because max is exact under any evaluation order).  The
 test-suite sweeps every registered variant against the reference kernels,
 bit for bit; ``im2col_batched``'s predicate, which rests on how OpenBLAS
 tiles a GEMM, is also checked on every census call site it admits at
-batches 1-16 (``tests/runtime/test_batched_conv.py``).
+batches 1-16, and ``im2col_slices``' blocks on every census call site
+where they split the batch (``tests/runtime/test_batched_conv.py``).
 
 **A variant stays only if it wins somewhere.**  ``docs/variant_census.json``
 (written by ``tools/variant_census.py``) records the tuner's pick for every
@@ -243,8 +249,7 @@ def run_conv(
             return np.matmul(weight_exec, flat, out=out)
         return np.matmul(weight_exec, flat)  # pragma: no cover - non-f64 input
     if variant == "im2col_slices":
-        cols, _, _ = kernels.im2col_slices(x, kernel_size, stride, padding)
-        return kernels.matmul_cols(weight_exec, cols, out=out)
+        return _run_conv_column_blocks(x, weight_exec, kernel_size, stride, padding, out)
     if variant == "im2col_batched":
         cols, out_h, out_w = kernels.im2col_batched(x, kernel_size, stride, padding)
         product = np.matmul(weight_exec, cols).reshape(
@@ -258,6 +263,60 @@ def run_conv(
     if variant == "native":
         return _run_conv_native(x, weight_exec, kernel_size, stride, padding, out)
     raise ValueError(f"unknown conv2d variant {variant!r}")
+
+
+#: Bytes of columns ``im2col_slices`` builds before it multiplies them:
+#: one core's L2 on the reference host (a 2-vCPU Xeon, 2 MiB per core), so
+#: a block's columns are still in cache when its GEMMs read them, instead
+#: of a whole batch's passing through DRAM twice.  On the served models'
+#: 32x32 convs at batch 16 and one BLAS thread, 1 MiB blocks ran from 2%
+#: slower to 15% faster than 2 MiB ones, 4 MiB blocks (past the L2) up to
+#: 32% slower, and whole-batch columns 1.6-1.8x slower, except at the
+#: 3-channel stems, whose columns are small (0.9x).
+COLUMN_BLOCK_BYTES = 2 * 1024 * 1024
+
+
+def column_block(x_shape: Tuple[int, ...], kernel_size: Tuple[int, int],
+                 out_hw: Tuple[int, int]) -> int:
+    """Samples per block of float64 columns: as many as fit in
+    :data:`COLUMN_BLOCK_BYTES`, and at least one."""
+    sample_bytes = 8 * x_shape[0] * kernel_size[0] * kernel_size[1] * out_hw[0] * out_hw[1]
+    # An empty output has no columns; the column builder rejects it.
+    return max(1, COLUMN_BLOCK_BYTES // max(sample_bytes, 1))
+
+
+def _run_conv_column_blocks(
+    x: np.ndarray,
+    weight_exec: np.ndarray,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+    out: Optional[np.ndarray],
+) -> np.ndarray:
+    """``im2col_slices``, building and multiplying the columns one block of
+    samples at a time (:func:`column_block`).
+
+    The conv holds one block's columns instead of the batch's.  Each block
+    runs a shorter stack of the same per-sample GEMMs, writing straight
+    into its slice of the output, so the result is unchanged bit for bit;
+    where the batch fits in one block this is the unblocked call.
+    """
+    out_h, out_w = kernels.conv_output_hw(
+        x.shape[2], x.shape[3], kernel_size, stride, padding
+    )
+    dtype = np.result_type(weight_exec, x)
+    if out is None or out.dtype != dtype:
+        out = np.empty((x.shape[0], weight_exec.shape[0], out_h * out_w), dtype=dtype)
+    block = column_block(x.shape[1:], kernel_size, (out_h, out_w))
+    for start in range(0, x.shape[0], block):
+        # Passed straight in, a block's columns are freed before the next
+        # block's are built.
+        np.matmul(
+            weight_exec,
+            kernels.im2col_slices(x[start : start + block], kernel_size, stride, padding)[0],
+            out=out[start : start + block],
+        )
+    return out
 
 
 def _run_conv_native(
@@ -330,15 +389,26 @@ BATCHED_PIXEL_TILE = 16
 #: be above it for both to run the blocked kernel.
 BATCHED_MIN_MACS = 10**6
 
+#: From this many output pixels a sample's GEMM is already wide, so one
+#: GEMM over the batch gains nothing over per-sample GEMMs and gives up
+#: ``im2col_slices``' cache-sized blocks of columns.  Per census site at
+#: batch 16, blocked columns beat the fold by 28-44% at every 1024-pixel
+#: site on one BLAS thread (48x32x32 -> 48: 30 against 48 ms) and by
+#: 12-45% on two.  Below that the winner changes with the site and the
+#: thread count, so those sites keep the fold.
+BATCHED_MAX_PIXELS = 1024
+
 
 def _batched_conv_applies(desc: KernelDesc) -> bool:
-    """Where one GEMM over the batch equals the per-sample GEMMs bit for bit.
+    """Where one GEMM over the batch equals the per-sample GEMMs bit for bit,
+    and beats them.
 
     Both must run the same OpenBLAS kernel on the same tile grid: the
     per-sample GEMM above the small-matrix cut-off and the pixel count a
     whole number of tiles (which also keeps numpy off its matrix-vector
-    path at one pixel).  1x1 / stride-1 / pad-0 convs stay with
-    ``gemm_1x1``, which skips the columns.
+    path at one pixel).  Below :data:`BATCHED_MAX_PIXELS` pixels, where the
+    fold is faster.  1x1 / stride-1 / pad-0 convs stay with ``gemm_1x1``,
+    which skips the columns.
     """
     if _is_pointwise(desc):
         return False
@@ -349,6 +419,7 @@ def _batched_conv_applies(desc: KernelDesc) -> bool:
     depth = desc.x_shape[0] * desc.kernel_size[0] * desc.kernel_size[1]
     return (
         pixels % BATCHED_PIXEL_TILE == 0
+        and pixels < BATCHED_MAX_PIXELS
         and desc.out_channels * depth * pixels > BATCHED_MIN_MACS
     )
 
@@ -402,12 +473,6 @@ register_variant(KernelVariant(
 # --------------------------------------------------------------------------- #
 # Pooling variants
 # --------------------------------------------------------------------------- #
-def _pool_tiled_ok(desc: KernelDesc) -> bool:
-    return kernels.pool_tiled_applicable(
-        desc.x_shape[1:], desc.kernel_size, desc.stride
-    )
-
-
 def run_pool(
     op: str,
     variant: str,
@@ -424,7 +489,6 @@ def run_pool(
 
 _POOL_IMPLS = {
     ("max_pool2d", "auto"): kernels.max_pool2d,
-    ("max_pool2d", "tiled"): kernels.max_pool2d_tiled,
     ("max_pool2d", "gather"): kernels.max_pool2d_gather,
     ("avg_pool2d", "auto"): kernels.avg_pool2d,
 }
@@ -438,19 +502,14 @@ register_variant(KernelVariant(
 ))
 register_variant(KernelVariant(
     op="max_pool2d",
-    name="tiled",
-    applies=_pool_tiled_ok,
-    rank=10,
-    description="non-overlapping strided-slice max reduction",
-))
-register_variant(KernelVariant(
-    op="max_pool2d",
     # Max is exact under any evaluation order, so the gather path is
     # admissible everywhere -- a real two-way tuning choice on
-    # non-overlapping geometries.
+    # non-overlapping geometries, where the reference takes the tiled
+    # reduction.  Ranked below the reference: elsewhere the reference
+    # gathers itself, so the heuristic keeps it at every pool.
     name="gather",
     applies=lambda desc: True,
-    rank=1,
+    rank=-1,
     description="im2col gather max (general geometry)",
 ))
 register_variant(KernelVariant(

@@ -5,8 +5,9 @@ geometry its ``applies`` predicate accepts, the variant's output is
 **bitwise identical** to the reference implementation -- for float weights
 and for quantised integer-code weights alike, and whether or not the weight
 was packed.  The sweep runs each variant over edge-case shapes (1x1 conv,
-stride > 1, padding, non-overlapping and overlapping pooling, batch of one)
-rather than just the friendly defaults.
+stride > 1, padding, non-overlapping and overlapping pooling, batch of one,
+batches that ``im2col_slices`` splits into blocks of columns) rather than
+just the friendly defaults.
 
 The census tests hold the registry to its evidence: every non-reference
 variant must win some signature in ``docs/variant_census.json`` by more
@@ -28,6 +29,7 @@ from repro.runtime.variants import (
     KernelVariant,
     applicable_variants,
     available_variants,
+    column_block,
     heuristic_choice,
     reference_variant,
     register_variant,
@@ -42,13 +44,6 @@ RNG = np.random.default_rng(7)
 
 CENSUS_PATH = Path(__file__).resolve().parents[2] / "docs" / "variant_census.json"
 
-#: Variants that run their reference's own dispatch wherever they apply
-#: (``kernels.max_pool2d`` takes the tiled reduction first), so every race
-#: they join is between identical code and no census can show them
-#: winning.  Like references they are exempt from the census gate; each is
-#: the next deletion candidate on the ROADMAP.
-RUNS_REFERENCE_DISPATCH = {("max_pool2d", "tiled")}
-
 #: Conv geometries covering the edge cases: (label, per-sample x_shape,
 #: out_channels, kernel, stride, padding, batch).
 CONV_CASES = [
@@ -61,6 +56,8 @@ CONV_CASES = [
     ("rect_stride", (3, 12, 10), 4, (2, 3), (2, 1), (0, 1), 2),
     # 256 output pixels, 32 * 144 * 256 multiply-adds a sample: im2col_batched.
     ("batch_folded", (16, 16, 16), 32, (3, 3), (1, 1), (1, 1), 3),
+    # 576 KiB of columns a sample: im2col_slices runs blocks of 3, then 1.
+    ("column_blocks", (8, 32, 32), 8, (3, 3), (1, 1), (1, 1), 4),
 ]
 
 #: Pooling geometries: (label, x_shape, kernel, stride, batch).
@@ -121,6 +118,16 @@ def test_conv_edge_cases_exercise_every_variant():
     # "native" only admits with the codegen backend enabled (plus a
     # compiler and a verified build), so the numpy sweep excludes it.
     assert admitted == set(available_variants()["conv2d"]) - {"native"}
+    # im2col_slices' column blocks: one sample each (large_spatial), and
+    # several samples ending in a part-full block (column_blocks).
+    blocks = set()
+    for _, x_shape, cout, kernel, stride, padding, batch in CONV_CASES:
+        out_hw = kernels.conv_output_hw(x_shape[1], x_shape[2], kernel, stride, padding)
+        block = column_block(x_shape, kernel, out_hw)
+        if block < batch:
+            blocks.add((block, batch % block))
+    assert (1, 0) in blocks
+    assert any(block > 1 and rest for block, rest in blocks)
 
 
 @pytest.mark.parametrize("op", ["max_pool2d", "avg_pool2d"])
@@ -174,7 +181,7 @@ class TestRegistry:
         assert available_variants() == {
             "conv2d": ("im2col", "im2col_slices", "im2col_batched", "gemm_1x1", "native"),
             "linear": ("matmul",),
-            "max_pool2d": ("auto", "tiled", "gather"),
+            "max_pool2d": ("auto", "gather"),
             "avg_pool2d": ("auto",),
         }
 
@@ -208,6 +215,15 @@ class TestRegistry:
                           stride=(1, 1), padding=(1, 1), out_channels=4,
                           weight_dtype="float64", bits=32)
         assert heuristic_choice(desc) == "im2col_slices"
+
+    def test_heuristic_keeps_the_reference_at_every_pool(self):
+        # max_pool2d.auto takes the tiled reduction where it applies and
+        # gathers elsewhere; only a tuner measurement picks gather over it.
+        for op in ("max_pool2d", "avg_pool2d"):
+            for _, x_shape, kernel, stride, _ in POOL_CASES:
+                desc = KernelDesc(op=op, x_shape=x_shape, kernel_size=kernel,
+                                  stride=stride)
+                assert heuristic_choice(desc) == "auto", (op, x_shape, kernel, stride)
 
     def test_heuristic_falls_back_to_reference(self):
         # A linear admits only the reference matmul.
@@ -307,27 +323,11 @@ class TestCensus:
             for name in names:
                 if name == reference_variant(op):
                     continue  # references stay: every variant is tested against them
-                if (op, name) in RUNS_REFERENCE_DISPATCH:
-                    continue
                 assert (op, name) in won, (
                     f"{op}.{name} wins no signature in the census by more than "
                     f"the displace margin; delete it or show where it wins "
                     f"(tools/variant_census.py)"
                 )
-
-    def test_exempt_variants_run_the_reference_dispatch(self, monkeypatch):
-        # Every exemption needs its proof here; drop it with its variant.
-        assert RUNS_REFERENCE_DISPATCH == {("max_pool2d", "tiled")}
-        assert "tiled" in available_variants()["max_pool2d"]
-        x = RNG.normal(size=(2, 8, 12, 12))
-        tiled = run_pool("max_pool2d", "tiled", x, (2, 2), (2, 2))
-
-        def no_gather(*args, **kwargs):
-            raise AssertionError("the reference gathered where tiled applies")
-
-        monkeypatch.setattr("repro.kernels.pool.max_pool2d_gather", no_gather)
-        reference = run_pool("max_pool2d", "auto", x, (2, 2), (2, 2))
-        np.testing.assert_array_equal(reference, tiled)
 
     def test_census_names_only_registered_variants(self, census):
         registered = {
