@@ -138,7 +138,9 @@ from repro.experiments import (
 )
 from repro.experiments.orchestrator import build_strategy
 from repro.experiments.scales import SCALES
+from repro.train.callbacks import Callback
 from repro.train.serialization import dump_json, save_checkpoint, save_history
+from repro.train.trainer import ONE_BLAS_THREAD_BELOW_MACS
 
 
 def _add_scale_argument(parser: argparse.ArgumentParser) -> None:
@@ -204,18 +206,40 @@ def build_train_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _BlasThreads(Callback):
+    """Reads the BLAS thread count the fit runs at, and its per-step MACs."""
+
+    def on_train_begin(self, trainer) -> None:
+        from repro.runtime import blas
+
+        self.threads = blas.current_threads()
+        self.step_macs = trainer.step_macs
+
+    def describe(self) -> str:
+        threads = "n/a" if self.threads is None else self.threads
+        if self.step_macs < ONE_BLAS_THREAD_BELOW_MACS:
+            verdict = f"< {ONE_BLAS_THREAD_BELOW_MACS:.1e}: capped at one thread"
+            if self.threads not in (None, 1):  # the budget stood aside
+                verdict += ", overridden by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS"
+        else:
+            verdict = f">= {ONE_BLAS_THREAD_BELOW_MACS:.1e}: the process's count"
+        return f"blas threads={threads}  (forward MACs/step {self.step_macs:.2e} {verdict})"
+
+
 def run_train(argv: Optional[Sequence[str]] = None) -> int:
     args = build_train_parser().parse_args(argv)
     scale = get_scale(args.scale)
     workload = build_workload(scale)
     strategy = _build_strategy(args)
 
+    blas_threads = _BlasThreads()
     result = run_strategy(
         workload,
         strategy,
         epochs=args.epochs,
         seed=args.seed,
         optimizer_name=args.optimizer,
+        callbacks=[blas_threads],
         keep_trainer=bool(args.checkpoint_out),
     )
     history = result.history
@@ -231,6 +255,7 @@ def run_train(argv: Optional[Sequence[str]] = None) -> int:
         f"best acc={history.best_test_accuracy:.3f}  "
         f"energy={result.normalised_energy:.3f}x fp32  memory={result.normalised_memory:.3f}x fp32"
     )
+    print(blas_threads.describe())
 
     if args.history_out:
         path = save_history(history, args.history_out)

@@ -13,18 +13,25 @@ reimplement the GEMM: :func:`dgemm_handle` resolves the library's ILP64
 library, same code path, same instruction stream => the native conv
 kernels produce the same bits as ``np.matmul``.
 
-**The thread budget** (for every pool that runs kernels in parallel).
+**The thread budget** (for every component that runs kernels).
 OpenBLAS runs each GEMM on as many threads as it loaded with, one per CPU by
 default.  N worker threads that each call it ask for N times that many, and
 on a small host the extra BLAS threads only contend: on 2 CPUs, two serving
 workers over a 2-thread OpenBLAS served *slower* than one.  So each
 component that runs kernels concurrently -- the serving ``WorkerPool``
 and every experiment-orchestrator worker process -- :func:`reserve`\\ s
-its number of concurrent compute threads.
+its number of concurrent compute threads.  A claim may also carry a
+``ceiling``: ``Trainer.fit`` holds ``reserve(1, ceiling=1)`` for a fit whose
+per-step GEMMs are too small to split (see ``repro.train.trainer``), where a
+second BLAS thread doubles CPU time for a few percent of wall time at most.
 Reservations add up across the process; while any is held OpenBLAS runs
-``max(1, usable_cpus() // reserved)`` threads, never more than it loaded
-with, and the last release restores the loaded count.  The count changes
-only when a reservation is taken or released, under one lock.
+``min(loaded, max(1, usable_cpus() // reserved), lowest held ceiling)``
+threads, and the last release restores the loaded count.  The count changes
+only when a claim is taken or released, under one lock.  Because the count
+is process-wide, a ceiling binds every claimant while it is held: a capped
+fit beside a started serving pool (an adaptation job) runs the pool's
+workers on one BLAS thread too, and they get their fitted count back when
+the fit returns.
 
 The budget steps aside when it cannot or should not act: an explicit
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` means the user chose the
@@ -50,7 +57,7 @@ import glob
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -233,13 +240,21 @@ def usable_cpus() -> int:
 class Reservation:
     """One component's claim on the budget; :meth:`release` gives it back.
 
-    ``blas_threads`` is OpenBLAS's thread count right after the claim was
-    taken -- the count the claimant's compute threads run at -- or ``None``
-    when the count cannot be read.
+    ``ceiling`` is the most BLAS threads the claim allows while held
+    (``None``: no limit of its own).  ``blas_threads`` is OpenBLAS's thread
+    count right after the claim was taken -- the count the claimant's
+    compute threads run at -- or ``None`` when the count cannot be read.
     """
 
-    def __init__(self, budget: "ThreadBudget", threads: int, blas_threads: Optional[int]):
+    def __init__(
+        self,
+        budget: "ThreadBudget",
+        threads: int,
+        ceiling: Optional[int],
+        blas_threads: Optional[int],
+    ):
         self.threads = threads
+        self.ceiling = ceiling
         self.blas_threads = blas_threads
         self._budget = budget
         self.released = False
@@ -273,17 +288,27 @@ class ThreadBudget:
         self._environ = environ
         self._lock = threading.Lock()
         self._reserved = 0
+        #: The ceilings of the claims held now, one entry per capped claim.
+        self._ceilings: List[int] = []
         #: OpenBLAS's count before the first reservation changed it.
         self._loaded: Optional[int] = None
 
-    def reserve(self, threads: int) -> Reservation:
-        """Claim ``threads`` concurrent compute threads and refit the count."""
+    def reserve(self, threads: int, ceiling: Optional[int] = None) -> Reservation:
+        """Claim ``threads`` concurrent compute threads and refit the count.
+
+        ``ceiling`` caps the count at that many threads for as long as the
+        claim is held; it never raises the count.
+        """
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
+        if ceiling is not None and ceiling < 1:
+            raise ValueError(f"ceiling must be at least 1, got {ceiling}")
         with self._lock:
             self._reserved += threads
+            if ceiling is not None:
+                self._ceilings.append(ceiling)
             self._apply()
-            return Reservation(self, threads, self._current())
+            return Reservation(self, threads, ceiling, self._current())
 
     def current(self) -> Optional[int]:
         """OpenBLAS's thread count now (``None`` when it cannot be read)."""
@@ -295,6 +320,8 @@ class ThreadBudget:
             if not reservation.released:
                 reservation.released = True
                 self._reserved -= reservation.threads
+                if reservation.ceiling is not None:
+                    self._ceilings.remove(reservation.ceiling)
                 self._apply()
             return self._current()
 
@@ -313,6 +340,8 @@ class ThreadBudget:
         target = self._loaded
         if self._reserved > 0:
             target = min(self._loaded, max(1, self._cpus // self._reserved))
+        if self._ceilings:
+            target = min(target, min(self._ceilings))
         if int(get()) != target:
             set_(target)
 
@@ -321,6 +350,7 @@ class ThreadBudget:
         # did not survive the fork) and must not inherit a held lock.
         self._lock = threading.Lock()
         self._reserved = 0
+        self._ceilings = []
         self._apply()
 
 
@@ -343,10 +373,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_after_fork)
 
 
-def reserve(threads: int) -> Reservation:
+def reserve(threads: int, ceiling: Optional[int] = None) -> Reservation:
     """Reserve ``threads`` concurrent compute threads on the process-wide
-    budget; hold the returned :class:`Reservation` until they stop."""
-    return _budget().reserve(threads)
+    budget, capping OpenBLAS at ``ceiling`` threads while held (``None``: no
+    cap of this claim's own); hold the returned :class:`Reservation` until
+    they stop."""
+    return _budget().reserve(threads, ceiling)
 
 
 def current_threads() -> Optional[int]:

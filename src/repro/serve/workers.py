@@ -9,8 +9,9 @@ BLAS call also fans out over OpenBLAS's own threads, so N workers over an
 untouched OpenBLAS oversubscribe the CPUs (on 2 CPUs two workers served
 slower than one).  A started pool therefore reserves its workers on the
 process-wide BLAS thread budget (:mod:`repro.runtime.blas`): while it runs,
-each BLAS call gets ``max(1, cpus // reserved)`` threads, and the count
-comes back when the pool stops.
+each BLAS call gets ``max(1, cpus // reserved)`` threads (one while a
+small ``Trainer.fit``, such as an adaptation job, holds its one-thread
+ceiling), and the count comes back when the pool stops.
 
 The pool is deliberately dumb: it pulls ``(queue_key, batch)`` pairs from a
 :class:`~repro.serve.scheduler.Scheduler`, asks its :class:`BatchExecutor`

@@ -5,6 +5,10 @@ precision strategy and (optionally) the energy meter and memory model.  All
 of the paper's experiments are runs of this loop with different strategies,
 so the energy / memory / accuracy numbers are produced identically for every
 method being compared.
+
+A fit whose steps are too small for OpenBLAS to split (fewer forward
+multiply-adds per step than :data:`ONE_BLAS_THREAD_BELOW_MACS`) runs BLAS on
+one thread; larger fits keep the process's count.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 
 from repro.hardware.accounting import EnergyMeter
 from repro.hardware.memory import TrainingMemoryModel
+from repro.hardware.profile import profile_model
 from repro.nn.loss import CrossEntropyLoss, Loss
 from repro.nn.module import Module
 from repro.optim.lr_scheduler import LRScheduler
@@ -24,6 +29,17 @@ from repro.train.callbacks import Callback
 from repro.train.history import EpochRecord, TrainingHistory
 from repro.train.metrics import RunningAverage, accuracy
 from repro.train.strategy import FP32Strategy, PrecisionStrategy
+
+#: Forward multiply-adds per training step below which :meth:`Trainer.fit`
+#: caps OpenBLAS at one thread.  tools/train_thread_sweep.py timed APT steps
+#: at one and two threads in 5-19 alternating pairs per configuration (2-vCPU
+#: Xeon, OpenBLAS 0.3.31; table in docs/reproducing.md).  One thread cut CPU
+#: per step to 0.47-0.63x everywhere; its median wall time per pair was
+#: 0.98-1.05x up to 3.3e8, inside the host's pair-to-pair spread, and
+#: 1.08-1.19x at 1.3e9-6.9e9.  The line sits just above bench_cifar (5.2e7),
+#: where perfbench's train_apt_cifar confirms the saving end to end; larger
+#: fits keep the loaded count until a benchmark covers them.
+ONE_BLAS_THREAD_BELOW_MACS = 6 * 10**7
 
 
 @dataclass
@@ -94,6 +110,9 @@ class Trainer:
         self.config = config or TrainerConfig()
         self._global_iteration = 0
         self._last_test_accuracy = 0.0
+        #: Forward multiply-adds of one full training batch, set by
+        #: :meth:`fit` (``None`` until then, or when it cannot be sized).
+        self.step_macs: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -161,8 +180,53 @@ class Trainer:
                 keeps_master_copy=self.strategy.keeps_master_copy,
             )
 
+    def _step_macs(self) -> Optional[int]:
+        """Forward multiply-adds of one full training batch, from the energy
+        meter's profile or else a probe of the training samples' shape
+        (``None`` when the loader gives no batch size or sample shape)."""
+        batch_size = getattr(self.train_loader, "batch_size", None)
+        if batch_size is None:
+            return None
+        if self.energy_meter is not None:
+            profile = self.energy_meter.profile
+        else:
+            inputs = getattr(getattr(self.train_loader, "dataset", None), "inputs", None)
+            if inputs is None:
+                return None
+            profile = profile_model(self.model, inputs.shape[1:])
+        return profile.total_macs * batch_size
+
     def fit(self, epochs: Optional[int] = None) -> TrainingHistory:
-        """Train for ``epochs`` epochs (default: the config value)."""
+        """Train for ``epochs`` epochs (default: the config value).
+
+        When a step's forward multiply-adds (:attr:`step_macs`) fall below
+        :data:`ONE_BLAS_THREAD_BELOW_MACS`, the fit holds a one-thread
+        ceiling on the process's BLAS thread budget
+        (:func:`repro.runtime.blas.reserve`) from before ``on_train_begin``
+        until it returns or raises; larger fits leave the count alone.  An
+        explicit ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` still wins.
+        The bench and bench_cifar fits train byte-identically under the
+        ceiling and at the loaded count
+        (``tests/train/test_blas_ceiling_bits.py``).  The count is
+        process-wide, so a capped fit beside a started serving
+        ``WorkerPool`` (an adaptation job) runs the pool's workers on one
+        BLAS thread as well until the fit ends; then they return to their
+        fitted count.
+        """
+        self.step_macs = self._step_macs()
+        claim = None
+        if self.step_macs is not None and self.step_macs < ONE_BLAS_THREAD_BELOW_MACS:
+            # Imported here: a fit that is not capped never loads the runtime.
+            from repro.runtime import blas
+
+            claim = blas.reserve(1, ceiling=1)
+        try:
+            return self._fit(epochs)
+        finally:
+            if claim is not None:
+                claim.release()
+
+    def _fit(self, epochs: Optional[int]) -> TrainingHistory:
         epochs = epochs if epochs is not None else self.config.epochs
         history = TrainingHistory(strategy_name=self.strategy.name)
         self.strategy.prepare(self.model)

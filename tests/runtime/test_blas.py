@@ -1,10 +1,11 @@
 """The process-wide BLAS thread budget (:mod:`repro.runtime.blas`).
 
 The arithmetic runs against a fake ``(get, set)`` pair, so it holds on any
-host and under any environment.  The end-to-end cases drive numpy's real
-OpenBLAS through the components that reserve -- the serving ``WorkerPool``
-and experiment-orchestrator workers -- and skip where the library's count
-cannot be read.
+host and under any environment; so do the cases where ``Trainer.fit`` and
+an adaptation job claim a ceiling on it.  The end-to-end cases drive
+numpy's real OpenBLAS through the components that reserve -- the serving
+``WorkerPool`` and experiment-orchestrator workers -- and skip where the
+library's count cannot be read.
 """
 
 import os
@@ -15,12 +16,19 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments import orchestrator
+from repro.adapt import AdaptationJob, run_adaptation_job
+from repro.core import APTConfig
+from repro.data import ArrayDataset, DataLoader, make_synthetic_digits
+from repro.experiments import build_workload, get_scale, orchestrator, run_strategy
+from repro.experiments.orchestrator import build_strategy
 from repro.models import build_model
+from repro.optim import SGD
 from repro.quant import export_quantized_model
 from repro.runtime import blas
 from repro.runtime.plan import VALIDATION_ATOL, VALIDATION_RTOL
 from repro.serve import InferenceService, ModelRepository, QueuePolicy
+from repro.train import Callback, Trainer
+from repro.train.trainer import ONE_BLAS_THREAD_BELOW_MACS
 
 
 class FakeBlas:
@@ -114,6 +122,7 @@ class TestBudgetArithmetic:
         def cycle():
             for _ in range(200):
                 budget.reserve(2).release()
+                budget.reserve(1, ceiling=1).release()
 
         threads = [threading.Thread(target=cycle) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -126,7 +135,7 @@ class TestBudgetArithmetic:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert budget._reserved == 0
+        assert budget._reserved == 0 and budget._ceilings == []
         assert fake.threads == 4
 
     def test_reserve_rejects_non_positive_counts(self):
@@ -136,6 +145,184 @@ class TestBudgetArithmetic:
 
     def test_usable_cpus_is_positive(self):
         assert blas.usable_cpus() >= 1
+
+
+class TestCeiling:
+    @pytest.mark.parametrize(
+        "reserved, ceiling, expected",
+        [(1, 1, 1), (1, 3, 3), (1, 8, 4), (2, 1, 1), (2, 3, 2), (3, 2, 1)],
+    )
+    def test_a_ceiling_lowers_the_fitted_count_and_never_raises_it(
+        self, reserved, ceiling, expected
+    ):
+        fake, budget = _budget(loaded=4, cpus=4)
+        claim = budget.reserve(reserved, ceiling=ceiling)
+        assert claim.ceiling == ceiling
+        assert claim.blas_threads == fake.threads == expected
+
+    def test_ceilings_and_reservations_compose_when_they_overlap(self):
+        fake, budget = _budget(loaded=8, cpus=8)
+        pool = budget.reserve(2)
+        assert fake.threads == 4
+        fit = budget.reserve(1, ceiling=1)
+        assert fake.threads == 1
+        loose = budget.reserve(1, ceiling=3)
+        assert fake.threads == 1  # the lowest held ceiling binds
+        assert fit.release() == 2  # 8 // 4 reserved, under the ceiling of 3
+        assert loose.release() == 4
+        assert pool.release() == 8
+
+    def test_equal_ceilings_release_one_at_a_time(self):
+        fake, budget = _budget(loaded=4, cpus=4)
+        first = budget.reserve(1, ceiling=1)
+        second = budget.reserve(1, ceiling=1)
+        first.release()
+        first.release()
+        assert fake.threads == 1
+        assert second.release() == 4
+
+    def test_last_release_restores_the_loaded_count(self):
+        fake, budget = _budget(loaded=3, cpus=8)
+        claim = budget.reserve(1, ceiling=1)
+        assert fake.threads == 1
+        assert claim.release() == 3
+        assert budget.current() == 3
+        assert fake.sets == [1, 3]
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_explicit_thread_variable_leaves_the_count_alone(self, variable):
+        fake, budget = _budget(loaded=2, cpus=2, environ={variable: "2"})
+        claim = budget.reserve(1, ceiling=1)
+        assert claim.blas_threads == 2
+        claim.release()
+        assert fake.sets == []
+
+    def test_reserve_rejects_a_ceiling_below_one(self):
+        _, budget = _budget()
+        with pytest.raises(ValueError, match="ceiling must be at least 1"):
+            budget.reserve(1, ceiling=0)
+        assert budget._reserved == 0
+
+
+# --------------------------------------------------------------------------- #
+# Trainer.fit's one-thread rule, over a fake library
+# --------------------------------------------------------------------------- #
+class _Stop(Exception):
+    pass
+
+
+class _CountAtBegin(Callback):
+    """Reads the fake library's count as training begins; optionally ends
+    the fit there (how perfbench's set-up probes end one) or stops it
+    early after the first epoch."""
+
+    def __init__(self, fake, *, raise_at_begin=False, raise_at_epoch=False, stop=False):
+        self.fake = fake
+        self.raise_at_begin = raise_at_begin
+        self.raise_at_epoch = raise_at_epoch
+        self.stop = stop
+        self.threads = None
+        self.epochs = 0
+
+    def on_train_begin(self, trainer):
+        self.threads = self.fake.threads
+        if self.raise_at_begin:
+            raise _Stop
+
+    def on_epoch_end(self, trainer, record):
+        self.epochs += 1
+        if self.raise_at_epoch:
+            raise _Stop
+
+    def should_stop(self, trainer, record):
+        return self.stop
+
+
+@pytest.fixture
+def fake_budget(monkeypatch):
+    """The process-wide budget replaced by one over a 4-CPU fake library."""
+    fake, budget = _budget(loaded=4, cpus=4)
+    monkeypatch.setattr(blas, "_BUDGET", budget)
+    return fake
+
+
+def _image_trainer(name, width, shape, batch_size, callback, samples=64):
+    rng = np.random.default_rng(0)
+    model = build_model(name, num_classes=10, width_multiplier=width,
+                        in_channels=shape[0], rng=rng)
+    data = ArrayDataset(rng.normal(size=(samples,) + shape), rng.integers(0, 10, samples))
+    return Trainer(
+        model,
+        SGD(model.parameters(), lr=0.01),
+        DataLoader(data, batch_size=batch_size, rng=np.random.default_rng(1)),
+        DataLoader(data, batch_size=batch_size, shuffle=False),
+        callbacks=[callback],
+    )
+
+
+class TestTrainerCeiling:
+    def test_early_stop_releases_the_ceiling(self, fake_budget):
+        probe = _CountAtBegin(fake_budget, stop=True)
+        history = _image_trainer("tiny_convnet", 1.0, (1, 12, 12), 16, probe).fit(3)
+        assert len(history) == 1 and probe.epochs == 1
+        assert probe.threads == 1
+        assert fake_budget.threads == 4
+        assert fake_budget.sets == [1, 4]
+
+    @pytest.mark.parametrize("where", ["begin", "epoch"])
+    def test_a_raising_callback_releases_the_ceiling(self, fake_budget, where):
+        probe = _CountAtBegin(
+            fake_budget, raise_at_begin=where == "begin", raise_at_epoch=where == "epoch"
+        )
+        trainer = _image_trainer("tiny_convnet", 1.0, (1, 12, 12), 16, probe)
+        with pytest.raises(_Stop):
+            trainer.fit(2)
+        assert probe.threads == 1
+        assert fake_budget.threads == 4
+        assert fake_budget.sets == [1, 4]
+
+    @pytest.mark.parametrize("scale", ["bench", "bench_cifar"])
+    def test_the_rule_caps_the_bench_fits(self, fake_budget, scale):
+        probe = _CountAtBegin(fake_budget, raise_at_begin=True)
+        with pytest.raises(_Stop):
+            run_strategy(build_workload(get_scale(scale)), build_strategy("apt", {}),
+                         callbacks=[probe])
+        assert probe.threads == 1
+        assert fake_budget.threads == 4
+
+    def test_the_rule_leaves_resnet20_at_batch_32_alone(self, fake_budget):
+        probe = _CountAtBegin(fake_budget, raise_at_begin=True)
+        trainer = _image_trainer("resnet20", 1.0, (3, 32, 32), 32, probe, samples=32)
+        with pytest.raises(_Stop):
+            trainer.fit(1)
+        assert trainer.step_macs > ONE_BLAS_THREAD_BELOW_MACS
+        assert probe.threads == 4
+        assert fake_budget.sets == []
+
+    def test_a_fit_beside_a_serving_pool_lowers_its_count_until_it_returns(self, fake_budget):
+        """An adaptation job fine-tunes beside the pool that serves the
+        model: the count is process-wide, so the pool's workers run on one
+        BLAS thread while the capped fit runs and get their fitted count
+        back when it returns."""
+        model = build_model("tiny_convnet", num_classes=10, in_channels=1,
+                            rng=np.random.default_rng(0))
+        repo = ModelRepository()
+        repo.add_model("digits", model, (1, 12, 12))
+        repo.add_export(
+            "digits", export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()}),
+            bits=8,
+        )
+        train_set, _ = make_synthetic_digits(train_samples=64, test_samples=16, image_size=12)
+        with InferenceService(repo, workers=2) as service:
+            assert service.pool.blas_threads == 2
+            result = run_adaptation_job(repo, AdaptationJob(
+                model="digits", bits=8, train_set=train_set, epochs=1,
+                config=APTConfig(initial_bits=6, t_min=6.0, metric_interval=2),
+            ))
+            assert result.history is not None
+            assert fake_budget.threads == 2
+            service.submit("digits", np.zeros((1, 12, 12))).result(timeout=30.0)
+        assert fake_budget.sets == [2, 1, 2, 4]
 
 
 # --------------------------------------------------------------------------- #

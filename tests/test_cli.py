@@ -18,6 +18,28 @@ class TestTrainCommand:
         assert "final acc=" in out
         assert "APT" in out
 
+    @pytest.mark.parametrize(
+        "scale, environ, threads, ending, counts",
+        [
+            ("smoke", {}, 1, "capped at one thread)", [4, 1, 4]),
+            ("bench", {}, 1, "capped at one thread)", [4, 1, 4]),
+            ("smoke", {"OPENBLAS_NUM_THREADS": "4"}, 4,
+             "capped at one thread, overridden by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS)", [4]),
+        ],
+    )
+    def test_reports_the_blas_threads_the_fit_ran_at(
+        self, capsys, monkeypatch, scale, environ, threads, ending, counts
+    ):
+        library = [4]  # a 4-thread library on 4 CPUs; each set appends
+        budget = blas.ThreadBudget((lambda: library[-1], library.append), cpus=4, environ=environ)
+        monkeypatch.setattr(blas, "_BUDGET", budget)
+        cli.run_train(["--scale", scale, "--strategy", "apt", "--epochs", "1", "--quiet"])
+        lines = [row for row in capsys.readouterr().out.splitlines() if "blas threads=" in row]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"blas threads={threads}  (forward MACs/step ")
+        assert lines[0].endswith(ending)
+        assert library == counts
+
     def test_fixed_strategy_with_bits(self, capsys):
         exit_code = cli.run_train(
             ["--scale", "smoke", "--strategy", "fixed", "--bits", "8", "--epochs", "1", "--quiet"]
