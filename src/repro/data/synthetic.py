@@ -50,17 +50,22 @@ class SyntheticImageConfig:
             raise ValueError("noise_scale must be non-negative")
 
 
-def _box_blur(image: np.ndarray, passes: int) -> np.ndarray:
-    """Cheap separable box blur used to create smooth class templates."""
-    blurred = image
+#: Samples blurred and composed per array operation by ``_generate_split``.
+_BLOCK = 128
+
+
+def _box_blur(images: np.ndarray, passes: int) -> np.ndarray:
+    """Cheap separable box blur over the last two axes (one image or a stack)."""
+    pad = ((0, 0),) * (images.ndim - 2) + ((1, 1), (1, 1))
+    blurred = images
     for _ in range(passes):
-        padded = np.pad(blurred, ((0, 0), (1, 1), (1, 1)), mode="edge")
+        padded = np.pad(blurred, pad, mode="edge")
         blurred = (
-            padded[:, :-2, 1:-1]
-            + padded[:, 2:, 1:-1]
-            + padded[:, 1:-1, :-2]
-            + padded[:, 1:-1, 2:]
-            + padded[:, 1:-1, 1:-1]
+            padded[..., :-2, 1:-1]
+            + padded[..., 2:, 1:-1]
+            + padded[..., 1:-1, :-2]
+            + padded[..., 1:-1, 2:]
+            + padded[..., 1:-1, 1:-1]
         ) / 5.0
     return blurred
 
@@ -71,20 +76,27 @@ def _generate_split(
     config: SyntheticImageConfig,
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Template + blurred noise, then a brightness/contrast jitter, per sample.
+
+    Each sample draws its noise image, brightness and contrast, in that
+    order; a block of samples is drawn, blurred and composed per array
+    operation, which gives the same bytes as one sample at a time.
+    """
     num_classes = templates.shape[0]
     labels = rng.integers(0, num_classes, size=samples)
     # Guarantee every class appears at least once.
     labels[:num_classes] = np.arange(num_classes)
     rng.shuffle(labels)
-    images = np.empty(
-        (samples, config.channels, config.image_size, config.image_size), dtype=np.float64
-    )
-    for i, label in enumerate(labels):
-        noise = rng.normal(0.0, config.noise_scale, size=templates[label].shape)
-        noise = _box_blur(noise, 1)
-        brightness = rng.normal(0.0, 0.1)
-        contrast = 1.0 + rng.normal(0.0, 0.1)
-        images[i] = contrast * (templates[label] + noise) + brightness
+    shape = templates.shape[1:]
+    pixels = int(np.prod(shape))
+    images = np.empty((samples,) + shape, dtype=np.float64)
+    for start in range(0, samples, _BLOCK):
+        stop = min(start + _BLOCK, samples)
+        draws = rng.standard_normal((stop - start, pixels + 2))
+        noise = _box_blur(config.noise_scale * draws[:, :pixels].reshape((-1,) + shape), 1)
+        brightness = (0.1 * draws[:, pixels]).reshape(-1, 1, 1, 1)
+        contrast = (1.0 + 0.1 * draws[:, pixels + 1]).reshape(-1, 1, 1, 1)
+        images[start:stop] = contrast * (templates[labels[start:stop]] + noise) + brightness
     return images, labels.astype(np.int64)
 
 
@@ -96,7 +108,7 @@ def make_synthetic_image_dataset(
     templates = rng.normal(
         0.0, 1.0, size=(config.num_classes, config.channels, config.image_size, config.image_size)
     )
-    templates = np.stack([_box_blur(t, config.template_smoothing) for t in templates])
+    templates = _box_blur(templates, config.template_smoothing)
     # Rescale templates to unit std so difficulty is controlled by noise_scale.
     templates = templates / (templates.std() + 1e-12)
     train_x, train_y = _generate_split(templates, config.train_samples, config, rng)

@@ -26,8 +26,8 @@ state (the slot environment and the arena) lives in an
 :class:`~repro.runtime.executor.ExecutionContext` that ``run`` borrows, so
 one plan executes concurrently from any number of threads.  Compilation is
 serialised process-wide; :class:`~repro.runtime.cache.PlanCache` compiles
-each export (keyed by content hash and pass configuration) exactly once
-under concurrent lookups, with optional LRU bounding.  The serving layer in
+each export (keyed by content hash, architecture, input shape and codegen
+setting) exactly once under concurrent lookups.  The serving layer in
 :mod:`repro.serve` runs these plans.
 """
 

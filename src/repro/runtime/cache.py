@@ -1,4 +1,4 @@
-"""Content-addressed, bounded cache of compiled quantised execution plans.
+"""Content-addressed cache of compiled execution plans.
 
 Compiling a plan costs a traced forward pass plus lowering, and -- because
 tracing runs through the shared model object and thread-local instrumentation
@@ -12,37 +12,34 @@ of the :class:`~repro.quant.deploy.QuantizedModelExport`
 (:meth:`~repro.quant.deploy.QuantizedModelExport.content_hash`) together
 with an :func:`architecture fingerprint <architecture_fingerprint>` of the
 model (module tree + layer geometry -- the export hash covers values, not
-topology), the per-sample input shape and the **resolved optimisation-pass
-pipeline** (two compilations of one export under different pass
-configurations are different plans and cache separately).  Two exports
-holding identical codes for the same architecture share one plan no matter
-how they were produced (built in process, reloaded from ``.npz``,
-deduplicated across model repositories).  Under concurrent lookups of the
-same key, exactly one thread compiles while the others wait for its result.
+topology), the per-sample input shape and the codegen fingerprint (a plan
+compiled with native kernels admissible is not the plan compiled without
+them).  Two exports holding identical codes for the same architecture share
+one plan no matter how they were produced (built in process, reloaded from
+``.npz``, deduplicated across model repositories).  Under concurrent
+lookups of the same key, exactly one thread compiles while the others wait
+for its result.  Every plan compiles with the default pass pipeline and the
+heuristic kernel selection; callers wanting other passes or a tuner compile
+with :func:`~repro.runtime.plan.compile_quantized_plan` directly.
 
-The cache is optionally **bounded**: pass ``capacity`` to evict the
-least-recently-used plan once the bound is exceeded, so long-running
-adaptive serving (which keeps minting new exports) cannot grow the cache
-without limit.  Eviction only drops the cache's reference -- plans are
-immutable, so holders of an evicted plan keep executing it unaffected; a
-later lookup of the same key simply recompiles.
+Entries live until :meth:`PlanCache.invalidate` drops them (the serving
+repository does so when an export stops being served).  Dropping only
+forgets the cache's reference: plans are immutable, so holders of a dropped
+plan keep executing it unaffected.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.nn.module import Module
 from repro.obs.registry import MetricRegistry
 from repro.quant.deploy import QuantizedModelExport
-from repro.runtime.passes import resolve_passes
 from repro.runtime.plan import ExecutionPlan, compile_quantized_plan
-from repro.runtime.tuning import tuning_fingerprint
 
-PlanKey = Tuple[str, str, Tuple[int, ...], Tuple[str, ...], str, str]
+PlanKey = Tuple[str, str, Tuple[int, ...], str]
 
 #: Geometry attributes that change how a module lowers without changing its
 #: parameter values (two convs with identical weights but different strides
@@ -70,59 +67,37 @@ def architecture_fingerprint(model: Module) -> str:
 
 
 class PlanCache:
-    """Compile-once LRU cache of quantised plans, safe for concurrent lookups.
+    """Compile-once cache of plans, safe for concurrent lookups.
 
     The cache guarantees *exactly one* compilation per distinct key even
     when many threads request it simultaneously: the first requester marks
     the key in flight and compiles (under the global compile lock); the
     rest block on an event and pick up the shared plan.  A failed
     compilation clears the in-flight marker so a later request can retry.
-
-    With a ``capacity``, inserting beyond the bound evicts the
-    least-recently-used entry (every hit refreshes recency).  In-flight
-    compilations are never evicted, and plans already handed out stay
-    valid -- they are immutable; eviction only forgets the reference.
     """
 
-    def __init__(
-        self, capacity: Optional[int] = None, *, metrics: Optional[MetricRegistry] = None
-    ) -> None:
-        """Args:
-            capacity: Maximum cached plans; ``None`` (default) is unbounded.
-            metrics: Registry to mirror the hit / miss / eviction /
-                invalidation counters into (also via :meth:`bind_metrics`).
-
-        Raises:
-            ValueError: ``capacity`` is not ``None`` and less than 1.
-        """
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be at least 1 or None, got {capacity}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._plans: "OrderedDict[PlanKey, ExecutionPlan]" = OrderedDict()
-        self._inflight: dict = {}
+        self._plans: Dict[PlanKey, ExecutionPlan] = {}
+        self._inflight: Dict[PlanKey, threading.Event] = {}
         #: Keys invalidated while their compile was in flight: the landing
         #: plan is handed to its requester but NOT cached, so a stale entry
         #: cannot reappear after the invalidation.
         self._doomed: set = set()
-        self.capacity = capacity
         self.hits = 0
         self.compiles = 0
         self.invalidations = 0
-        self.evictions = 0
         self._metric_counters: Optional[dict] = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
 
     def bind_metrics(self, metrics: MetricRegistry) -> None:
         """Mirror the cache's counters into a metrics registry.
 
-        The plain-int attributes (``hits``, ``compiles``, ...) remain the
-        source of truth; the registry counters ``plan_cache_hits_total``,
-        ``plan_cache_misses_total`` (a miss is a compile),
-        ``plan_cache_evictions_total`` and
-        ``plan_cache_invalidations_total`` are synchronised to the current
-        totals on bind and track every subsequent event.  Re-binding
-        switches registries (last bind wins).
+        The plain-int attributes (``hits``, ``compiles``, ``invalidations``)
+        remain the source of truth; the registry counters
+        ``plan_cache_hits_total``, ``plan_cache_misses_total`` (a miss is a
+        compile) and ``plan_cache_invalidations_total`` are synchronised to
+        the current totals on bind and track every subsequent event.
+        Re-binding switches registries (last bind wins).
         """
         counters = {
             "hits": metrics.counter(
@@ -130,9 +105,6 @@ class PlanCache:
             ),
             "compiles": metrics.counter(
                 "plan_cache_misses_total", "Plan-cache misses (fresh compilations)."
-            ),
-            "evictions": metrics.counter(
-                "plan_cache_evictions_total", "Plans evicted by the LRU capacity bound."
             ),
             "invalidations": metrics.counter(
                 "plan_cache_invalidations_total", "Plans dropped by explicit invalidation."
@@ -151,31 +123,16 @@ class PlanCache:
 
     @staticmethod
     def key_for(
-        model: Module,
-        export: QuantizedModelExport,
-        input_shape: Tuple[int, ...],
-        *,
-        passes: Optional[Sequence[str]] = None,
-        optimize: bool = True,
-        tuning=None,
+        model: Module, export: QuantizedModelExport, input_shape: Tuple[int, ...]
     ) -> PlanKey:
-        """The cache key of one (architecture, export, shape, passes, tuning)
-        combo.  The tuning component is the *setup's* fingerprint
-        (``"heuristic"``, or the tuning cache's path-derived identity):
-        heuristic and autotuned compilations of one export select different
-        kernel variants and must cache separately.  The codegen component
-        does the same for the native backend: a plan compiled with native
-        kernels admissible is not the plan compiled without them.
-        """
+        """The cache key of one (architecture, export, shape, codegen) combo."""
         from repro.runtime import codegen
 
         return (
             architecture_fingerprint(model),
             export.content_hash(),
             tuple(input_shape),
-            resolve_passes(optimize, passes),
             codegen.fingerprint(),
-            tuning_fingerprint(tuning),
         )
 
     def __len__(self) -> int:
@@ -185,40 +142,23 @@ class PlanCache:
     def get(self, key: PlanKey) -> Optional[ExecutionPlan]:
         """The cached plan for ``key``, or ``None`` (does not wait on in-flight)."""
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-            return plan
+            return self._plans.get(key)
 
     def get_or_compile(
-        self,
-        model: Module,
-        export: QuantizedModelExport,
-        input_shape: Tuple[int, ...],
-        *,
-        passes: Optional[Sequence[str]] = None,
-        optimize: bool = True,
-        validate: bool = True,
-        tuning=None,
+        self, model: Module, export: QuantizedModelExport, input_shape: Tuple[int, ...]
     ) -> ExecutionPlan:
         """The plan for ``export`` at ``input_shape``, compiling at most once.
 
         ``model`` supplies the architecture -- it is part of the cache key
         (structure fingerprint), compiles the plan on a miss, and is
         restored to its own state after tracing (see
-        :func:`~repro.runtime.plan.compile_quantized_plan`).  The resolved
-        ``passes`` / ``optimize`` configuration and the
-        tuning setup's fingerprint are part of the key.
+        :func:`~repro.runtime.plan.compile_quantized_plan`).
         """
-        key = self.key_for(
-            model, export, input_shape, passes=passes, optimize=optimize,
-            tuning=tuning,
-        )
+        key = self.key_for(model, export, input_shape)
         while True:
             with self._lock:
                 plan = self._plans.get(key)
                 if plan is not None:
-                    self._plans.move_to_end(key)
                     self.hits += 1
                     self._count("hits")
                     return plan
@@ -232,15 +172,7 @@ class PlanCache:
             # Another thread is compiling this key; wait and re-check.
             event.wait()
         try:
-            plan = compile_quantized_plan(
-                model,
-                export,
-                input_shape,
-                passes=passes,
-                optimize=optimize,
-                validate=validate,
-                tuning=tuning,
-            )
+            plan = compile_quantized_plan(model, export, input_shape)
             with self._lock:
                 if key in self._doomed:
                     # Invalidated while compiling (the export was swapped
@@ -249,23 +181,12 @@ class PlanCache:
                     self._doomed.discard(key)
                 else:
                     self._plans[key] = plan
-                    self._plans.move_to_end(key)
-                    self._evict_over_capacity()
             return plan
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
                 self._doomed.discard(key)
             event.set()
-
-    def _evict_over_capacity(self) -> None:
-        """Drop LRU entries beyond ``capacity`` (caller holds the lock)."""
-        if self.capacity is None:
-            return
-        while len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
-            self.evictions += 1
-            self._count("evictions")
 
     def invalidate(self, key: PlanKey) -> bool:
         """Drop one cached plan (e.g. after its export was hot-swapped out).

@@ -917,7 +917,7 @@ def lower_graph(
         output_slot=output_slot,
         input_shape=tuple(input_shape),
         source=graph.source,
-        quantized=export is not None,
+        quantized=export is not None and bool(export.quantized),
         memory=memory,
         pipeline=pipeline,
         passes=passes,

@@ -380,8 +380,8 @@ def resolve_passes(
 
     ``optimize=False`` disables the whole pipeline (the unoptimised
     reference interpreter).  An explicit ``passes`` sequence wins over the
-    default.  The resolved tuple is part of the
-    :class:`~repro.runtime.cache.PlanCache` key.
+    default.  The resolved tuple is recorded on the compiled plan
+    (``ExecutionPlan.passes``).
     """
     if not optimize:
         return ()

@@ -74,7 +74,7 @@ from repro.tensor import Tensor, trace_ops
 _PROBE_BATCH = 2
 
 #: Tolerance a compiled plan's output must meet against the traced module
-#: forward when compilation validates it.
+#: forward (every compilation checks it on the probe input).
 VALIDATION_RTOL = 1e-5
 VALIDATION_ATOL = 1e-7
 
@@ -102,12 +102,15 @@ def compile_plan(
     model: Module,
     input_shape: Tuple[int, ...],
     *,
-    validate: bool = True,
     passes: Optional[Sequence[str]] = None,
     optimize: bool = True,
     tuning=None,
 ) -> ExecutionPlan:
     """Compile ``model`` (eval-mode semantics) into a float execution plan.
+
+    Every compile validates: the plan re-runs the probe input and must
+    match the traced module output within :data:`VALIDATION_RTOL` /
+    :data:`VALIDATION_ATOL`, else :class:`PlanCompileError` is raised.
 
     Parameters
     ----------
@@ -116,9 +119,6 @@ def compile_plan(
         into the plan (a snapshot; recompile after further training).
     input_shape:
         Per-sample input shape, e.g. ``(3, 32, 32)`` or ``(features,)``.
-    validate:
-        Re-run the compiled plan on the probe input and check it against the
-        traced module output.
     passes:
         Explicit pass pipeline (names from
         :func:`repro.runtime.passes.available_passes`); default is the full
@@ -138,8 +138,7 @@ def compile_plan(
         several compiles).  Tuning changes plan *speed* only; every
         variant is byte-exact against the reference lowering.
     """
-    return _compile(model, None, input_shape, validate,
-                    resolve_passes(optimize, passes), tuning=tuning)
+    return _compile(model, None, input_shape, resolve_passes(optimize, passes), tuning)
 
 
 def compile_quantized_plan(
@@ -147,7 +146,6 @@ def compile_quantized_plan(
     export: QuantizedModelExport,
     input_shape: Tuple[int, ...],
     *,
-    validate: bool = True,
     passes: Optional[Sequence[str]] = None,
     optimize: bool = True,
     tuning=None,
@@ -160,15 +158,16 @@ def compile_quantized_plan(
     integer codes are kept as centred integer matrices in the plan, with
     their affine scale applied at the kernel boundary as the step's output
     scale.  There is no model-wide dequantise round-trip and no autograd
-    involvement at execution time.  The ``passes`` / ``optimize`` /
-    ``tuning`` knobs work exactly as in :func:`compile_plan`.
+    involvement at execution time.  An export with no integer codes (every
+    parameter stored as float) compiles to a float plan.  The ``passes`` /
+    ``optimize`` / ``tuning`` knobs and the validation work exactly as in
+    :func:`compile_plan`.
     """
     with _COMPILE_LOCK:
         state = model.state_dict()
         try:
             load_into_model(export, model)
-            return _compile(model, export, input_shape, validate,
-                            resolve_passes(optimize, passes), tuning=tuning)
+            return _compile(model, export, input_shape, resolve_passes(optimize, passes), tuning)
         finally:
             model.load_state_dict(state)
 
@@ -177,22 +176,19 @@ def _compile(
     model: Module,
     export: Optional[QuantizedModelExport],
     input_shape: Tuple[int, ...],
-    validate: bool,
     passes: Tuple[str, ...],
-    tuning=None,
+    tuning,
 ) -> ExecutionPlan:
     with _COMPILE_LOCK:
-        return _compile_locked(model, export, input_shape, validate, passes,
-                               tuning=tuning)
+        return _compile_locked(model, export, input_shape, passes, tuning)
 
 
 def _compile_locked(
     model: Module,
     export: Optional[QuantizedModelExport],
     input_shape: Tuple[int, ...],
-    validate: bool,
     passes: Tuple[str, ...],
-    tuning=None,
+    tuning,
 ) -> ExecutionPlan:
     probe = np.random.default_rng(0).normal(size=(_PROBE_BATCH,) + tuple(input_shape))
     param_names = {id(param): name for name, param in model.named_parameters()}
@@ -225,13 +221,10 @@ def _compile_locked(
         passes=passes,
         input_shape=tuple(input_shape),
     )
-    if validate:
-        produced = plan.run(probe)
-        if not np.allclose(
-            produced, traced_out.data, rtol=VALIDATION_RTOL, atol=VALIDATION_ATOL
-        ):
-            worst = float(np.max(np.abs(produced - traced_out.data)))
-            raise PlanCompileError(
-                f"compiled plan diverges from the traced module (max abs err {worst:.3e})"
-            )
+    produced = plan.run(probe)
+    if not np.allclose(produced, traced_out.data, rtol=VALIDATION_RTOL, atol=VALIDATION_ATOL):
+        worst = float(np.max(np.abs(produced - traced_out.data)))
+        raise PlanCompileError(
+            f"compiled plan diverges from the traced module (max abs err {worst:.3e})"
+        )
     return plan

@@ -268,7 +268,7 @@ class TuningCache:
             return dict(self._entries)
 
     def fingerprint(self) -> str:
-        """Identity of this cache for plan-cache keying (path-derived)."""
+        """Identity of this cache (path-derived)."""
         digest = hashlib.sha256(os.path.abspath(self.path).encode("utf-8"))
         return digest.hexdigest()[:12]
 
@@ -298,7 +298,7 @@ class TuningConfig:
     warmup: int = 1
 
     def fingerprint(self) -> str:
-        """Plan-cache key component identifying this tuning setup."""
+        """Identity of this tuning setup."""
         if self.cache is None:
             return "tuned:ephemeral"
         return f"tuned:{self.cache.fingerprint()}"
@@ -460,7 +460,7 @@ def coerce_tuner(tuning) -> Optional[Autotuner]:
 
 
 def tuning_fingerprint(tuning) -> str:
-    """Plan-cache key component for a ``tuning=`` argument."""
+    """Identity of the tuning setup a ``tuning=`` argument selects."""
     tuner = tuning if not isinstance(tuning, Autotuner) else tuning.config
     if tuner is None:
         return "heuristic"

@@ -5,29 +5,31 @@ registered model owns:
 
 * the architecture (a :class:`~repro.nn.module.Module`, used only for
   compilation) and its per-sample input shape;
-* any number of **bitwidth variants** -- quantised
-  :class:`~repro.quant.deploy.QuantizedModelExport` objects (added in
-  process or loaded from ``.npz`` archives) plus an optional fp32 variant
-  compiled from the module's own weights;
+* any number of **bitwidth variants**, each a
+  :class:`~repro.quant.deploy.QuantizedModelExport`: quantised exports
+  (added in process or loaded from ``.npz`` archives) plus, by default, the
+  fp32 variant -- an all-float export of the module's weights, snapshotted
+  when the model is added;
 * a :class:`~repro.hardware.profile.ModelProfile` for the analytic cost
   models, so the router can price every variant without compiling it.
 
-Plans are compiled lazily on first request and exactly once per variant:
-quantised variants go through a shared, content-hash-keyed
-:class:`~repro.runtime.cache.PlanCache` (so identical exports -- reloaded
-archives, duplicate registrations -- share one plan), and the fp32 variant
-is memoised per model under the repository lock.  The compiled
-:class:`~repro.runtime.plan.ExecutionPlan` objects are immutable and safe
-to execute from any number of worker threads.
+Plans live in one place, the repository's content-hash-keyed
+:class:`~repro.runtime.cache.PlanCache`.  They compile lazily on first
+request and exactly once per distinct export (so identical exports --
+reloaded archives, duplicate registrations, same-weight replicas -- share
+one plan), and a plan leaves the cache when its export stops being served.
+The compiled :class:`~repro.runtime.plan.ExecutionPlan` objects are
+immutable and safe to execute from any number of worker threads.
 
 Variants are **versioned and hot-swappable**: :meth:`ModelRepository.swap`
 atomically replaces a served variant's export with a newer one (e.g. the
-output of an online APT fine-tuning job), compiling the incoming plan
-*before* any lock is taken and bumping the model's **generation counter**
-so executors re-resolve their memoised plans.  Batches already dispatched
-keep draining on the old (immutable) plan; the old export's entry is
-invalidated from the plan cache exactly once, and the previous export is
-retained for :meth:`ModelRepository.rollback`.
+output of an online APT fine-tuning job), compiling the incoming plan into
+the cache *before* any lock is taken and bumping the model's **generation
+counter** so executors re-resolve their memoised plans.  Batches already
+dispatched keep draining on the old (immutable) plan; the old export's
+entry is invalidated from the plan cache exactly once, and the previous
+export is retained for :meth:`ModelRepository.rollback` (which compiles it
+again).
 """
 
 from __future__ import annotations
@@ -40,12 +42,12 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.hardware.profile import ModelProfile, profile_model
 from repro.nn.module import Module
-from repro.quant.deploy import QuantizedModelExport, load_export
+from repro.quant.deploy import QuantizedModelExport, export_quantized_model, load_export
 from repro.runtime.cache import PlanCache
-from repro.runtime.plan import ExecutionPlan, compile_lock, compile_plan
+from repro.runtime.plan import ExecutionPlan, compile_lock
 
-#: Variant key of the uncompressed float plan compiled from the module's
-#: own weights.
+#: Variant key of the uncompressed float variant: an all-float export of the
+#: module's own weights.
 FLOAT_BITS = 32
 
 
@@ -87,13 +89,8 @@ class _ModelEntry:
     model: Module
     input_shape: Tuple[int, ...]
     profile: ModelProfile
+    #: The export served under each variant key, FLOAT_BITS included.
     exports: Dict[int, QuantizedModelExport] = field(default_factory=dict)
-    float_variant: bool = True
-    float_plan: Optional[ExecutionPlan] = None
-    #: Serialises the one-off fp32 compile without holding the repository
-    #: lock (which every per-batch lookup needs) across it.
-    float_compile_lock: threading.Lock = field(default_factory=threading.Lock)
-    quantized_plans: Dict[int, ExecutionPlan] = field(default_factory=dict)
     #: Bumped on every swap / rollback; executors compare it to re-resolve
     #: memoised plans without holding repository locks across batches.
     generation: int = 0
@@ -121,25 +118,12 @@ def _infer_variant_bits(export: QuantizedModelExport) -> int:
 class ModelRepository:
     """Thread-safe store of named models and their compiled plan variants."""
 
-    def __init__(
-        self,
-        plan_cache: Optional[PlanCache] = None,
-        *,
-        history_depth: int = 4,
-        tuning=None,
-    ) -> None:
+    def __init__(self, *, history_depth: int = 4) -> None:
         """Args:
-            plan_cache: Shared compile cache (default: a private one).
             history_depth: Superseded exports retained per variant for
                 :meth:`rollback`.  Each retained export holds a full copy
                 of the model's weights, so the long-running adaptation
                 loop needs a bound; the oldest is dropped beyond it.
-            tuning: Optional :class:`~repro.runtime.tuning.TuningConfig`
-                applied to every compilation the repository triggers (the
-                ``select_kernels`` pass then micro-benchmarks kernel
-                variants instead of using the free heuristic).  Part of
-                every plan-cache key the repository produces, so tuned and
-                heuristic deployments never share plans.
         """
         if history_depth < 1:
             raise ValueError(f"history_depth must be at least 1, got {history_depth}")
@@ -147,8 +131,8 @@ class ModelRepository:
         self._entries: Dict[str, _ModelEntry] = {}
         self._swap_listeners: List[SwapListener] = []
         self.history_depth = history_depth
-        self.plan_cache = plan_cache or PlanCache()
-        self.tuning = tuning
+        #: The one store of compiled plans, every variant's included.
+        self.plan_cache = PlanCache()
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -169,21 +153,27 @@ class ModelRepository:
                 It becomes shared serving infrastructure -- do not train it
                 in place afterwards (see :meth:`clone_model`).
             input_shape: Per-sample input shape (no batch dimension).
-            float_variant: ``False`` drops the fp32 plan from the variant
-                list -- for deployments that only serve quantised exports.
+            float_variant: ``True`` (the default) registers the fp32
+                variant: an all-float export of ``model``'s weights as they
+                are now.  The snapshot is taken here, so later changes to
+                the module do not reach the fp32 plan.  ``False`` serves
+                only quantised exports.
 
         Raises:
             ValueError: a model of this name is already registered.
         """
+        entry = _ModelEntry(
+            model=model, input_shape=tuple(input_shape), profile=profile_model(model, input_shape)
+        )
+        if float_variant:
+            # Under the compile lock, which a compile holds while an export
+            # is loaded into the module it traces.
+            with compile_lock():
+                entry.exports[FLOAT_BITS] = export_quantized_model(model, {})
         with self._lock:
             if name in self._entries:
                 raise ValueError(f"model {name!r} is already registered")
-            self._entries[name] = _ModelEntry(
-                model=model,
-                input_shape=tuple(input_shape),
-                profile=profile_model(model, input_shape),
-                float_variant=float_variant,
-            )
+            self._entries[name] = entry
 
     def add_export(
         self,
@@ -278,11 +268,7 @@ class ModelRepository:
             KeyError: the model is not registered.
         """
         with self._lock:
-            entry = self._entry(name)
-            keys = sorted(entry.exports)
-            if entry.float_variant:
-                keys.append(FLOAT_BITS)
-            return keys
+            return sorted(self._entry(name).exports)
 
     def input_shape(self, name: str) -> Tuple[int, ...]:
         """The model's per-sample input shape (no batch dimension).
@@ -323,8 +309,6 @@ class ModelRepository:
         with self._lock:
             entry = self._entry(name)
             layer_names = [layer.name for layer in entry.profile.layers]
-            if bits == FLOAT_BITS:
-                return {layer: FLOAT_BITS for layer in layer_names}
             export = entry.exports.get(bits)
             if export is None:
                 raise KeyError(f"model {name!r} has no {bits}-bit export")
@@ -337,11 +321,11 @@ class ModelRepository:
     # Compilation
     # ------------------------------------------------------------------ #
     def plan(self, name: str, bits: int = FLOAT_BITS) -> ExecutionPlan:
-        """The compiled plan of one variant, compiling on first request.
+        """The compiled plan of the export served under one variant key.
 
-        Quantised variants compile through the shared content-hash plan
-        cache (at most one compilation per distinct export, even under
-        concurrent lookups); the fp32 variant is memoised per model.
+        Every variant, fp32 included, resolves through the plan cache: at
+        most one compilation per distinct export, even under concurrent
+        lookups, and a cache hit afterwards.
 
         Args:
             name: Registered model.
@@ -352,58 +336,32 @@ class ModelRepository:
             shareable across any number of worker threads.
 
         Raises:
-            KeyError: the model is not registered, has no such variant, or
-                was registered without a float variant.
+            KeyError: the model is not registered or has no such variant.
         """
-        with self._lock:
-            entry = self._entry(name)
-            if bits == FLOAT_BITS:
-                if not entry.float_variant:
-                    raise KeyError(f"model {name!r} was registered without a float variant")
-                if entry.float_plan is not None:
-                    return entry.float_plan
-        if bits == FLOAT_BITS:
-            # Compile outside the repository lock (workers take it per batch);
-            # the entry's own lock makes the fp32 compile exactly-once.
-            with entry.float_compile_lock:
-                if entry.float_plan is None:
-                    plan = compile_plan(entry.model, entry.input_shape,
-                                        tuning=self.tuning)
-                    with self._lock:
-                        entry.float_plan = plan
-                return entry.float_plan
         while True:
             with self._lock:
                 entry = self._entry(name)
-                cached = entry.quantized_plans.get(bits)
-                if cached is not None:
-                    return cached
                 export = entry.exports.get(bits)
                 if export is None:
                     raise KeyError(
                         f"model {name!r} has no {bits}-bit variant; "
-                        f"available: {self.variants(name)}"
+                        f"available: {sorted(entry.exports)}"
                     )
                 model, input_shape = entry.model, entry.input_shape
             # Compile outside the repository lock: the plan cache provides
             # its own exactly-once guarantee, and holding our lock across a
             # compile would serialise unrelated repository lookups behind it.
-            plan = self.plan_cache.get_or_compile(
-            model, export, input_shape, tuning=self.tuning
-        )
+            plan = self.plan_cache.get_or_compile(model, export, input_shape)
             with self._lock:
-                entry = self._entry(name)
-                if entry.exports.get(bits) is export:
-                    return entry.quantized_plans.setdefault(bits, plan)
-                current = entry.exports.get(bits)
+                current = self._entry(name).exports.get(bits)
+            if current is export:
+                return plan
             # A swap replaced the export while we compiled.  Drop our
             # now-stale cache entry (unless the contents coincide, in which
             # case the keys do too) and resolve the freshly installed
             # version on the next pass -- swap() pre-populated its plan.
             if current is None or current.content_hash() != export.content_hash():
-                self.plan_cache.invalidate(
-                    self.plan_cache.key_for(model, export, input_shape, tuning=self.tuning)
-                )
+                self.plan_cache.invalidate(self.plan_cache.key_for(model, export, input_shape))
 
     def memory_stats(self, name: str, bits: int = FLOAT_BITS):
         """The memory planner's accounting for one variant's compiled plan.
@@ -500,7 +458,7 @@ class ModelRepository:
     ) -> ModelVersion:
         """Atomically replace a served variant with a newer export.
 
-        The incoming export is compiled through the plan cache *before* the
+        The incoming export is compiled into the plan cache *before* the
         repository lock is taken, so serving never stalls behind the
         compile; the installation itself is a few dictionary writes under
         the lock plus a generation bump.  Batches already resolved against
@@ -523,13 +481,13 @@ class ModelRepository:
         Raises:
             KeyError: the model is not registered or has no such variant
                 (use :meth:`add_export` for a brand-new variant key).
-            ValueError: attempting to swap the fp32 variant, which is
-                compiled from the module's own weights.
+            ValueError: attempting to swap the fp32 variant, a snapshot
+                of the module's own weights.
         """
         key = int(bits) if bits is not None else _infer_variant_bits(export)
         if key == FLOAT_BITS:
             raise ValueError(
-                "the fp32 variant is compiled from the module's weights and "
+                "the fp32 variant is a snapshot of the module's weights and "
                 "cannot be swapped; export the fine-tuned model and swap a "
                 "quantised variant instead"
             )
@@ -543,9 +501,7 @@ class ModelRepository:
             model, input_shape = entry.model, entry.input_shape
         # Compile outside every lock: the plan cache serialises duplicate
         # compiles itself, and serving keeps resolving the old plan.
-        plan = self.plan_cache.get_or_compile(
-            model, export, input_shape, tuning=self.tuning
-        )
+        self.plan_cache.get_or_compile(model, export, input_shape)
         with self._lock:
             entry = self._entry(name)
             old = entry.exports.get(key)
@@ -555,7 +511,6 @@ class ModelRepository:
             stack.append(old)
             del stack[: max(0, len(stack) - self.history_depth)]
             entry.exports[key] = export
-            entry.quantized_plans[key] = plan
             entry.generation += 1
             version = self._record_version(entry, key, export, source="swap")
             listeners = list(self._swap_listeners)
@@ -615,9 +570,7 @@ class ModelRepository:
             target = stack[-1]
             discarded = entry.exports[key]
             model, input_shape = entry.model, entry.input_shape
-        plan = self.plan_cache.get_or_compile(
-            model, target, input_shape, tuning=self.tuning
-        )
+        self.plan_cache.get_or_compile(model, target, input_shape)
         with self._lock:
             entry = self._entry(name)
             stack = entry.previous.get(key)
@@ -629,7 +582,6 @@ class ModelRepository:
                 )
             stack.pop()
             entry.exports[key] = target
-            entry.quantized_plans[key] = plan
             entry.generation += 1
             version = self._record_version(entry, key, target, source="rollback")
             listeners = list(self._swap_listeners)
@@ -649,13 +601,11 @@ class ModelRepository:
         """Drop the replaced export's cached plan (once, outside locks).
 
         Skipped when both exports hash identically -- their cache keys
-        coincide, and invalidating would evict the plan just installed.
+        coincide, and invalidating would drop the plan just installed.
         """
         if replaced.content_hash() == installed.content_hash():
             return
-        self.plan_cache.invalidate(
-            self.plan_cache.key_for(model, replaced, input_shape, tuning=self.tuning)
-        )
+        self.plan_cache.invalidate(self.plan_cache.key_for(model, replaced, input_shape))
 
     # ------------------------------------------------------------------ #
     # Model access for adaptation

@@ -37,6 +37,7 @@ from repro.hardware.latency import ComputeProfile
 from repro.obs.registry import MetricRegistry, MetricsSnapshot
 from repro.obs.slo import SLOMonitor
 from repro.obs.trace import Trace, TraceLog
+from repro.runtime import blas
 from repro.runtime.plan import ExecutionPlan
 from repro.serve.repository import ModelRepository
 from repro.serve.routing import DEFAULT_SLO, PrecisionRouter, RequestSLO, RoutingDecision
@@ -46,6 +47,7 @@ from repro.serve.types import (
     InferenceRequest,
     ResultFuture,
     ServeStats,
+    record_blas_threads,
 )
 from repro.serve.workers import BatchExecutor, WorkerPool
 
@@ -128,12 +130,11 @@ class InferenceService:
     tracing:
         Open a per-request :class:`~repro.obs.trace.Trace` at submit time
         (spans marked by the executing worker, completed traces attached
-        to results and retained in :attr:`traces`).
-    slo_monitor:
-        Override the service's :class:`~repro.obs.slo.SLOMonitor`
-        (default: one on this registry / clock with default windowing).
-    trace_capacity:
-        Completed traces retained in the :attr:`traces` ring.
+        to results and the newest 256 retained in :attr:`traces`).
+
+    The service checks served requests against their SLOs with its own
+    :class:`~repro.obs.slo.SLOMonitor` (:attr:`slo`) on this registry and
+    clock.
     """
 
     def __init__(
@@ -148,8 +149,6 @@ class InferenceService:
         clock: Callable[[], float] = time.perf_counter,
         metrics: Optional[MetricRegistry] = None,
         tracing: bool = True,
-        slo_monitor: Optional[SLOMonitor] = None,
-        trace_capacity: int = 256,
     ) -> None:
         self.repository = repository
         self.metrics = metrics if metrics is not None else MetricRegistry()
@@ -169,12 +168,8 @@ class InferenceService:
         self.clock = clock
         self.stats = ServeStats(self.metrics)
         self.scheduler = Scheduler(clock=clock, metrics=self.metrics)
-        self.traces = TraceLog(trace_capacity)
-        self.slo = (
-            slo_monitor
-            if slo_monitor is not None
-            else SLOMonitor(self.metrics, clock=clock, sink=self._on_slo_alert)
-        )
+        self.traces = TraceLog(256)
+        self.slo = SLOMonitor(self.metrics, clock=clock, sink=self._on_slo_alert)
         self._queue_policy = queue_policy or QueuePolicy()
         self._request_ids = itertools.count()
         self._known_queues = set()
@@ -183,13 +178,9 @@ class InferenceService:
         #: manager that watches this service.
         self.feedback_sink: Optional[Callable[[str, np.ndarray, int, Optional[int]], None]] = None
         if repository.plan_cache._metric_counters is None:
-            # Surface compile / hit / eviction counts alongside the serving
-            # metrics; an explicitly pre-bound cache keeps its registry.
+            # Surface compile / hit / invalidation counts alongside the
+            # serving metrics; a cache already bound keeps its registry.
             repository.plan_cache.bind_metrics(self.metrics)
-        tuning_cache = getattr(repository.tuning, "cache", None)
-        if tuning_cache is not None and tuning_cache._metric_counters is None:
-            # Same contract for the autotuner's persistent winner store.
-            tuning_cache.bind_metrics(self.metrics)
         self._swap_counter = self.metrics.counter(
             "repo_swaps_total",
             "Hot swaps / rollbacks installed, by model and kind.",
@@ -404,7 +395,14 @@ class InferenceService:
         return self.pool.batch_records
 
     def metrics_snapshot(self) -> MetricsSnapshot:
-        """A point-in-time, immutable snapshot of every service metric."""
+        """A point-in-time, immutable snapshot of every service metric.
+
+        While the pool runs, the ``blas_threads`` gauge is first re-read
+        from OpenBLAS: a capped ``Trainer.fit`` beside the pool (an
+        adaptation job) runs its workers on one thread until it returns.
+        """
+        if self.pool.running:
+            record_blas_threads(self.metrics, blas.current_threads())
         return self.metrics.snapshot()
 
     def evaluate_slo(self) -> List:

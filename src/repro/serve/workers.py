@@ -1,17 +1,19 @@
 """Thread pool executing scheduler batches through shared plans.
 
 Each worker thread owns one :class:`~repro.runtime.plan.ExecutionContext`
-per plan it has executed (its private buffer arena), so any number of
-workers execute the *same* immutable plan concurrently without sharing any
-mutable state.  The numpy kernels behind the hot steps (BLAS matmul, ufunc
-loops) release the GIL, so worker threads overlap in CPython -- but each
-BLAS call also fans out over OpenBLAS's own threads, so N workers over an
-untouched OpenBLAS oversubscribe the CPUs (on 2 CPUs two workers served
-slower than one).  A started pool therefore reserves its workers on the
-process-wide BLAS thread budget (:mod:`repro.runtime.blas`): while it runs,
-each BLAS call gets ``max(1, cpus // reserved)`` threads (one while a
-small ``Trainer.fit``, such as an adaptation job, holds its one-thread
-ceiling), and the count comes back when the pool stops.
+per queue it serves (its private buffer arena for the plan the queue last
+resolved to, replaced when a hot-swap resolves it to a new plan), so any
+number of workers execute the *same* immutable plan concurrently without
+sharing any mutable state, and no worker keeps a superseded plan alive.
+The numpy kernels behind the hot steps (BLAS matmul, ufunc loops) release
+the GIL, so worker threads overlap in CPython -- but each BLAS call also
+fans out over OpenBLAS's own threads, so N workers over an untouched
+OpenBLAS oversubscribe the CPUs (on 2 CPUs two workers served slower than
+one).  A started pool therefore reserves its workers on the process-wide
+BLAS thread budget (:mod:`repro.runtime.blas`): while it runs, each BLAS
+call gets ``max(1, cpus // reserved)`` threads (one while a small
+``Trainer.fit``, such as an adaptation job, holds its one-thread ceiling),
+and the count comes back when the pool stops.
 
 The pool is deliberately dumb: it pulls ``(queue_key, batch)`` pairs from a
 :class:`~repro.serve.scheduler.Scheduler`, asks its :class:`BatchExecutor`
@@ -80,7 +82,6 @@ class WorkerPool:
         slo_monitor: Optional[SLOMonitor] = None,
     ) -> None:
         """Args:
-            scheduler, executor, workers, stats, clock: As before.
             metrics: Registry for the per-phase span histograms
                 (queue-wait / batch-assembly / kernel / post) and the
                 batch-size histogram; ``None`` skips them.
@@ -101,10 +102,10 @@ class WorkerPool:
         self._stats_lock = threading.Lock()
         self._batch_counter = 0
         self._threads: List[threading.Thread] = []
-        self._started = False
+        #: Held from start() until stop() has joined every worker.
         self._blas: Optional[blas.Reservation] = None
-        #: OpenBLAS threads each worker ran at (set by :meth:`start`;
-        #: ``None`` when the count cannot be read).
+        #: OpenBLAS threads :meth:`start` fitted each worker to (``None``
+        #: when the count cannot be read).
         self.blas_threads: Optional[int] = None
         self._metrics = metrics
         if metrics is not None:
@@ -151,9 +152,8 @@ class WorkerPool:
         Raises:
             RuntimeError: the pool was already started.
         """
-        if self._started:
+        if self._blas is not None:
             raise RuntimeError("worker pool already started")
-        self._started = True
         self._blas = blas.reserve(self.workers)
         self.blas_threads = self._blas.blas_threads
         record_blas_threads(self._metrics, self.blas_threads)
@@ -178,6 +178,11 @@ class WorkerPool:
         if not self._threads and self._blas is not None:
             record_blas_threads(self._metrics, self._blas.release())
 
+    @property
+    def running(self) -> bool:
+        """Whether the pool holds its BLAS reservation (started, not yet stopped)."""
+        return self._blas is not None and not self._blas.released
+
     def __enter__(self) -> "WorkerPool":
         self.start()
         return self
@@ -189,8 +194,8 @@ class WorkerPool:
     # The worker loop
     # ------------------------------------------------------------------ #
     def _worker_loop(self) -> None:
-        # Per-worker buffer arenas, one per distinct plan this thread runs.
-        contexts: Dict[int, ExecutionContext] = {}
+        # This worker's buffer arenas, one per queue it serves.
+        contexts: Dict[str, ExecutionContext] = {}
         while True:
             item = self.scheduler.get_batch()
             if item is None:
@@ -204,29 +209,23 @@ class WorkerPool:
                         request.future.set_exception(error)
 
     def _context_for(
-        self,
-        plan: ExecutionPlan,
-        contexts: Dict[int, ExecutionContext],
-        queue_key: str,
-    ):
-        ctx = contexts.get(id(plan))
-        if ctx is None:
+        self, plan: ExecutionPlan, contexts: Dict[str, ExecutionContext], queue_key: str
+    ) -> ExecutionContext:
+        ctx = contexts.get(queue_key)
+        if ctx is None or ctx.plan is not plan:
             # Size the worker's arena from the plan's memory planner at the
             # queue's maximum batch, so the whole buffer block is committed
-            # once up front instead of growing scratch lazily per step.
-            try:
-                batch_hint = self.scheduler.policy(queue_key).max_batch_size
-            except KeyError:  # pragma: no cover - executor resolved an unknown key
-                batch_hint = None
-            ctx = plan.create_context(batch_size=batch_hint)
-            contexts[id(plan)] = ctx
+            # once up front instead of growing scratch lazily per step.  It
+            # replaces the context of the plan a swap superseded.
+            batch_hint = self.scheduler.policy(queue_key).max_batch_size
+            ctx = contexts[queue_key] = plan.create_context(batch_size=batch_hint)
         return ctx
 
     def _execute(
         self,
         queue_key: str,
         requests: List[InferenceRequest],
-        contexts: Dict[int, ExecutionContext],
+        contexts: Dict[str, ExecutionContext],
     ) -> None:
         # One clock reading per phase transition, shared by every request
         # in the batch: queue-wait ends here, batch assembly (plan

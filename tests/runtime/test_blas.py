@@ -324,6 +324,23 @@ class TestTrainerCeiling:
             service.submit("digits", np.zeros((1, 12, 12))).result(timeout=30.0)
         assert fake_budget.sets == [2, 1, 2, 4]
 
+    def test_a_snapshot_beside_the_pool_reads_the_ceiling_a_fit_holds(self, fake_budget):
+        """While the pool runs, ``metrics_snapshot`` re-reads the count: one
+        taken while a capped fit holds its ceiling reads 1, one taken after
+        the fit returns reads the pool's fitted count again."""
+        with InferenceService(_mlp_repo(), workers=2) as service:
+
+            def gauge():
+                return service.metrics_snapshot().as_dict()["blas_threads"]["series"][0]["value"]
+
+            claim = blas.reserve(1, ceiling=1)
+            try:
+                assert gauge() == 1
+            finally:
+                claim.release()
+            assert gauge() == 2
+            assert service.pool.blas_threads == 2
+
 
 # --------------------------------------------------------------------------- #
 # Against numpy's OpenBLAS, through the components that reserve

@@ -14,7 +14,6 @@ import pytest
 from repro.models import build_model
 from repro.quant import export_quantized_model
 from repro.runtime import (
-    DEFAULT_PASSES,
     ExecutionContext,
     PlanCache,
     compile_plan,
@@ -214,74 +213,3 @@ class TestPlanCache:
         np.testing.assert_array_equal(
             plans[0].run(x), compile_quantized_plan(model, export, shape).run(x)
         )
-
-
-class TestPlanCacheLRU:
-    def _export(self, model, bits):
-        return export_quantized_model(model, {n: bits for n, _ in model.named_parameters()})
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            PlanCache(capacity=0)
-
-    def test_evicts_least_recently_used(self):
-        model, shape = _build()
-        cache = PlanCache(capacity=2)
-        plan4 = cache.get_or_compile(model, self._export(model, 4), shape)
-        cache.get_or_compile(model, self._export(model, 6), shape)
-        # Touch the 4-bit entry so the 6-bit one is the LRU victim.
-        assert cache.get_or_compile(model, self._export(model, 4), shape) is plan4
-        cache.get_or_compile(model, self._export(model, 8), shape)
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        # 6-bit was evicted: requesting it recompiles; 4-bit stayed cached.
-        compiles_before = cache.compiles
-        assert cache.get_or_compile(model, self._export(model, 4), shape) is plan4
-        cache.get_or_compile(model, self._export(model, 6), shape)
-        assert cache.compiles == compiles_before + 1
-
-    def test_evicted_plan_stays_valid_for_holders(self):
-        model, shape = _build()
-        cache = PlanCache(capacity=1)
-        plan6 = cache.get_or_compile(model, self._export(model, 6), shape)
-        x = np.random.default_rng(2).normal(size=(3,) + shape)
-        before = plan6.run(x)
-        cache.get_or_compile(model, self._export(model, 8), shape)  # evicts plan6
-        assert cache.evictions == 1
-        # The holder's reference keeps executing, byte-identical.
-        np.testing.assert_array_equal(plan6.run(x), before)
-
-    def test_unbounded_by_default(self):
-        model, shape = _build()
-        cache = PlanCache()
-        for bits in (3, 4, 5, 6, 7, 8):
-            cache.get_or_compile(model, self._export(model, bits), shape)
-        assert len(cache) == 6
-        assert cache.evictions == 0
-
-
-class TestPlanCachePassConfig:
-    def test_pass_configuration_is_part_of_the_key(self):
-        model, shape = _build()
-        export = export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()})
-        cache = PlanCache()
-        optimised = cache.get_or_compile(model, export, shape)
-        raw = cache.get_or_compile(model, export, shape, optimize=False)
-        subset = cache.get_or_compile(model, export, shape, passes=("fold_constants",))
-        assert cache.compiles == 3
-        assert len({id(optimised), id(raw), id(subset)}) == 3
-        # Same request shapes hit their own entries.
-        assert cache.get_or_compile(model, export, shape, optimize=False) is raw
-        assert cache.hits == 1
-
-    def test_key_for_resolves_the_pass_pipeline(self):
-        model, shape = _build()
-        export = export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()})
-        full = PlanCache.key_for(model, export, shape)
-        assert PlanCache.key_for(model, export, shape, passes=DEFAULT_PASSES) == full
-        no_affine = PlanCache.key_for(
-            model, export, shape,
-            passes=tuple(p for p in DEFAULT_PASSES if p != "fuse_affine"),
-        )
-        assert full != no_affine
-        assert "fuse_affine" not in no_affine[3]

@@ -14,7 +14,7 @@ import pytest
 
 from repro.obs.registry import MetricRegistry
 from repro.quant import export_quantized_model
-from repro.runtime import PlanCache, compile_quantized_plan
+from repro.runtime import compile_quantized_plan
 from repro.runtime.tuning import (
     TUNING_CACHE_VERSION,
     Autotuner,
@@ -305,20 +305,6 @@ class TestTuningPlumbing:
         assert fp_a.startswith("tuned:") and fp_b.startswith("tuned:")
         assert fp_a != fp_b
         assert fp_a == tuning_fingerprint(TuningConfig(cache=cache_a))
-
-    def test_plan_cache_keys_differ_by_tuning_setup(self, tmp_path):
-        model, shape = build("tiny_convnet")
-        export = export_quantized_model(
-            model, {n: 8 for n, _ in model.named_parameters()}
-        )
-        heuristic = PlanCache.key_for(model, export, shape)
-        tuned = PlanCache.key_for(
-            model, export, shape,
-            tuning=TuningConfig(cache=TuningCache(str(tmp_path / "t.json"))),
-        )
-        assert heuristic[:-1] == tuned[:-1]
-        assert heuristic[-1] == "heuristic"
-        assert tuned[-1].startswith("tuned:")
 
     def test_coerce_tuner_accepts_the_three_forms(self):
         assert coerce_tuner(None) is None

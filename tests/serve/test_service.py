@@ -218,7 +218,7 @@ class TestRepository:
     def test_warm_compiles_everything(self):
         repo, _ = _repo(bits=(4, 8))
         assert repo.warm() == 3  # 4-bit + 8-bit + fp32
-        assert repo.plan_cache.compiles == 2
+        assert repo.plan_cache.compiles == 3  # fp32 compiles through the cache too
 
 
 class TestRouting:

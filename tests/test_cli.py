@@ -421,9 +421,11 @@ class TestMetricsCommand:
 
         assert total("serve_queue_wait_seconds") == 16
         assert total("serve_kernel_seconds") > 0
-        # Two bitwidths compile once each; the replica resolves both from cache.
-        assert total("plan_cache_misses_total") == 2
-        assert total("plan_cache_hits_total") == 2
+        # 8-bit, 4-bit and fp32 compile once each; the same-seed replica's
+        # warm-up resolves all three from cache, and each of the two served
+        # 4-bit queues resolves its plan from cache on its first batch.
+        assert total("plan_cache_misses_total") == 3
+        assert total("plan_cache_hits_total") == 5
         assert total("slo_evaluations_total") >= 1
         # Snapshotted after stop: the pool's release restored the count.
         assert payload["blas_threads"]["kind"] == "gauge"

@@ -98,6 +98,11 @@ def render() -> str:
             elif inspect.isfunction(obj):
                 lines.append(f"### `{export_name}{_signature(obj)}`\n")
                 lines.append(f"{_summary(obj)}\n")
+            elif inspect.ismodule(obj):
+                # A module's repr names the file it was loaded from, which
+                # differs between checkouts.
+                lines.append(f"### `{export_name}`\n")
+                lines.append(f"Module: `{obj.__name__}`\n")
             else:
                 lines.append(f"### `{export_name}`\n")
                 lines.append(f"Constant: `{export_name} = {obj!r}`\n")
