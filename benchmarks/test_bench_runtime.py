@@ -1,4 +1,4 @@
-"""Runtime compiler benchmark: passes, memory planner, kernel autotuning.
+"""Runtime compiler benchmark: passes and memory planner.
 
 Quantifies what the graph-IR refactor buys on the serving hot path:
 
@@ -9,56 +9,22 @@ Quantifies what the graph-IR refactor buys on the serving hot path:
   lowering packed once);
 * **planned memory** -- the liveness-coloring arena must be strictly
   smaller than the per-step scratch baseline it replaced, at serving batch
-  sizes;
-* **autotuned kernels** -- plans compiled with a live autotuner must be at
-  least as fast as the pre-selection default pipeline on *every* registry
-  conv model, and materially faster (>= 1.2x) on at least one.
+  sizes.
 
 All checks run under ``--benchmark-disable`` too, so the CI smoke job
-guards the headline claims on every push.  The tuned-vs-default numbers
-are written to ``BENCH_runtime.json`` (same machine-readable role as
-``BENCH_obs.json``) so the perf trajectory is trackable across PRs;
-reference numbers are recorded in ``docs/reproducing.md``.
+guards the headline claims on every push.
 """
-
-import json
-import os
 
 import numpy as np
 import pytest
 
 from repro.models import build_model
 from repro.quant import export_quantized_model
-from repro.runtime import (
-    DEFAULT_PASSES,
-    Autotuner,
-    TuningCache,
-    TuningConfig,
-    compile_plan,
-    compile_quantized_plan,
-)
+from repro.runtime import compile_plan, compile_quantized_plan
 
 _INPUT_SHAPE = (1, 12, 12)
 _BATCH = 16
 _SERVING_BATCH = 32
-
-#: Every conv architecture in the model registry, at benchmark-feasible
-#: geometry ((per-sample input shape, width multiplier); kept in sync by
-#: ``test_tuned_plans_cover_every_registry_conv_model``).
-_CONV_MODELS = {
-    "tiny_convnet": ((1, 12, 12), 1.0),
-    "small_convnet": ((3, 10, 10), 0.5),
-    "cifarnet": ((3, 32, 32), 0.25),
-    "vgg_like": ((3, 12, 12), 0.25),
-    "resnet20": ((3, 10, 10), 0.5),
-    "resnet110": ((3, 8, 8), 0.25),
-    "mobilenetv2": ((3, 8, 8), 0.25),
-}
-
-#: The default pipeline as it stood before kernel selection landed: every
-#: pass except ``select_kernels``, so the measured ratio isolates what
-#: variant selection itself buys.
-_PRE_SELECTION_PASSES = tuple(p for p in DEFAULT_PASSES if p != "select_kernels")
 
 
 @pytest.fixture(scope="module")
@@ -160,246 +126,6 @@ def test_planner_arena_below_per_step_scratch(compiled, report_rows):
                 f"{name}: planner did not beat per-step scratch at batch {batch}"
             )
     report_rows("memory planner vs per-step scratch", rows)
-
-
-def test_tuned_plans_cover_every_registry_conv_model():
-    from repro.models import available_models
-
-    conv_models = set(available_models()) - {"mlp"}
-    assert set(_CONV_MODELS) == conv_models
-
-
-def test_tuned_plan_beats_default_on_every_conv_model(
-    tmp_path, report_rows, best_seconds
-):
-    """Acceptance: autotuned kernel selection never loses, and visibly wins.
-
-    Every registry conv model is compiled twice -- once with the
-    pre-selection default pipeline, once with a live autotuner over a
-    shared on-disk :class:`TuningCache` -- and timed at serving batch
-    size.  The tuned plan must reach at least the default throughput on
-    every model (with the same small noise tolerance the fusion check
-    uses) and at least 1.2x on one of them (in practice the 1x1-heavy
-    mobilenetv2, where ``gemm_1x1`` skips the im2col gather entirely).
-    A fresh tuner over the same cache file then recompiles with **zero**
-    measurements, proving the winners round-tripped through disk.
-    """
-    smoke = os.environ.get("REPRO_BENCH_SCALE") == "smoke"
-    # cifarnet stays in the smoke cut: its 32x32 spatial maps give
-    # ``im2col_slices`` the widest margin, so the >= 1.2x gate is not
-    # riding on the noise-prone micro geometries.
-    names = ["tiny_convnet", "cifarnet", "mobilenetv2"] if smoke else list(_CONV_MODELS)
-    cache_path = str(tmp_path / "tuning.json")
-    tuner = Autotuner(TuningConfig(cache=TuningCache(cache_path), budget_s=10.0))
-    rng = np.random.default_rng(5)
-
-    rows, results = [], {}
-    for name in names:
-        shape, width = _CONV_MODELS[name]
-        model = build_model(
-            name, num_classes=10, in_channels=shape[0],
-            width_multiplier=width, rng=np.random.default_rng(0),
-        )
-        model.eval()
-        default = compile_plan(model, shape, passes=_PRE_SELECTION_PASSES)
-        tuned = compile_plan(model, shape, tuning=tuner)
-        batch = rng.normal(size=(_BATCH,) + shape)
-        np.testing.assert_array_equal(tuned.run(batch), default.run(batch))
-
-        best = 0.0
-        default_s = tuned_s = float("inf")
-        for _ in range(2 if smoke else 3):
-            default_s = min(
-                default_s, best_seconds(lambda: default.run(batch), repeats=3, inner=8)
-            )
-            tuned_s = min(
-                tuned_s, best_seconds(lambda: tuned.run(batch), repeats=3, inner=8)
-            )
-            best = default_s / tuned_s
-            if best >= 1.2:
-                break
-        results[name] = {
-            "default_rps": _BATCH / default_s,
-            "tuned_rps": _BATCH / tuned_s,
-            "speedup": best,
-        }
-        variants = sorted({v for v, _ in tuned.kernel_variants().values()})
-        rows.append(
-            f"{name}: {_BATCH / default_s:.0f} -> {_BATCH / tuned_s:.0f} rps "
-            f"({best:.2f}x) via {', '.join(variants)}"
-        )
-
-    assert tuner.config.cache.save() or len(tuner.config.cache)
-    warm = Autotuner(TuningConfig(cache=TuningCache(cache_path), budget_s=10.0))
-    shape, width = _CONV_MODELS[names[-1]]
-    model = build_model(
-        names[-1], num_classes=10, in_channels=shape[0],
-        width_multiplier=width, rng=np.random.default_rng(0),
-    )
-    compile_plan(model, shape, tuning=warm)
-    assert warm.measurements == 0, (
-        "fresh tuner over the persisted cache re-measured "
-        f"{warm.measurements} times (expected 0)"
-    )
-    rows.append(f"warm-cache recompile of {names[-1]}: 0 measurements "
-                f"({len(warm.config.cache)} persisted winners)")
-
-    payload = {
-        "batch": _BATCH,
-        "models": results,
-        "max_speedup": max(r["speedup"] for r in results.values()),
-        "tuning": {
-            "measurements": tuner.measurements,
-            "persisted_winners": len(tuner.config.cache),
-            "warm_recompile_measurements": warm.measurements,
-        },
-    }
-    with open("BENCH_runtime.json", "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    rows.append(f"-> BENCH_runtime.json (max speedup {payload['max_speedup']:.2f}x)")
-    report_rows("autotuned vs default-pass plan throughput", rows)
-
-    for name, result in results.items():
-        assert result["speedup"] >= 0.95, (
-            f"{name}: tuned plan reached only {result['speedup']:.2f}x the "
-            f"default pipeline (expected at least as fast)"
-        )
-    assert payload["max_speedup"] >= 1.2, (
-        f"no conv model gained >= 1.2x from kernel selection "
-        f"(best {payload['max_speedup']:.2f}x)"
-    )
-
-
-def test_native_codegen_beats_tuned_numpy(tmp_path, report_rows, best_seconds):
-    """Acceptance: generated C kernels never lose to numpy, and move the
-    models numpy-only tuning left on the table.
-
-    Every registry conv model is compiled three ways -- the pre-selection
-    default pipeline, autotuned with the codegen backend off (numpy
-    variants only), and autotuned with it on (native conv kernels
-    admitted) -- and timed at serving batch size.
-    With a working C compiler the native-tuned plan must be at least as
-    fast as the numpy-tuned plan on every model (same 0.95 noise
-    tolerance as the other gates), at least 1.3x over the default on at
-    least one model, and must lift mobilenetv2 -- whose 1x1-dominated
-    graph numpy tuning barely moves (~1.09x) -- to >= 1.10x.  Every
-    native-tuned plan is checked bitwise against the default pipeline
-    before any timing counts.
-    """
-    from repro.runtime import codegen
-
-    if codegen.compiler_command() is None:
-        pytest.skip("no C compiler on this host")
-    smoke = os.environ.get("REPRO_BENCH_SCALE") == "smoke"
-    # mobilenetv2 anchors the smoke cut: it is the model the native
-    # backend exists for (numpy tuning leaves it at ~1.09x).
-    names = ["tiny_convnet", "cifarnet", "mobilenetv2"] if smoke else list(_CONV_MODELS)
-    rng = np.random.default_rng(7)
-
-    codegen.reset()
-    codegen.configure(enable=True, cache_dir_path=str(tmp_path / "codegen"))
-    rows, results = [], {}
-    try:
-        numpy_tuner = Autotuner(TuningConfig(
-            cache=TuningCache(str(tmp_path / "numpy.json")), budget_s=10.0))
-        native_tuner = Autotuner(TuningConfig(
-            cache=TuningCache(str(tmp_path / "native.json")), budget_s=10.0))
-        for name in names:
-            shape, width = _CONV_MODELS[name]
-            model = build_model(
-                name, num_classes=10, in_channels=shape[0],
-                width_multiplier=width, rng=np.random.default_rng(0),
-            )
-            model.eval()
-            default = compile_plan(model, shape, passes=_PRE_SELECTION_PASSES)
-            codegen.configure(enable=False)
-            tuned_numpy = compile_plan(model, shape, tuning=numpy_tuner)
-            codegen.configure(enable=True)
-            tuned_native = compile_plan(model, shape, tuning=native_tuner)
-            batch = rng.normal(size=(_BATCH,) + shape)
-            np.testing.assert_array_equal(tuned_native.run(batch), default.run(batch))
-
-            # On models where tuning selects no native site the two tuned
-            # plans are *identical*, so this ratio is pure timing noise --
-            # interleave enough best-of attempts for the minima to converge.
-            default_s = numpy_s = native_s = float("inf")
-            for _ in range(3 if smoke else 6):
-                default_s = min(
-                    default_s, best_seconds(lambda: default.run(batch), repeats=3, inner=8)
-                )
-                numpy_s = min(
-                    numpy_s, best_seconds(lambda: tuned_numpy.run(batch), repeats=3, inner=8)
-                )
-                native_s = min(
-                    native_s, best_seconds(lambda: tuned_native.run(batch), repeats=3, inner=8)
-                )
-                if native_s < numpy_s:
-                    break
-            native_sites = sum(
-                1 for v, _ in tuned_native.kernel_variants().values() if v == "native"
-            )
-            results[name] = {
-                "default_rps": _BATCH / default_s,
-                "tuned_numpy_rps": _BATCH / numpy_s,
-                "tuned_native_rps": _BATCH / native_s,
-                "native_vs_numpy": numpy_s / native_s,
-                "native_vs_default": default_s / native_s,
-                "native_sites": native_sites,
-            }
-            rows.append(
-                f"{name}: default {_BATCH / default_s:.0f} / numpy-tuned "
-                f"{_BATCH / numpy_s:.0f} / native-tuned {_BATCH / native_s:.0f} rps "
-                f"({default_s / native_s:.2f}x over default, "
-                f"{numpy_s / native_s:.2f}x over numpy, "
-                f"{native_sites} native sites)"
-            )
-        counts = codegen.build_counts()
-        rows.append(
-            f"builds: {counts['built']} compiled, {counts['cached']} from cache, "
-            f"{counts['failed']} failed"
-        )
-    finally:
-        codegen.reset()
-
-    payload = {}
-    if os.path.exists("BENCH_runtime.json"):
-        with open("BENCH_runtime.json") as handle:
-            payload = json.load(handle)
-    payload["native"] = {
-        "batch": _BATCH,
-        "models": results,
-        "max_native_vs_default": max(r["native_vs_default"] for r in results.values()),
-    }
-    with open("BENCH_runtime.json", "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    rows.append(
-        f"-> BENCH_runtime.json (max native-vs-default "
-        f"{payload['native']['max_native_vs_default']:.2f}x)"
-    )
-    report_rows("native codegen vs numpy-tuned plan throughput", rows)
-
-    assert any(r["native_sites"] > 0 for r in results.values()), (
-        "no model admitted a single native kernel; the backend never engaged"
-    )
-    for name, result in results.items():
-        assert result["native_vs_numpy"] >= 0.95, (
-            f"{name}: native-tuned plan reached only "
-            f"{result['native_vs_numpy']:.2f}x the numpy-tuned plan "
-            f"(expected at least as fast)"
-        )
-    assert payload["native"]["max_native_vs_default"] >= 1.3, (
-        f"no conv model gained >= 1.3x over the default pipeline with codegen "
-        f"(best {payload['native']['max_native_vs_default']:.2f}x)"
-    )
-    # The target model: mobilenetv2's ~1.09x numpy-tuning ceiling is a
-    # dispatch-overhead artifact, and the native kernels exist to move it.
-    # Gated relatively (native beats the numpy-tuned plan measured in the
-    # same run) so the check tracks the claim, not the CI runner's clock.
-    assert results["mobilenetv2"]["native_vs_numpy"] > 1.0, (
-        f"mobilenetv2 native-tuned plan did not advance past numpy tuning "
-        f"({results['mobilenetv2']['native_vs_numpy']:.3f}x; its numpy-only "
-        f"ceiling is ~1.09x over the default pipeline)"
-    )
 
 
 def test_fused_plan_runs_fewer_steps(compiled, report_rows):

@@ -53,44 +53,14 @@ Two entry points (also exposed as console scripts in ``pyproject.toml``):
     every pass, how many ops were fused into kernels, and the memory
     planner's arena bytes against the per-step scratch baseline.
 
-    The listing includes the kernel variant selected for every conv /
-    linear / pooling node and its provenance (``tuned`` / ``cached`` /
-    ``heuristic``); ``--tune`` autotunes the selection under a measurement
-    budget, optionally against a persistent ``--tuning-cache``.
+    The listing includes the kernel variant selected for every conv node
+    (the highest-ranked variant whose geometry predicate admits it).
 
     .. code-block:: bash
 
         python -m repro.cli plan-inspect model.npz --model tiny_convnet
         python -m repro.cli plan-inspect model.npz --no-optimize --steps
-        python -m repro.cli plan-inspect model.npz --tune 2.0 --tuning-cache tune.json
-
-``autotune`` (``python -m repro.cli autotune``)
-    Micro-benchmark every applicable kernel variant of a registry model's
-    compiled plan (fp32, plus quantised variants via ``--bits``) and
-    persist the winners to an on-disk tuning cache.  Later compilations
-    against the same cache -- any process, any model sharing the kernel
-    shapes -- select tuned variants with **zero** re-tuning measurements.
-    ``--verify`` re-checks every tuned plan bitwise against the untuned
-    reference pipeline.
-
-    .. code-block:: bash
-
-        python -m repro.cli autotune --model tiny_convnet --cache tune.json
-        python -m repro.cli autotune --model mobilenetv2 --image-size 32 \
-            --bits 8,4 --budget 5.0 --verify
         python -m repro.cli plan-inspect model.npz --passes fold_constants,fuse_affine
-
-``codegen`` (``python -m repro.cli codegen``)
-    Inspect the native codegen backend (``repro.runtime.codegen``):
-    compiler and BLAS-bridge availability, the on-disk compiled-artifact
-    cache, and a ``--verify`` probe that emits, compiles and
-    bitwise-verifies one conv kernel.
-
-    .. code-block:: bash
-
-        python -m repro.cli codegen --status
-        python -m repro.cli codegen --verify --cache-dir /tmp/repro-cg
-        python -m repro.cli codegen --clear-cache
 
 ``adapt-bench`` (``python -m repro.cli adapt-bench``)
     Serve a model while an APT fine-tuning job retrains it on drifted data
@@ -318,15 +288,6 @@ def _positive_int(value: str) -> int:
     parsed = int(value)
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return parsed
-
-
-def _positive_float(value: str) -> float:
-    parsed = float(value)
-    if not parsed > 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number of seconds, got {value}"
-        )
     return parsed
 
 
@@ -719,36 +680,20 @@ def build_plan_inspect_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--steps", action="store_true", help="also print the lowered step listing"
     )
-    parser.add_argument(
-        "--tune",
-        type=_positive_float,
-        default=None,
-        metavar="BUDGET_S",
-        help=(
-            "autotune kernel-variant selection with this measurement budget "
-            "in seconds (default: free heuristic selection)"
-        ),
-    )
-    parser.add_argument(
-        "--tuning-cache",
-        default=None,
-        metavar="PATH",
-        help="persistent tuning-cache JSON consulted (and updated) by --tune",
-    )
     parser.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _print_kernel_variants(plan) -> None:
-    """Per-node variant/provenance listing of a compiled plan."""
+    """Per-step conv variant listing of a compiled plan."""
     chosen = plan.kernel_variants()
     if not chosen:
-        print("kernel variants: none (no conv / linear / pool steps)")
+        print("kernel variants: none (no conv steps)")
         return
     print("kernel variants:")
-    for key, (variant, provenance) in chosen.items():
+    for key, variant in chosen.items():
         index, label = key.split(":", 1)
-        print(f"  {int(index):3d}: {label:<32s} {variant} ({provenance})")
+        print(f"  {int(index):3d}: {label:<32s} {variant}")
 
 
 def run_plan_inspect(argv: Optional[Sequence[str]] = None) -> int:
@@ -756,13 +701,7 @@ def run_plan_inspect(argv: Optional[Sequence[str]] = None) -> int:
 
     from repro.models import build_model
     from repro.quant.deploy import load_export
-    from repro.runtime import (
-        Autotuner,
-        PlanCompileError,
-        TuningCache,
-        TuningConfig,
-        compile_quantized_plan,
-    )
+    from repro.runtime import PlanCompileError, compile_quantized_plan
 
     args = build_plan_inspect_parser().parse_args(argv)
     model = build_model(
@@ -776,12 +715,6 @@ def run_plan_inspect(argv: Optional[Sequence[str]] = None) -> int:
     passes = None
     if args.passes is not None:
         passes = tuple(name.strip() for name in args.passes.split(",") if name.strip())
-    tuner = None
-    if args.tune is not None or args.tuning_cache is not None:
-        cache = TuningCache(args.tuning_cache) if args.tuning_cache else None
-        tuner = Autotuner(TuningConfig(
-            cache=cache, budget_s=args.tune if args.tune is not None else 1.0
-        ))
     try:
         export = load_export(args.export)
         plan = compile_quantized_plan(
@@ -790,7 +723,6 @@ def run_plan_inspect(argv: Optional[Sequence[str]] = None) -> int:
             input_shape,
             passes=passes,
             optimize=not args.no_optimize,
-            tuning=tuner,
         )
     except FileNotFoundError as error:
         print(f"cannot read export: {error}", file=sys.stderr)
@@ -802,151 +734,9 @@ def run_plan_inspect(argv: Optional[Sequence[str]] = None) -> int:
     print(plan.describe_pipeline(batch_size=args.batch))
     print()
     _print_kernel_variants(plan)
-    if tuner is not None:
-        print(f"tuning: {tuner.describe()}")
     if args.steps:
         print()
         print(plan.describe())
-    return 0
-
-
-# --------------------------------------------------------------------------- #
-# repro autotune
-# --------------------------------------------------------------------------- #
-def build_autotune_parser() -> argparse.ArgumentParser:
-    from repro.models import available_models
-
-    parser = argparse.ArgumentParser(
-        prog="repro-autotune",
-        description=(
-            "Micro-benchmark every applicable kernel variant of a model's "
-            "compiled plan and persist the winners to a tuning cache, so "
-            "later compilations (any process, any model sharing the shapes) "
-            "select tuned kernels with zero measurements."
-        ),
-    )
-    parser.add_argument(
-        "--model",
-        default="tiny_convnet",
-        choices=sorted(available_models()),
-        help="registry architecture to tune (default: tiny_convnet)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=".repro-tuning.json",
-        help="tuning-cache JSON to consult and update (default: .repro-tuning.json)",
-    )
-    parser.add_argument(
-        "--budget",
-        type=_positive_float,
-        default=2.0,
-        help="total measurement budget in seconds (default: 2.0, must be > 0)",
-    )
-    parser.add_argument(
-        "--bits",
-        default=None,
-        help=(
-            "also tune quantised variants at these comma-separated "
-            "bitwidths (fresh in-process exports of the model's weights)"
-        ),
-    )
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        help=(
-            "re-run every tuned plan against the untuned reference pipeline "
-            "and require bitwise-identical outputs"
-        ),
-    )
-    parser.add_argument("--num-classes", type=int, default=10)
-    parser.add_argument("--in-channels", type=int, default=1)
-    parser.add_argument("--image-size", type=int, default=12, help="input H=W (conv models)")
-    parser.add_argument(
-        "--width-multiplier", type=float, default=1.0, help="channel scaling factor"
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    return parser
-
-
-def run_autotune(argv: Optional[Sequence[str]] = None) -> int:
-    import numpy as np
-
-    from repro.models import build_model
-    from repro.quant import export_quantized_model
-    from repro.runtime import (
-        Autotuner,
-        DEFAULT_PASSES,
-        PlanCompileError,
-        TuningCache,
-        TuningConfig,
-        compile_plan,
-        compile_quantized_plan,
-    )
-
-    args = build_autotune_parser().parse_args(argv)
-    try:
-        bits_list = (
-            [int(bits) for bits in args.bits.split(",") if bits.strip()]
-            if args.bits else []
-        )
-    except ValueError:
-        print(f"--bits must be a comma-separated list of integers, got {args.bits!r}",
-              file=sys.stderr)
-        return 2
-    model = build_model(
-        args.model,
-        num_classes=args.num_classes,
-        width_multiplier=args.width_multiplier,
-        in_channels=args.in_channels,
-        rng=np.random.default_rng(args.seed),
-    )
-    input_shape = _model_input_shape(args.model, args)
-    cache = TuningCache(args.cache)
-    tuner = Autotuner(TuningConfig(cache=cache, budget_s=args.budget))
-    reference_passes = tuple(p for p in DEFAULT_PASSES if p != "select_kernels")
-    probe = np.random.default_rng(args.seed + 1).normal(size=(4,) + input_shape)
-
-    variants = [("fp32", None)]
-    try:
-        for width in bits_list:
-            export = export_quantized_model(
-                model, {name: width for name, _ in model.named_parameters()}
-            )
-            variants.append((f"int{width}", export))
-    except ValueError as error:
-        print(f"autotune failed: {error}", file=sys.stderr)
-        return 2
-
-    print(f"autotune: {args.model} input={input_shape} cache={cache.path} "
-          f"budget={args.budget:.1f}s")
-    for label, export in variants:
-        try:
-            if export is None:
-                plan = compile_plan(model, input_shape, tuning=tuner)
-            else:
-                plan = compile_quantized_plan(model, export, input_shape, tuning=tuner)
-        except PlanCompileError as error:  # pragma: no cover - defensive
-            print(f"autotune failed compiling {label}: {error}", file=sys.stderr)
-            return 2
-        print(f"\n[{label}]")
-        _print_kernel_variants(plan)
-        if args.verify:
-            if export is None:
-                reference = compile_plan(model, input_shape, passes=reference_passes)
-            else:
-                reference = compile_quantized_plan(
-                    model, export, input_shape, passes=reference_passes
-                )
-            if not np.array_equal(plan.run(probe), reference.run(probe)):
-                print(f"verify FAILED: {label} tuned plan diverges from the "
-                      f"reference pipeline", file=sys.stderr)
-                return 1
-            print("verify: tuned output bitwise-identical to the reference pipeline")
-    print()
-    print(f"tuning: {tuner.describe()}")
-    print(f"measurements: {tuner.measurements}")
-    print(f"cache: {len(cache)} entries at {cache.path} "
-          f"(hits={cache.hits} misses={cache.misses} retunes={cache.retunes})")
     return 0
 
 
@@ -1174,90 +964,8 @@ def run_metrics(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------- #
-# repro codegen
-# --------------------------------------------------------------------------- #
-def build_codegen_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-codegen",
-        description=(
-            "Inspect and exercise the native codegen backend: compiler / "
-            "BLAS-bridge availability, the on-disk artifact cache, and a "
-            "build-and-bitwise-verify probe of the conv kernel family."
-        ),
-    )
-    parser.add_argument(
-        "--status",
-        action="store_true",
-        help="print the backend status (the default action)",
-    )
-    parser.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="delete every compiled artifact from the cache directory",
-    )
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        help=(
-            "emit, compile and bitwise-verify one conv2d kernel; exit 1 if "
-            "it fails on a host with a working compiler"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="pin the artifact cache directory for this invocation",
-    )
-    parser.add_argument("--json", action="store_true", help="print results as JSON")
-    return parser
-
-
-def run_codegen(argv: Optional[Sequence[str]] = None) -> int:
-    import json
-
-    from repro.runtime import codegen
-
-    args = build_codegen_parser().parse_args(argv)
-    if args.cache_dir is not None:
-        codegen.configure(cache_dir_path=args.cache_dir)
-
-    if args.clear_cache:
-        removed = codegen.clear_cache()
-        print(f"codegen: removed {removed} cached artifacts from {codegen.cache_dir()}")
-
-    exit_code = 0
-    if args.verify:
-        report = codegen.verify_backend()
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(f"codegen verify: compiler={report['compiler']} blas={report['blas']}")
-            print(f"  cache_dir: {report['cache_dir']}")
-            print(f"  conv2d: {'ok' if report['conv2d'] else 'FAILED'}")
-            print(
-                f"  builds: {report['built']} compiled, {report['cached']} "
-                f"from warm cache, {report['failed']} failed"
-            )
-        if report["compiler"] is not None and not report["conv2d"]:
-            exit_code = 1
-    elif args.status or not args.clear_cache:
-        status = codegen.status()
-        if args.json:
-            print(json.dumps(status, indent=2, sort_keys=True))
-        else:
-            print(f"codegen: enabled={status['enabled']}")
-            print(f"  compiler: {status['compiler'] or 'none found'}")
-            print(f"  blas: {status['blas']}")
-            print(f"  cache_dir: {status['cache_dir']} ({status['artifacts']} artifacts)")
-            print(f"  builds: {status['builds']}")
-            print(f"  dispatches: {status['dispatches']}")
-    return exit_code
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Dispatch ``python -m repro.cli {train,experiment,serve-bench,adapt-bench,plan-inspect,autotune,codegen,metrics} ...``."""
+    """Dispatch ``python -m repro.cli {train,experiment,serve-bench,adapt-bench,plan-inspect,metrics} ...``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
         print(__doc__)
@@ -1273,16 +981,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_adapt_bench_cli(rest)
     if command == "plan-inspect":
         return run_plan_inspect(rest)
-    if command == "autotune":
-        return run_autotune(rest)
-    if command == "codegen":
-        return run_codegen(rest)
     if command == "metrics":
         return run_metrics(rest)
     print(
         f"unknown command {command!r}; expected 'train', 'experiment', "
-        f"'serve-bench', 'adapt-bench', 'plan-inspect', 'autotune', "
-        f"'codegen' or 'metrics'",
+        f"'serve-bench', 'adapt-bench', 'plan-inspect' or 'metrics'",
         file=sys.stderr,
     )
     return 2

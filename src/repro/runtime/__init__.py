@@ -7,10 +7,9 @@ Splits execution from autograd as a four-layer compiler pipeline:
 * :mod:`repro.runtime.passes` -- a :class:`~repro.runtime.passes.PassManager`
   runs named, individually toggleable optimisation passes (constant
   folding, affine fusion, kernel-variant selection), all byte-exact;
-* :mod:`repro.runtime.variants` / :mod:`repro.runtime.tuning` -- a registry
-  of byte-exact kernel implementations per op and the micro-benchmark
-  autotuner (with a persistent :class:`~repro.runtime.tuning.TuningCache`)
-  the ``select_kernels`` pass consults to choose between them;
+* :mod:`repro.runtime.variants` -- a registry of byte-exact convolution
+  implementations, each admitted by a geometry predicate, from which the
+  ``select_kernels`` pass takes the highest-ranked applicable one;
 * :mod:`repro.runtime.memory` -- liveness analysis and slot-reuse coloring
   place every scratch buffer in one preallocated per-context arena
   (:class:`~repro.runtime.memory.PlanMemoryStats` reports the savings);
@@ -26,12 +25,11 @@ state (the slot environment and the arena) lives in an
 :class:`~repro.runtime.executor.ExecutionContext` that ``run`` borrows, so
 one plan executes concurrently from any number of threads.  Compilation is
 serialised process-wide; :class:`~repro.runtime.cache.PlanCache` compiles
-each export (keyed by content hash, architecture, input shape and codegen
-setting) exactly once under concurrent lookups.  The serving layer in
+each export (keyed by content hash, architecture and input shape) exactly
+once under concurrent lookups.  The serving layer in
 :mod:`repro.serve` runs these plans.
 """
 
-from repro.runtime import codegen
 from repro.runtime.cache import PlanCache, architecture_fingerprint
 from repro.runtime.executor import ExecutionContext, ExecutionPlan
 from repro.runtime.ir import Graph, Node, PlanCompileError, Value
@@ -44,7 +42,6 @@ from repro.runtime.passes import (
     resolve_passes,
 )
 from repro.runtime.plan import compile_lock, compile_plan, compile_quantized_plan
-from repro.runtime.tuning import Autotuner, TuningCache, TuningConfig
 from repro.runtime.variants import (
     KernelDesc,
     KernelVariant,
@@ -53,7 +50,6 @@ from repro.runtime.variants import (
 )
 
 __all__ = [
-    "Autotuner",
     "DEFAULT_PASSES",
     "ExecutionContext",
     "ExecutionPlan",
@@ -67,12 +63,9 @@ __all__ = [
     "PlanCache",
     "PlanCompileError",
     "PlanMemoryStats",
-    "TuningCache",
-    "TuningConfig",
     "Value",
     "architecture_fingerprint",
     "available_passes",
-    "codegen",
     "available_variants",
     "compile_lock",
     "compile_plan",

@@ -1,19 +1,9 @@
-"""numpy's own OpenBLAS: the dgemm bridge and one process-wide thread budget.
+"""numpy's own OpenBLAS: one process-wide thread budget.
 
 This module owns every direct call into the BLAS library numpy links (the
 ``numpy.libs`` wheel-vendored copy), through one ``ctypes`` handle per
-library.  It serves two consumers.
+library.
 
-**The dgemm bridge** (for :mod:`repro.runtime.codegen`).  A naive C matmul
-loop can never be admitted by the variant registry's bitwise rule: float
-addition is not associative, and any summation order other than the one
-``np.matmul`` uses drifts in the last ulp.  So the generated kernels do not
-reimplement the GEMM: :func:`dgemm_handle` resolves the library's ILP64
-``cblas_dgemm`` symbol and hands the raw function pointer to them.  Same
-library, same code path, same instruction stream => the native conv
-kernels produce the same bits as ``np.matmul``.
-
-**The thread budget** (for every component that runs kernels).
 OpenBLAS runs each GEMM on as many threads as it loaded with, one per CPU by
 default.  N worker threads that each call it ask for N times that many, and
 on a small host the extra BLAS threads only contend: on 2 CPUs, two serving
@@ -44,10 +34,8 @@ OpenBLAS's results can depend on its thread count (mobilenetv2 logits
 differ in the last bits between 1 and 2 threads), so bitwise comparisons
 between paths hold at equal BLAS thread counts.
 
-Discovery is defensive at every step (no ``numpy.libs`` directory, no
-known symbol name, a probe mismatch) and memoised: on any failure the
-dgemm handle reports unavailable and the GEMM-backed kernel families simply
-do not register, and the budget does nothing.
+Discovery is defensive (no ``numpy.libs`` directory, no known symbol
+name) and memoised: when it fails the budget does nothing.
 """
 
 from __future__ import annotations
@@ -56,26 +44,21 @@ import ctypes
 import glob
 import os
 import threading
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "DgemmHandle",
     "Reservation",
     "ThreadBudget",
     "current_threads",
-    "dgemm_handle",
     "reserve",
     "usable_cpus",
 ]
 
-#: Symbol candidates, most-specific first: scipy-openblas wheels export the
-#: suffixed ILP64 name; older vendored copies use the plain cblas one.
-_SYMBOLS = ("scipy_cblas_dgemm64_", "cblas_dgemm64_", "cblas_dgemm")
-
-#: ``(get, set)`` thread-count symbol pairs, in the same order.
+#: ``(get, set)`` thread-count symbol pairs, most-specific first:
+#: scipy-openblas wheels export the suffixed ILP64 names; older vendored
+#: copies use the plain ones.
 _THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
@@ -85,40 +68,12 @@ _THREAD_SYMBOLS = (
 #: Environment variables OpenBLAS reads its count from at load time.
 _USER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-_ROW_MAJOR = 101
-_NO_TRANS = 111
-
-_ARGTYPES = [
-    ctypes.c_int, ctypes.c_int, ctypes.c_int,          # order, transA, transB
-    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,    # m, n, k
-    ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,  # alpha, A, lda
-    ctypes.c_void_p, ctypes.c_int64,                   # B, ldb
-    ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,  # beta, C, ldc
-]
-
 _LOCK = threading.Lock()
 _HANDLES: Dict[str, ctypes.CDLL] = {}
-_CACHED: Optional["DgemmHandle"] = None
 _BUDGET: Optional["ThreadBudget"] = None
 
 #: ``(get_num_threads, set_num_threads)`` of the loaded OpenBLAS.
 ThreadControl = Tuple[Callable[[], int], Callable[[int], None]]
-
-
-@dataclass(frozen=True)
-class DgemmHandle:
-    """Resolved ``cblas_dgemm`` pointer plus provenance."""
-
-    address: int
-    library: str
-    symbol: str
-    ok: bool
-    reason: str
-
-    def describe(self) -> str:
-        if self.ok:
-            return f"{self.symbol} @ {os.path.basename(self.library)}"
-        return f"unavailable ({self.reason})"
 
 
 def _candidate_libraries() -> Tuple[str, ...]:
@@ -144,64 +99,6 @@ def _open(library: str) -> ctypes.CDLL:
     if handle is None:
         handle = _HANDLES[library] = ctypes.CDLL(library)
     return handle
-
-
-# --------------------------------------------------------------------------- #
-# dgemm bridge
-# --------------------------------------------------------------------------- #
-def _probe(fn) -> bool:
-    """One seeded GEMM compared byte-for-byte against ``np.matmul``."""
-    rng = np.random.default_rng(20260807)
-    a = rng.standard_normal((7, 13))
-    b = rng.standard_normal((13, 11))
-    expected = np.matmul(a, b)
-    actual = np.empty_like(expected)
-    fn(
-        _ROW_MAJOR, _NO_TRANS, _NO_TRANS,
-        7, 11, 13,
-        1.0, a.ctypes.data, 13,
-        b.ctypes.data, 11,
-        0.0, actual.ctypes.data, 11,
-    )
-    return actual.tobytes() == expected.tobytes()
-
-
-def _resolve() -> DgemmHandle:
-    libraries = _candidate_libraries()
-    if not libraries:
-        return DgemmHandle(0, "", "", False, "no vendored BLAS library found")
-    last_reason = "no cblas_dgemm symbol found"
-    for library in libraries:
-        try:
-            handle = _open(library)
-        except OSError as exc:
-            last_reason = f"dlopen failed: {exc}"
-            continue
-        for symbol in _SYMBOLS:
-            fn = getattr(handle, symbol, None)
-            if fn is None:
-                continue
-            fn.argtypes = _ARGTYPES
-            fn.restype = None
-            try:
-                if not _probe(fn):
-                    last_reason = f"{symbol} probe not bitwise vs np.matmul"
-                    continue
-            except Exception as exc:  # ABI mismatch can fault in odd ways
-                last_reason = f"{symbol} probe raised: {exc}"
-                continue
-            address = ctypes.cast(fn, ctypes.c_void_p).value or 0
-            return DgemmHandle(address, library, symbol, True, "")
-    return DgemmHandle(0, "", "", False, last_reason)
-
-
-def dgemm_handle() -> DgemmHandle:
-    """The memoised process-wide dgemm handle (resolved at most once)."""
-    global _CACHED
-    with _LOCK:
-        if _CACHED is None:
-            _CACHED = _resolve()
-        return _CACHED
 
 
 # --------------------------------------------------------------------------- #

@@ -12,15 +12,17 @@ of the :class:`~repro.quant.deploy.QuantizedModelExport`
 (:meth:`~repro.quant.deploy.QuantizedModelExport.content_hash`) together
 with an :func:`architecture fingerprint <architecture_fingerprint>` of the
 model (module tree + layer geometry -- the export hash covers values, not
-topology), the per-sample input shape and the codegen fingerprint (a plan
-compiled with native kernels admissible is not the plan compiled without
-them).  Two exports holding identical codes for the same architecture share
-one plan no matter how they were produced (built in process, reloaded from
-``.npz``, deduplicated across model repositories).  Under concurrent
-lookups of the same key, exactly one thread compiles while the others wait
-for its result.  Every plan compiles with the default pass pipeline and the
-heuristic kernel selection; callers wanting other passes or a tuner compile
-with :func:`~repro.runtime.plan.compile_quantized_plan` directly.
+topology) and the per-sample input shape.  Two exports holding identical
+codes for the same architecture share one plan no matter how they were
+produced (built in process, reloaded from ``.npz``, deduplicated across
+model repositories).  Both halves are computed once per object -- the
+export memoises its hash, the cache remembers each model object's
+fingerprint -- so a hit is a dict lookup; a model's architecture must not
+change while the cache serves it.  Under concurrent lookups of the same
+key, exactly one thread compiles while the others wait for its result.
+Every plan compiles with the default pass pipeline; callers wanting other
+passes compile with :func:`~repro.runtime.plan.compile_quantized_plan`
+directly.
 
 Entries live until :meth:`PlanCache.invalidate` drops them (the serving
 repository does so when an export stops being served).  Dropping only
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from typing import Dict, Optional, Tuple
 
 from repro.nn.module import Module
@@ -39,7 +42,7 @@ from repro.obs.registry import MetricRegistry
 from repro.quant.deploy import QuantizedModelExport
 from repro.runtime.plan import ExecutionPlan, compile_quantized_plan
 
-PlanKey = Tuple[str, str, Tuple[int, ...], str]
+PlanKey = Tuple[str, str, Tuple[int, ...]]
 
 #: Geometry attributes that change how a module lowers without changing its
 #: parameter values (two convs with identical weights but different strides
@@ -84,6 +87,10 @@ class PlanCache:
         #: plan is handed to its requester but NOT cached, so a stale entry
         #: cannot reappear after the invalidation.
         self._doomed: set = set()
+        #: Each model object's :func:`architecture_fingerprint`, walked once.
+        self._fingerprints: "weakref.WeakKeyDictionary[Module, str]" = (
+            weakref.WeakKeyDictionary()
+        )
         self.hits = 0
         self.compiles = 0
         self.invalidations = 0
@@ -121,19 +128,17 @@ class PlanCache:
         if self._metric_counters is not None:
             self._metric_counters[event].inc()
 
-    @staticmethod
     def key_for(
-        model: Module, export: QuantizedModelExport, input_shape: Tuple[int, ...]
+        self, model: Module, export: QuantizedModelExport, input_shape: Tuple[int, ...]
     ) -> PlanKey:
-        """The cache key of one (architecture, export, shape, codegen) combo."""
-        from repro.runtime import codegen
-
-        return (
-            architecture_fingerprint(model),
-            export.content_hash(),
-            tuple(input_shape),
-            codegen.fingerprint(),
-        )
+        """The cache key of one (architecture, export, shape) combo."""
+        with self._lock:
+            fingerprint = self._fingerprints.get(model)
+        if fingerprint is None:
+            fingerprint = architecture_fingerprint(model)
+            with self._lock:
+                self._fingerprints[model] = fingerprint
+        return (fingerprint, export.content_hash(), tuple(input_shape))
 
     def __len__(self) -> int:
         with self._lock:

@@ -91,57 +91,6 @@ def _apply_elem(
     raise PlanCompileError(f"unknown elementwise op {op!r}")  # pragma: no cover
 
 
-def _native_epilogue_plan(out_channels, out_scale, out_shift, post):
-    """Fused-epilogue plan of a native conv step.
-
-    Returns ``(EpilogueSpec, flat shift vector, extern arrays)`` when every
-    post op can be baked into the generated kernel -- only constant
-    operands qualify; a runtime slot in the epilogue keeps the epilogue in
-    numpy (the GEMM can still go native).  ``(None, None, ())`` otherwise,
-    or when there is no epilogue at all.
-    """
-    from repro.runtime import codegen
-
-    nothing = (None, None, ())
-    operations = []
-    extern_arrays = []
-    for op, refs, op_ctx in post:
-        operands = []
-        for kind, value in refs:
-            if kind == "chain":
-                operands.append(("chain",))
-            elif kind == "const":
-                data = np.asarray(value)
-                if data.size == 1:
-                    item = data.ravel()[0]
-                    baked = float(item)
-                    if baked != item:
-                        return nothing
-                    operands.append(("scalar", baked))
-                else:
-                    if data.dtype not in (np.float64, np.float32):
-                        return nothing
-                    operands.append(("extern", tuple(data.shape)))
-                    extern_arrays.append(
-                        np.ascontiguousarray(data, dtype=np.float64)
-                    )
-            else:
-                return nothing  # runtime operand: epilogue stays in numpy
-        operations.append((op, operands, op_ctx))
-    spec = codegen.epilogue_spec(
-        out_channels, out_scale is not None, out_shift is not None, operations
-    )
-    if spec is None or spec.is_empty():
-        return nothing
-    shift = None
-    if out_shift is not None:
-        flat = np.ascontiguousarray(out_shift, dtype=np.float64).reshape(-1)
-        if flat.size != out_channels:
-            return nothing
-        shift = flat
-    return spec, shift, tuple(extern_arrays)
-
-
 # --------------------------------------------------------------------------- #
 # Execution state
 # --------------------------------------------------------------------------- #
@@ -302,11 +251,7 @@ class ConvStep(Step, _EpilogueMixin):
         "bits",
         "param_name",
         "variant",
-        "provenance",
         "_weight_exec",
-        "_native_epi",
-        "_native_shift",
-        "_native_externs",
     )
 
     def __init__(
@@ -323,7 +268,6 @@ class ConvStep(Step, _EpilogueMixin):
         param_name: str,
         post: Tuple[LoweredElemOp, ...] = (),
         variant: str = "im2col",
-        provenance: str = "heuristic",
     ) -> None:
         super().__init__(out)
         self.x = x
@@ -338,14 +282,7 @@ class ConvStep(Step, _EpilogueMixin):
         self.bits = bits
         self.param_name = param_name
         self.variant = variant
-        self.provenance = provenance
         self._weight_exec = kernels.pack_weight_matrix(weight_matrix)
-        self._native_epi = self._native_shift = None
-        self._native_externs = ()
-        if variant == "native":
-            self._native_epi, self._native_shift, self._native_externs = (
-                _native_epilogue_plan(self.out_channels, out_scale, out_shift, self.post)
-            )
 
     def run(self, env: List[Optional[np.ndarray]], ctx: ExecutionContext) -> None:
         x = env[self.x]
@@ -353,11 +290,6 @@ class ConvStep(Step, _EpilogueMixin):
             x.shape[2], x.shape[3], self.kernel_size, self.stride, self.padding
         )
         shape = (x.shape[0], self.out_channels, out_h * out_w)
-        if self._native_epi is not None:
-            fused = self._run_native_fused(x, out_h, out_w, shape, ctx)
-            if fused is not None:
-                env[self.out] = fused
-                return
         raw = kernel_variants.run_conv(
             self.variant, x, self._weight_exec, self.kernel_size, self.stride,
             self.padding, out=ctx.scratch(self, shape),
@@ -365,44 +297,12 @@ class ConvStep(Step, _EpilogueMixin):
         out = raw.reshape(x.shape[0], self.out_channels, out_h, out_w)
         env[self.out] = self._apply_epilogue(out, env)
 
-    def _run_native_fused(self, x, out_h, out_w, shape, ctx):
-        """GEMM + epilogue in one generated kernel; ``None`` = fall back."""
-        from repro.runtime import codegen
-
-        weight = self._weight_exec
-        if (
-            x.ndim != 4
-            or x.dtype != np.float64 or not x.flags.c_contiguous
-            or weight.dtype != np.float64 or not weight.flags.c_contiguous
-        ):
-            return None
-        geom = codegen.ConvGeom(
-            c_in=int(x.shape[1]), h=int(x.shape[2]), w=int(x.shape[3]),
-            kh=self.kernel_size[0], kw=self.kernel_size[1],
-            sh=self.stride[0], sw=self.stride[1],
-            ph=self.padding[0], pw=self.padding[1],
-            c_out=self.out_channels,
-        )
-        kernel = codegen.native_conv_kernel(geom, self._native_epi)
-        if kernel is None:
-            return None
-        raw = ctx.scratch(self, shape)
-        if raw.dtype != np.float64 or not raw.flags.c_contiguous:
-            return None
-        scale = 0.0 if self.out_scale is None else float(self.out_scale)
-        if not kernel.run(
-            x, weight, raw, scale=scale, shift=self._native_shift,
-            externs=self._native_externs,
-        ):
-            return None
-        return raw.reshape(x.shape[0], self.out_channels, out_h, out_w)
-
     def describe(self) -> str:
         tag = f"int{self.weight_matrix.dtype.itemsize * 8}" if self.bits < 32 else "fp"
         return (
             f"conv2d[{tag}] {self.param_name} stride={self.stride} "
             f"pad={self.padding} bits={self.bits} "
-            f"variant={self.variant}({self.provenance}){self._epilogue_tag()}"
+            f"variant={self.variant}{self._epilogue_tag()}"
         )
 
 
@@ -411,12 +311,12 @@ class LinearStep(Step, _EpilogueMixin):
 
     ``weight`` is the canonical stored matrix (integer codes for quantised
     plans); ``_weight_exec`` is its execution-time form, packed once to
-    contiguous float64 whatever the variant.
+    contiguous float64.
     """
 
     __slots__ = (
         "x", "weight", "out_scale", "out_shift", "post", "bits", "param_name",
-        "variant", "provenance", "_weight_exec",
+        "_weight_exec",
     )
 
     def __init__(
@@ -429,8 +329,6 @@ class LinearStep(Step, _EpilogueMixin):
         bits: int,
         param_name: str,
         post: Tuple[LoweredElemOp, ...] = (),
-        variant: str = "matmul",
-        provenance: str = "heuristic",
     ) -> None:
         super().__init__(out)
         self.x = x
@@ -440,24 +338,20 @@ class LinearStep(Step, _EpilogueMixin):
         self.post = tuple(post)
         self.bits = bits
         self.param_name = param_name
-        self.variant = variant
-        self.provenance = provenance
         self._weight_exec = kernels.pack_weight_matrix(weight)
 
     def run(self, env: List[Optional[np.ndarray]], ctx: ExecutionContext) -> None:
         x = env[self.x]
-        out = None
         if x.ndim == 2 and np.result_type(x, self._weight_exec) == np.float64:
             out = ctx.scratch(self, (x.shape[0], self._weight_exec.shape[1]))
-        raw = kernel_variants.run_linear(self.variant, x, self._weight_exec, out=out)
+            raw = np.matmul(x, self._weight_exec, out=out)
+        else:
+            raw = x @ self._weight_exec
         env[self.out] = self._apply_epilogue(raw, env)
 
     def describe(self) -> str:
         tag = f"int{self.weight.dtype.itemsize * 8}" if self.bits < 32 else "fp"
-        return (
-            f"linear[{tag}] {self.param_name} bits={self.bits} "
-            f"variant={self.variant}({self.provenance}){self._epilogue_tag()}"
-        )
+        return f"linear[{tag}] {self.param_name} bits={self.bits}{self._epilogue_tag()}"
 
 
 class MatmulStep(Step, _EpilogueMixin):
@@ -505,10 +399,12 @@ class ElementwiseStep(Step):
 
 
 class _PoolStep(Step):
-    """Pooling through the selected variant (``auto`` = reference dispatch)."""
+    """Pooling through the grad-free kernel, which takes its tiled reduction
+    on non-overlapping windows and its gather elsewhere."""
 
-    __slots__ = ("x", "kernel_size", "stride", "variant", "provenance")
+    __slots__ = ("x", "kernel_size", "stride")
     op = ""
+    kernel = None
 
     def __init__(
         self,
@@ -516,36 +412,29 @@ class _PoolStep(Step):
         x: Ref,
         kernel_size: Tuple[int, int],
         stride: Tuple[int, int],
-        variant: str = "auto",
-        provenance: str = "heuristic",
     ) -> None:
         super().__init__(out)
         self.x = x
         self.kernel_size = kernel_size
         self.stride = stride
-        self.variant = variant
-        self.provenance = provenance
 
     def run(self, env: List[Optional[np.ndarray]], ctx: ExecutionContext) -> None:
-        env[self.out] = kernel_variants.run_pool(
-            self.op, self.variant, _resolve(self.x, env), self.kernel_size, self.stride
-        )
+        env[self.out] = self.kernel(_resolve(self.x, env), self.kernel_size, self.stride)
 
     def describe(self) -> str:
-        return (
-            f"{self.op} k={self.kernel_size} stride={self.stride} "
-            f"variant={self.variant}({self.provenance})"
-        )
+        return f"{self.op} k={self.kernel_size} stride={self.stride}"
 
 
 class MaxPoolStep(_PoolStep):
     __slots__ = ()
     op = "max_pool2d"
+    kernel = staticmethod(kernels.max_pool2d)
 
 
 class AvgPoolStep(_PoolStep):
     __slots__ = ()
     op = "avg_pool2d"
+    kernel = staticmethod(kernels.avg_pool2d)
 
 
 class SumStep(Step):
@@ -778,32 +667,23 @@ class ExecutionPlan:
         lines.append(f"  fused: {absorbed} ops absorbed into kernels")
         chosen = self.kernel_variants()
         if chosen:
-            variant_counts = Counter(variant for variant, _ in chosen.values())
-            provenance_counts = Counter(prov for _, prov in chosen.values())
-            variants_text = ", ".join(
+            variant_counts = Counter(chosen.values())
+            lines.append("  variants: " + ", ".join(
                 f"{name}x{count}" for name, count in sorted(variant_counts.items())
-            )
-            provenance_text = ", ".join(
-                f"{count} {name}" for name, count in sorted(provenance_counts.items())
-            )
-            lines.append(f"  variants: {variants_text} ({provenance_text})")
+            ))
         lines.append("  " + self.memory.stats.describe(batch_size))
         return "\n".join(lines)
 
-    def kernel_variants(self) -> Dict[str, Tuple[str, str]]:
-        """Selected ``(variant, provenance)`` per variant-dispatched step.
+    def kernel_variants(self) -> Dict[str, str]:
+        """The variant each conv step runs, by ``"<index>:<param_name>"``.
 
-        Keys are ``"<index>:<label>"`` (the label is the parameter name for
-        conv / linear steps, the op for pooling steps) so repeated layers
-        stay distinct.
+        The step index keeps repeated layers distinct.
         """
-        chosen: Dict[str, Tuple[str, str]] = {}
-        for index, step in enumerate(self.steps):
-            if isinstance(step, (ConvStep, LinearStep)):
-                chosen[f"{index}:{step.param_name}"] = (step.variant, step.provenance)
-            elif isinstance(step, _PoolStep):
-                chosen[f"{index}:{step.op}"] = (step.variant, step.provenance)
-        return chosen
+        return {
+            f"{index}:{step.param_name}": step.variant
+            for index, step in enumerate(self.steps)
+            if isinstance(step, ConvStep)
+        }
 
     def bits_by_layer(self) -> Dict[str, int]:
         """Stored weight bitwidth of every conv / linear step, keyed like
@@ -879,16 +759,7 @@ def lower_graph(
             )
         elif op in ("max_pool2d", "avg_pool2d"):
             cls = MaxPoolStep if op == "max_pool2d" else AvgPoolStep
-            steps.append(
-                cls(
-                    out_slot,
-                    refs[0],
-                    node.attrs["kernel_size"],
-                    node.attrs["stride"],
-                    variant=node.attrs.get("kernel_variant", "auto"),
-                    provenance=node.attrs.get("kernel_variant_provenance", "heuristic"),
-                )
-            )
+            steps.append(cls(out_slot, refs[0], node.attrs["kernel_size"], node.attrs["stride"]))
         elif op == "sum":
             steps.append(SumStep(out_slot, refs[0], node.attrs["axis"], node.attrs["keepdims"]))
         elif op == "max":
@@ -958,7 +829,6 @@ def _lower_conv(node: Node, refs, out_slot: int, export, post) -> ConvStep:
         param_name=name,
         post=post,
         variant=node.attrs.get("kernel_variant", "im2col"),
-        provenance=node.attrs.get("kernel_variant_provenance", "heuristic"),
     )
 
 
@@ -986,8 +856,6 @@ def _lower_matmul(node: Node, refs, out_slot: int, producers, export, post) -> S
                     bits=qt.bits,
                     param_name=name,
                     post=post,
-                    variant=node.attrs.get("kernel_variant", "matmul"),
-                    provenance=node.attrs.get("kernel_variant_provenance", "heuristic"),
                 )
         weight = weight_value.data.T if pre_transposed else weight_value.data
         return LinearStep(
@@ -999,7 +867,5 @@ def _lower_matmul(node: Node, refs, out_slot: int, producers, export, post) -> S
             bits=32,
             param_name=origin[0] if origin is not None else "<matmul>",
             post=post,
-            variant=node.attrs.get("kernel_variant", "matmul"),
-            provenance=node.attrs.get("kernel_variant_provenance", "heuristic"),
         )
     return MatmulStep(out_slot, refs[0], refs[1], post=post)

@@ -32,12 +32,11 @@ Available passes (in default order):
     producer's result has exactly one consumer -- the classic
     conv+BN+activation kernel fusion, replayed in place.
 ``select_kernels``
-    Annotate every conv / linear / pool node with the kernel variant the
-    executor should lower it to (``attrs["kernel_variant"]``), chosen from
-    the byte-exact implementations in :mod:`repro.runtime.variants` --
-    autotuned when a :mod:`~repro.runtime.tuning` tuner is in scope,
-    ranked heuristic otherwise.  Runs after fusion (so the final kernel
-    call sites are known) and before memory planning (which is
+    Annotate every conv node with the kernel variant the executor should
+    lower it to (``attrs["kernel_variant"]``): the highest-ranked of the
+    byte-exact implementations in :mod:`repro.runtime.variants` whose
+    predicate admits the node's geometry.  Runs after fusion (so the final
+    kernel call sites are known) and before memory planning (which is
     unaffected: every variant writes the same scratch shape).
 """
 
@@ -48,17 +47,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import kernels
 from repro.runtime import variants as kernel_variants
-from repro.runtime.ir import (
-    CHAIN,
-    ElemOp,
-    Graph,
-    Node,
-    UNARY_ELEMENTWISE,
-    matmul_linear_info,
-)
-from repro.runtime.tuning import active_tuning
+from repro.runtime.ir import CHAIN, ElemOp, Graph, Node, UNARY_ELEMENTWISE
 from repro.runtime.variants import KernelDesc
 
 #: Elementwise operations the affine-fusion pass absorbs into producers:
@@ -159,194 +149,41 @@ def fuse_affine(graph: Graph) -> str:
 # --------------------------------------------------------------------------- #
 # Kernel selection
 # --------------------------------------------------------------------------- #
-def _quantized_weight(export, name: Optional[str]):
-    if export is None or name is None:
-        return None
-    return export.quantized.get(name)
-
-
-def _conv_site(node: Node, export):
-    """(desc, baked weight matrix) of a conv node, or ``None``."""
+def _conv_desc(node: Node) -> Optional[KernelDesc]:
+    """Descriptor of a conv node over a baked weight, or ``None``."""
     if len(node.inputs) < 2 or node.inputs[0].kind == "const":
         return None
     weight_value = node.inputs[1]
     if weight_value.kind != "const":
         return None
-    out_channels = int(weight_value.shape[0])
-    name = weight_value.origin[0] if weight_value.origin is not None else None
-    qt = _quantized_weight(export, name)
-    if qt is not None:
-        matrix = kernel_variants.centred_codes(qt).reshape(out_channels, -1)
-        bits = qt.bits
-    else:
-        matrix = weight_value.data.reshape(out_channels, -1)
-        bits = 32
-    desc = KernelDesc(
+    return KernelDesc(
         op="conv2d",
         x_shape=tuple(node.inputs[0].shape[1:]),
         kernel_size=tuple(weight_value.shape[2:]),
         stride=tuple(node.attrs["stride"]),
         padding=tuple(node.attrs["padding"]),
-        out_channels=out_channels,
-        weight_dtype=str(matrix.dtype),
-        bits=bits,
+        out_channels=int(weight_value.shape[0]),
     )
-    return desc, matrix
-
-
-def _linear_site(node: Node, producers: Dict[int, Node], export):
-    """(desc, baked (in, out) weight) of a linear-lowered matmul, or ``None``."""
-    info = matmul_linear_info(node, producers)
-    if info is None or node.inputs[0].kind == "const":
-        return None
-    weight_value, pre_transposed = info
-    qt = None
-    if weight_value.origin is not None:
-        name, origin_transposed = weight_value.origin
-        qt = _quantized_weight(export, name)
-    if qt is not None:
-        weight = kernel_variants.centred_codes(qt)
-        if origin_transposed != pre_transposed:
-            weight = weight.T
-        bits = qt.bits
-    else:
-        weight = weight_value.data.T if pre_transposed else weight_value.data
-        bits = 32
-    desc = KernelDesc(
-        op="linear",
-        x_shape=tuple(node.inputs[0].shape[1:]),
-        out_channels=int(weight.shape[1]),
-        weight_dtype=str(weight.dtype),
-        bits=bits,
-    )
-    return desc, weight
-
-
-def _pool_site(node: Node):
-    """Descriptor of a pooling node, or ``None``."""
-    if node.inputs[0].kind == "const" or len(node.inputs[0].shape) != 4:
-        return None
-    return KernelDesc(
-        op=node.op,
-        x_shape=tuple(node.inputs[0].shape[1:]),
-        kernel_size=tuple(node.attrs["kernel_size"]),
-        stride=tuple(node.attrs["stride"]),
-    )
-
-
-_RACE_BATCH = 16
-"""Batch size candidate races are measured at.
-
-Plans are traced at a tiny probe batch, but variants are ranked by how they
-serve: per-call overheads (Python dispatch, ctypes marshalling in the native
-kernels) that dominate at batch 2 amortise away at realistic batches, and a
-winner picked at the probe batch can lose where it matters.  Races therefore
-tile the traced activations up to this batch before timing.
-"""
-
-
-def _race_input(x: np.ndarray) -> np.ndarray:
-    """The traced probe activations, tiled up to :data:`_RACE_BATCH`."""
-    if x.shape[0] >= _RACE_BATCH:
-        return x
-    reps = -(-_RACE_BATCH // x.shape[0])
-    return np.concatenate([x] * reps, axis=0)[:_RACE_BATCH]
-
-
-def _conv_runner_factory(node: Node, desc: KernelDesc, matrix: np.ndarray):
-    x = _race_input(node.inputs[0].traced)
-    out_h, out_w = kernels.conv_output_hw(
-        desc.x_shape[1], desc.x_shape[2], desc.kernel_size, desc.stride, desc.padding
-    )
-    scratch = np.empty(
-        (x.shape[0], desc.out_channels, out_h * out_w), dtype=np.float64
-    )
-    # Packed once, as the lowering does: every variant races the same weight.
-    weight_exec = kernels.pack_weight_matrix(matrix)
-
-    def make_runner(name: str):
-        return lambda: kernel_variants.run_conv(
-            name, x, weight_exec, desc.kernel_size, desc.stride, desc.padding,
-            out=scratch,
-        )
-
-    return make_runner
-
-
-def _linear_runner_factory(node: Node, desc: KernelDesc, weight: np.ndarray):
-    x = _race_input(node.inputs[0].traced)
-    scratch = np.empty((x.shape[0], weight.shape[1]), dtype=np.float64) \
-        if x.ndim == 2 else None
-    weight_exec = kernels.pack_weight_matrix(weight)
-
-    def make_runner(name: str):
-        return lambda: kernel_variants.run_linear(name, x, weight_exec, out=scratch)
-
-    return make_runner
-
-
-def _pool_runner_factory(node: Node, desc: KernelDesc):
-    x = _race_input(node.inputs[0].traced)
-
-    def make_runner(name: str):
-        return lambda: kernel_variants.run_pool(
-            desc.op, name, x, desc.kernel_size, desc.stride
-        )
-
-    return make_runner
 
 
 def select_kernels(graph: Graph) -> str:
-    """Annotate conv / linear / pool nodes with their chosen kernel variant.
+    """Annotate every conv node with the highest-ranked applicable variant.
 
     Every candidate is byte-exact against the reference lowering (the
     admission rule of :mod:`repro.runtime.variants`), so this pass -- like
-    every other -- changes plan *speed*, never plan *output*.  With a
-    tuner in scope (see :func:`repro.runtime.tuning.tuning_scope`) choices
-    are micro-benchmarked on the traced probe activations (tiled up to
-    :data:`_RACE_BATCH` so per-call overheads are weighed as they amortise
-    in serving, not at the tiny trace batch) and persisted;
-    without one, the ranked heuristic costs only a predicate sweep.
+    every other -- changes plan *speed*, never plan *output*.  Selection is
+    a predicate sweep over the node's static geometry: no measurement.
     """
-    tuner, export = active_tuning()
-    producers = graph.producers()
-    outcome_counts: Dict[str, int] = {"tuned": 0, "cached": 0, "heuristic": 0}
     annotated = 0
     for node in graph.nodes:
-        site = None
-        if node.op == "conv2d":
-            conv = _conv_site(node, export)
-            if conv is not None:
-                desc, matrix = conv
-                site = (desc, lambda: _conv_runner_factory(node, desc, matrix))
-        elif node.op == "matmul":
-            lin = _linear_site(node, producers, export)
-            if lin is not None:
-                desc, weight = lin
-                site = (desc, lambda: _linear_runner_factory(node, desc, weight))
-        elif node.op in ("max_pool2d", "avg_pool2d"):
-            desc = _pool_site(node)
-            if desc is not None:
-                site = (desc, lambda: _pool_runner_factory(node, desc))
-        if site is None:
+        if node.op != "conv2d":
             continue
-        desc, factory = site
-        candidates = [v.name for v in kernel_variants.applicable_variants(desc)]
-        if tuner is None or len(candidates) == 1:
-            name = kernel_variants.heuristic_choice(desc)
-            provenance = "heuristic"
-        else:
-            name, provenance = tuner.select(desc, candidates, factory())
-        node.attrs["kernel_variant"] = name
-        node.attrs["kernel_variant_provenance"] = provenance
-        outcome_counts[provenance] += 1
+        desc = _conv_desc(node)
+        if desc is None:
+            continue
+        node.attrs["kernel_variant"] = kernel_variants.heuristic_choice(desc)
         annotated += 1
-    if tuner is not None and tuner.config.cache is not None:
-        tuner.config.cache.save()
-    detail = ", ".join(
-        f"{count} {kind}" for kind, count in outcome_counts.items() if count
-    )
-    return f"selected variants for {annotated} nodes ({detail or 'none'})"
+    return f"selected variants for {annotated} conv nodes"
 
 
 # --------------------------------------------------------------------------- #

@@ -65,7 +65,6 @@ from repro.runtime.executor import (  # noqa: F401  (re-exported compiled surfac
 from repro.runtime.ir import PlanCompileError, build_graph  # noqa: F401
 from repro.runtime.memory import plan_memory
 from repro.runtime.passes import PassManager, resolve_passes
-from repro.runtime.tuning import coerce_tuner, tuning_scope
 from repro.tensor import Tensor, trace_ops
 
 #: Batch size of the probe input used for tracing.  Any batch size works at
@@ -104,7 +103,6 @@ def compile_plan(
     *,
     passes: Optional[Sequence[str]] = None,
     optimize: bool = True,
-    tuning=None,
 ) -> ExecutionPlan:
     """Compile ``model`` (eval-mode semantics) into a float execution plan.
 
@@ -128,17 +126,8 @@ def compile_plan(
     optimize:
         ``False`` disables every pass: the plan interprets the raw trace
         (the reference the optimised plans are tested against).
-    tuning:
-        How the ``select_kernels`` pass picks kernel variants: ``None``
-        (ranked heuristic, zero cost), a
-        :class:`~repro.runtime.tuning.TuningConfig` (micro-benchmark
-        candidates, optionally against a persistent
-        :class:`~repro.runtime.tuning.TuningCache`) or an existing
-        :class:`~repro.runtime.tuning.Autotuner` (shared budget across
-        several compiles).  Tuning changes plan *speed* only; every
-        variant is byte-exact against the reference lowering.
     """
-    return _compile(model, None, input_shape, resolve_passes(optimize, passes), tuning)
+    return _compile(model, None, input_shape, resolve_passes(optimize, passes))
 
 
 def compile_quantized_plan(
@@ -148,7 +137,6 @@ def compile_quantized_plan(
     *,
     passes: Optional[Sequence[str]] = None,
     optimize: bool = True,
-    tuning=None,
 ) -> ExecutionPlan:
     """Compile a plan that executes a quantised export directly.
 
@@ -160,14 +148,14 @@ def compile_quantized_plan(
     scale.  There is no model-wide dequantise round-trip and no autograd
     involvement at execution time.  An export with no integer codes (every
     parameter stored as float) compiles to a float plan.  The ``passes`` /
-    ``optimize`` / ``tuning`` knobs and the validation work exactly as in
+    ``optimize`` knobs and the validation work exactly as in
     :func:`compile_plan`.
     """
     with _COMPILE_LOCK:
         state = model.state_dict()
         try:
             load_into_model(export, model)
-            return _compile(model, export, input_shape, resolve_passes(optimize, passes), tuning)
+            return _compile(model, export, input_shape, resolve_passes(optimize, passes))
         finally:
             model.load_state_dict(state)
 
@@ -177,10 +165,9 @@ def _compile(
     export: Optional[QuantizedModelExport],
     input_shape: Tuple[int, ...],
     passes: Tuple[str, ...],
-    tuning,
 ) -> ExecutionPlan:
     with _COMPILE_LOCK:
-        return _compile_locked(model, export, input_shape, passes, tuning)
+        return _compile_locked(model, export, input_shape, passes)
 
 
 def _compile_locked(
@@ -188,7 +175,6 @@ def _compile_locked(
     export: Optional[QuantizedModelExport],
     input_shape: Tuple[int, ...],
     passes: Tuple[str, ...],
-    tuning,
 ) -> ExecutionPlan:
     probe = np.random.default_rng(0).normal(size=(_PROBE_BATCH,) + tuple(input_shape))
     param_names = {id(param): name for name, param in model.named_parameters()}
@@ -205,11 +191,7 @@ def _compile_locked(
     graph = build_graph(
         records, probe_tensor, traced_out, param_names, source=type(model).__name__
     )
-    # The pass pipeline has a fixed Graph -> detail signature, so the tuner
-    # (and the export whose integer codes select_kernels previews) travel
-    # through a compile-scoped context the pass reads back out.
-    with tuning_scope(coerce_tuner(tuning), export):
-        pipeline = PassManager(passes).run(graph)
+    pipeline = PassManager(passes).run(graph)
     if graph.output.kind == "const":
         raise PlanCompileError("model output does not depend on the input")
     memory = plan_memory(graph)

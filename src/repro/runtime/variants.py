@@ -1,79 +1,59 @@
-"""Kernel variant registry: multiple byte-exact implementations per op.
+"""Kernel variant registry: multiple byte-exact implementations of a conv.
 
-The executor historically lowered every conv / linear / pool node to one
-generic implementation (im2col gather + dense GEMM, auto-dispatched
-pooling) regardless of shape, dtype or layout.  This module registers the
-alternatives the :func:`~repro.runtime.passes.select_kernels` pass chooses
-between:
+The executor historically lowered every convolution to one generic
+implementation (im2col gather + dense GEMM) regardless of shape.  This
+module registers the alternatives the
+:func:`~repro.runtime.passes.select_kernels` pass chooses between:
 
-``conv2d``
-    * ``im2col`` -- the reference gather + GEMM lowering;
-    * ``im2col_slices`` -- build the column matrix with ``kh*kw`` strided
-      slice copies into a C-contiguous buffer instead of one fancy-index
-      gather (which produces a batch-innermost layout the GEMM then has
-      to repack); the column *values* are exact copies, so the GEMM is
-      handed identical operands and the result is unchanged -- but both
-      the gather and the GEMM run substantially faster.  The columns are
-      built and multiplied one cache-sized block of samples at a time
-      (:data:`COLUMN_BLOCK_BYTES`), so a conv never holds the batch's
-      column matrix.  Training's ``F.conv2d`` uses the same builder,
-      :func:`repro.kernels.im2col_slices`, over the whole batch;
-    * ``im2col_batched`` -- the same slice copies into one
-      ``(C*kh*kw, N*oh*ow)`` matrix (:func:`repro.kernels.im2col_batched`),
-      so one GEMM computes the whole batch instead of one per sample, and
-      each conv packs its filter matrix once per batch, not once per
-      sample; the ``(C_out, N, oh*ow)`` product is copied into the step's
-      NCHW scratch.  Admitted only where that GEMM sums every output in
-      the per-sample order (see :data:`BATCHED_PIXEL_TILE` and
-      :data:`BATCHED_MIN_MACS`), and only below
-      :data:`BATCHED_MAX_PIXELS` output pixels, where it beats the blocked
-      per-sample GEMMs;
-    * ``gemm_1x1`` -- a 1x1 / stride-1 / pad-0 convolution is a plain GEMM
-      over the channel dimension: skip the im2col gather copy entirely.
-``linear``
-    * ``matmul`` -- the reference dense matmul.
-``max_pool2d``
-    * ``auto`` -- the reference kernel's own dispatch: the strided-slice
-      reduction on non-overlapping windows, the gather elsewhere;
-    * ``gather`` -- force the general im2col gather path (ranked below the
-      reference: only a tuner measurement selects it).
-``avg_pool2d``
-    * ``auto`` -- the reference kernel, which dispatches between its tiled
-      and gather paths itself.
-``conv2d`` (opt-in)
-    * ``native`` -- a shape-specialized C kernel emitted, compiled and
-      bitwise-verified by :mod:`repro.runtime.codegen`.  Only registered
-      as *applicable* when the backend is enabled, a compiler exists, the
-      artifact builds, and its output matched the reference byte-for-byte
-      on a seeded probe -- the same admission rule as every other variant,
-      enforced empirically per signature.  Ranked below the reference so
-      the zero-cost heuristic never picks it: only a tuner measurement
-      (or a persisted tuned record) selects native kernels.
+* ``im2col`` -- the reference gather + GEMM lowering;
+* ``im2col_slices`` -- build the column matrix with ``kh*kw`` strided
+  slice copies into a C-contiguous buffer instead of one fancy-index
+  gather (which produces a batch-innermost layout the GEMM then has to
+  repack); the column *values* are exact copies, so the GEMM is handed
+  identical operands and the result is unchanged -- but both the gather
+  and the GEMM run substantially faster.  The columns are built and
+  multiplied one cache-sized block of samples at a time
+  (:data:`COLUMN_BLOCK_BYTES`), so a conv never holds the batch's column
+  matrix.  Training's ``F.conv2d`` uses the same builder,
+  :func:`repro.kernels.im2col_slices`, over the whole batch;
+* ``im2col_batched`` -- the same slice copies into one
+  ``(C*kh*kw, N*oh*ow)`` matrix (:func:`repro.kernels.im2col_batched`),
+  so one GEMM computes the whole batch instead of one per sample, and each
+  conv packs its filter matrix once per batch, not once per sample; the
+  ``(C_out, N, oh*ow)`` product is copied into the step's NCHW scratch.
+  Admitted only where that GEMM sums every output in the per-sample order
+  (see :data:`BATCHED_PIXEL_TILE` and :data:`BATCHED_MIN_MACS`), and only
+  below :data:`BATCHED_MAX_PIXELS` output pixels, where it beats the
+  blocked per-sample GEMMs;
+* ``gemm_1x1`` -- a 1x1 / stride-1 / pad-0 convolution is a plain GEMM
+  over the channel dimension: skip the im2col gather copy entirely.
 
-Every conv and linear variant runs over the weight the lowering packed
+Every other op lowers one way: linear steps multiply by their packed
+weight, and pooling steps call :func:`repro.kernels.max_pool2d` /
+:func:`repro.kernels.avg_pool2d`, which pick their tiled or gather path
+themselves.  Every conv variant runs over the weight the lowering packed
 once (:func:`repro.kernels.pack_weight_matrix`: integer codes cast to
 contiguous ``float64``, which is exact).
 
 **Byte-exactness is the admission rule**: a variant's ``applies``
 predicate may only accept geometries where its output is bitwise-identical
-to the reference implementation (``max_pool2d.gather`` accepts every
-geometry because max is exact under any evaluation order).  The
-test-suite sweeps every registered variant against the reference kernels,
-bit for bit; ``im2col_batched``'s predicate, which rests on how OpenBLAS
-tiles a GEMM, is also checked on every census call site it admits at
-batches 1-16, and ``im2col_slices``' blocks on every census call site
-where they split the batch (``tests/runtime/test_batched_conv.py``).
+to the reference implementation.  The test-suite sweeps every registered
+variant against the reference kernel, bit for bit; ``im2col_batched``'s
+predicate, which rests on how OpenBLAS tiles a GEMM, is also checked on
+every census call site it admits at batches 1-16, and ``im2col_slices``'
+blocks on every census call site where they split the batch
+(``tests/runtime/test_batched_conv.py``).
 
 **A variant stays only if it wins somewhere.**  ``docs/variant_census.json``
-(written by ``tools/variant_census.py``) records the tuner's pick for every
-kernel signature of every registry model; the test-suite requires every
-non-reference variant to be the pick somewhere in it.
+(written by ``tools/variant_census.py``) races every applicable variant at
+every conv call site of every registry model; the test-suite requires every
+non-reference variant to win somewhere in it.
 
 Selection is recorded on the IR node (``attrs["kernel_variant"]``) by the
-``select_kernels`` pass -- driven by the :mod:`~repro.runtime.tuning`
-autotuner when one is active, by the zero-cost heuristic ranking otherwise
--- and the executor's lowering dispatches on it.  A plan compiled without
-the pass lowers every node to the reference variant, unchanged.
+``select_kernels`` pass -- the highest-ranked applicable variant, a
+predicate sweep over the graph -- and the executor's lowering dispatches on
+it.  A plan compiled without the pass lowers every conv to the reference
+variant, unchanged.
 """
 
 from __future__ import annotations
@@ -96,18 +76,15 @@ __all__ = [
 ]
 
 #: Ops that have registered variants (everything else lowers one way).
-VARIED_OPS = ("conv2d", "linear", "max_pool2d", "avg_pool2d")
+VARIED_OPS = ("conv2d",)
 
 
 @dataclass(frozen=True)
 class KernelDesc:
     """Static description of one lowered kernel call site.
 
-    This is what variant applicability predicates and the autotuner's
-    cache key see: the op, the per-sample input/output geometry, and the
-    baked weight's storage dtype and logical bitwidth.  Two nodes in two
-    different models with the same descriptor are the same tuning problem
-    -- which is exactly why tuned winners persist and transfer.
+    This is what variant applicability predicates see: the op and the
+    per-sample input/output geometry.
     """
 
     op: str
@@ -116,25 +93,6 @@ class KernelDesc:
     stride: Tuple[int, int] = (1, 1)
     padding: Tuple[int, int] = (0, 0)
     out_channels: int = 0
-    weight_dtype: str = ""
-    bits: int = 32
-
-    def signature(self) -> str:
-        """Stable string key for the persistent tuning cache."""
-        parts = [
-            self.op,
-            "x=" + "x".join(str(dim) for dim in self.x_shape),
-        ]
-        if self.op == "conv2d" or self.op.endswith("pool2d"):
-            parts.append(f"k={self.kernel_size[0]}x{self.kernel_size[1]}")
-            parts.append(f"s={self.stride[0]}x{self.stride[1]}")
-        if self.op == "conv2d":
-            parts.append(f"p={self.padding[0]}x{self.padding[1]}")
-        if self.op in ("conv2d", "linear"):
-            parts.append(f"co={self.out_channels}")
-            parts.append(f"w={self.weight_dtype}")
-            parts.append(f"b={self.bits}")
-        return "|".join(parts)
 
 
 @dataclass(frozen=True)
@@ -202,7 +160,7 @@ def heuristic_choice(desc: KernelDesc) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Quantised-weight helpers (shared by the select_kernels pass and lowering)
+# Quantised-weight helpers (used by the lowering)
 # --------------------------------------------------------------------------- #
 def smallest_int_dtype(low: int, high: int) -> np.dtype:
     """The narrowest numpy integer dtype holding ``[low, high]``."""
@@ -260,8 +218,6 @@ def run_conv(
             return np.ascontiguousarray(product.transpose(1, 0, 2))
         np.copyto(out, product.transpose(1, 0, 2))
         return out
-    if variant == "native":
-        return _run_conv_native(x, weight_exec, kernel_size, stride, padding, out)
     raise ValueError(f"unknown conv2d variant {variant!r}")
 
 
@@ -319,44 +275,23 @@ def _run_conv_column_blocks(
     return out
 
 
-def _run_conv_native(
-    x: np.ndarray,
-    weight_exec: np.ndarray,
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-    out: Optional[np.ndarray],
-) -> np.ndarray:
-    """The generated C gather+GEMM; falls back to the bitwise-identical
-    reference path whenever the artifact or the operands are ineligible."""
-    from repro.runtime import codegen
-
-    if (
-        out is not None
-        and x.ndim == 4
-        and x.dtype == np.float64 and x.flags.c_contiguous
-        and weight_exec.dtype == np.float64 and weight_exec.flags.c_contiguous
-        and out.dtype == np.float64 and out.flags.c_contiguous
-    ):
-        geom = codegen.ConvGeom(
-            c_in=int(x.shape[1]), h=int(x.shape[2]), w=int(x.shape[3]),
-            kh=kernel_size[0], kw=kernel_size[1],
-            sh=stride[0], sw=stride[1], ph=padding[0], pw=padding[1],
-            c_out=int(weight_exec.shape[0]),
-        )
-        kernel = codegen.native_conv_kernel(geom)
-        if kernel is not None and kernel.run(x, weight_exec, out):
-            return out
-    cols, _, _, _ = kernels.im2col(x, kernel_size, stride, padding)
-    return kernels.matmul_cols(weight_exec, cols, out=out)
-
-
 def _is_pointwise(desc: KernelDesc) -> bool:
     return (
         desc.kernel_size == (1, 1)
         and desc.stride == (1, 1)
         and desc.padding == (0, 0)
     )
+
+
+def _several_output_channels(desc: KernelDesc) -> bool:
+    """Whether the conv's filter matrix has more than one row.
+
+    With one row numpy multiplies a vector by each sample's columns, and
+    that product sums in an order set by how the columns lie in memory:
+    the reference's gathered columns lie otherwise than every variant's,
+    so at one output channel only the reference is byte-exact.
+    """
+    return desc.out_channels > 1
 
 
 register_variant(KernelVariant(
@@ -371,22 +306,22 @@ register_variant(KernelVariant(
     name="im2col_slices",
     # For a 1x1 / stride-1 / pad-0 conv the "slices" are one full copy
     # that gemm_1x1 skips outright, so the variant stands aside there.
-    applies=lambda desc: not _is_pointwise(desc),
+    applies=lambda desc: not _is_pointwise(desc) and _several_output_channels(desc),
     rank=25,
     description="slice-copied contiguous columns (no fancy-index gather)",
 ))
 
-#: OpenBLAS's SkylakeX dgemm kernel computes the product in tiles of 16
-#: rows of its column-major view -- 16 output pixels here.  A pixel count
+#: OpenBLAS's SkylakeX float64 GEMM kernel computes the product in tiles of
+#: 16 rows of its column-major view -- 16 output pixels here.  A pixel count
 #: off that grid sends the last rows of a sample through the edge kernels,
 #: which sum in another order, and in the batched GEMM those rows fall
 #: elsewhere on the grid than in the per-sample one.
 BATCHED_PIXEL_TILE = 16
 
-#: SkylakeX dgemm takes its small-matrix kernel, which sums in another
-#: order, at or below this many multiply-adds (``C_out * K * oh*ow``).  The
-#: batched GEMM is ``N`` times larger, so each sample's GEMM must already
-#: be above it for both to run the blocked kernel.
+#: The SkylakeX float64 GEMM takes its small-matrix kernel, which sums in
+#: another order, at or below this many multiply-adds (``C_out * K *
+#: oh*ow``).  The batched GEMM is ``N`` times larger, so each sample's GEMM
+#: must already be above it for both to run the blocked kernel.
 BATCHED_MIN_MACS = 10**6
 
 #: From this many output pixels a sample's GEMM is already wide, so one
@@ -408,9 +343,10 @@ def _batched_conv_applies(desc: KernelDesc) -> bool:
     whole number of tiles (which also keeps numpy off its matrix-vector
     path at one pixel).  Below :data:`BATCHED_MAX_PIXELS` pixels, where the
     fold is faster.  1x1 / stride-1 / pad-0 convs stay with ``gemm_1x1``,
-    which skips the columns.
+    which skips the columns, and one-output-channel convs with the
+    reference.
     """
-    if _is_pointwise(desc):
+    if _is_pointwise(desc) or not _several_output_channels(desc):
         return False
     out_h, out_w = kernels.conv_output_hw(
         desc.x_shape[1], desc.x_shape[2], desc.kernel_size, desc.stride, desc.padding
@@ -434,129 +370,7 @@ register_variant(KernelVariant(
 register_variant(KernelVariant(
     op="conv2d",
     name="gemm_1x1",
-    applies=_is_pointwise,
+    applies=lambda desc: _is_pointwise(desc) and _several_output_channels(desc),
     rank=30,
     description="1x1 convolution as a plain channel GEMM (no gather)",
-))
-
-
-# --------------------------------------------------------------------------- #
-# Linear variants
-# --------------------------------------------------------------------------- #
-def run_linear(
-    variant: str,
-    x: np.ndarray,
-    weight_exec: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Run one dense-matmul variant against a baked ``(in, out)`` weight."""
-    if variant != "matmul":
-        raise ValueError(f"unknown linear variant {variant!r}")
-    if (
-        x.ndim == 2
-        and np.result_type(x, weight_exec) == np.float64
-        and out is not None
-    ):
-        return np.matmul(x, weight_exec, out=out)
-    return x @ weight_exec
-
-
-register_variant(KernelVariant(
-    op="linear",
-    name="matmul",
-    applies=lambda desc: True,
-    rank=0,
-    description="reference dense matmul",
-))
-
-
-# --------------------------------------------------------------------------- #
-# Pooling variants
-# --------------------------------------------------------------------------- #
-def run_pool(
-    op: str,
-    variant: str,
-    x: np.ndarray,
-    kernel_size: Tuple[int, int],
-    stride: Tuple[int, int],
-) -> np.ndarray:
-    """Run one pooling variant (``op`` is ``max_pool2d`` or ``avg_pool2d``)."""
-    table = _POOL_IMPLS.get((op, variant))
-    if table is None:
-        raise ValueError(f"unknown pooling variant {op}.{variant!r}")
-    return table(x, kernel_size, stride)
-
-
-_POOL_IMPLS = {
-    ("max_pool2d", "auto"): kernels.max_pool2d,
-    ("max_pool2d", "gather"): kernels.max_pool2d_gather,
-    ("avg_pool2d", "auto"): kernels.avg_pool2d,
-}
-
-register_variant(KernelVariant(
-    op="max_pool2d",
-    name="auto",
-    applies=lambda desc: True,
-    rank=0,
-    description="reference kernel with its own tiled/gather dispatch",
-))
-register_variant(KernelVariant(
-    op="max_pool2d",
-    # Max is exact under any evaluation order, so the gather path is
-    # admissible everywhere -- a real two-way tuning choice on
-    # non-overlapping geometries, where the reference takes the tiled
-    # reduction.  Ranked below the reference: elsewhere the reference
-    # gathers itself, so the heuristic keeps it at every pool.
-    name="gather",
-    applies=lambda desc: True,
-    rank=-1,
-    description="im2col gather max (general geometry)",
-))
-register_variant(KernelVariant(
-    op="avg_pool2d",
-    name="auto",
-    applies=lambda desc: True,
-    rank=0,
-    description="reference kernel with its own tiled/gather dispatch",
-))
-
-
-# --------------------------------------------------------------------------- #
-# Native codegen admission
-# --------------------------------------------------------------------------- #
-def _conv_geom(desc: KernelDesc):
-    from repro.runtime import codegen
-
-    if len(desc.x_shape) != 3:
-        return None
-    return codegen.ConvGeom(
-        c_in=int(desc.x_shape[0]), h=int(desc.x_shape[1]),
-        w=int(desc.x_shape[2]),
-        kh=desc.kernel_size[0], kw=desc.kernel_size[1],
-        sh=desc.stride[0], sw=desc.stride[1],
-        ph=desc.padding[0], pw=desc.padding[1],
-        c_out=desc.out_channels,
-    )
-
-
-def _native_conv_applies(desc: KernelDesc) -> bool:
-    # Build + bitwise-verify happens here, in the admission predicate, so
-    # the autotuner's measurement budget is never charged for compilation.
-    from repro.runtime import codegen
-
-    if not codegen.enabled():
-        return False
-    geom = _conv_geom(desc)
-    if geom is None:
-        return False
-    return codegen.native_conv_kernel(geom) is not None
-
-
-register_variant(KernelVariant(
-    op="conv2d",
-    name="native",
-    applies=_native_conv_applies,
-    rank=-10,
-    description="generated C im2col+GEMM via numpy's own BLAS "
-                "(bitwise-verified)",
 ))

@@ -100,6 +100,22 @@ class TestPoolKernels:
         expected = F.avg_pool2d(Tensor(x), kernel, stride)
         np.testing.assert_array_equal(kernels.avg_pool2d(x, kernel, stride), expected.data)
 
+    @pytest.mark.parametrize("shape,kernel,stride", [
+        ((4, 12, 12), 2, 2),
+        ((3, 9, 9), 3, 3),
+        ((4, 11, 11), 3, 2),
+        ((2, 10, 10), 3, 3),
+        ((3, 8, 8), 2, 2),
+    ])
+    def test_max_pool_dispatch_matches_the_gather_bitwise(self, rng, shape, kernel, stride):
+        # Max is exact in any order, so the tiled reduction max_pool2d takes
+        # on non-overlapping windows gives the gather's bytes.
+        x = rng.normal(size=(2,) + shape)
+        np.testing.assert_array_equal(
+            kernels.max_pool2d(x, kernel, stride),
+            kernels.max_pool2d_gather(x, (kernel, kernel), (stride, stride)),
+        )
+
     def test_tiled_fast_path_does_not_mutate_input(self, rng):
         x = rng.normal(size=(2, 2, 8, 8))
         before = x.copy()

@@ -195,6 +195,25 @@ class TestPlanCache:
         assert mutated
         assert architecture_fingerprint(model_b) != fingerprint
 
+    @pytest.mark.parametrize("attr", [
+        "kernel_size", "stride", "padding", "in_channels", "out_channels",
+        "in_features", "out_features",
+    ])
+    def test_every_lowering_attribute_changes_the_fingerprint(self, attr):
+        # Each attribute changes how a layer lowers, whatever its weights.
+        from repro.runtime.cache import architecture_fingerprint
+
+        model, _ = _build()
+        fingerprint = architecture_fingerprint(model)
+        module = next(
+            module for _, module in model.named_modules()
+            if getattr(module, attr, None) is not None
+        )
+        value = getattr(module, attr)
+        setattr(module, attr,
+                tuple(v + 1 for v in value) if isinstance(value, tuple) else value + 1)
+        assert architecture_fingerprint(model) != fingerprint
+
     def test_concurrent_lookups_compile_exactly_once(self):
         model, shape = _build()
         export = export_quantized_model(model, {n: 6 for n, _ in model.named_parameters()})

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.models.registry import available_models
-from repro.nn import AvgPool2d, Conv2d, Sequential
+from repro.nn import AvgPool2d, Conv2d, MaxPool2d, Sequential
 from repro.quant import export_quantized_model, load_into_model
 from repro.runtime import (
     DEFAULT_PASSES,
@@ -82,6 +82,33 @@ def test_avg_pool_plan_matches_module_bitwise(window, side, optimize):
     with no_grad():
         expected = model(Tensor(x)).data
     np.testing.assert_array_equal(plan.run(x), expected)
+
+
+#: Pooling geometries: (label, per-sample x_shape, window, stride, batch).
+POOL_CASES = [
+    ("non_overlapping", (4, 12, 12), 2, 2, 4),
+    ("non_overlapping_3x3", (3, 9, 9), 3, 3, 4),
+    ("overlapping", (4, 11, 11), 3, 2, 4),
+    ("ragged", (2, 10, 10), 3, 3, 2),
+    ("batch_of_one", (3, 8, 8), 2, 2, 1),
+]
+
+
+@pytest.mark.parametrize("pool", [MaxPool2d, AvgPool2d], ids=["max_pool2d", "avg_pool2d"])
+@pytest.mark.parametrize("label,x_shape,window,stride,batch",
+                         POOL_CASES, ids=[c[0] for c in POOL_CASES])
+def test_pool_plan_matches_module_bitwise(pool, label, x_shape, window, stride, batch):
+    # Overlapping and ragged windows and a batch of one reach the pool
+    # kernels' gather paths as well as their tiled ones.
+    model = Sequential(Conv2d(x_shape[0], 4, 3, padding=1, rng=np.random.default_rng(0)),
+                       pool(window, stride))
+    model.eval()
+    x = np.random.default_rng(5).normal(size=(batch,) + x_shape)
+    with no_grad():
+        expected = model(Tensor(x)).data
+    for optimize in (True, False):
+        plan = compile_plan(model, x_shape, optimize=optimize)
+        np.testing.assert_array_equal(plan.run(x), expected, err_msg=f"optimize={optimize}")
 
 
 def test_plan_execution_builds_zero_graph_nodes():

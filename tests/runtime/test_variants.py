@@ -1,19 +1,22 @@
 """Kernel variant registry: byte-exactness of every variant, everywhere.
 
-The admission rule under test: for every registered variant and every
+The admission rule under test: for every registered conv variant and every
 geometry its ``applies`` predicate accepts, the variant's output is
 **bitwise identical** to the reference implementation -- for float weights
 and for quantised integer-code weights alike, and whether or not the weight
 was packed.  The sweep runs each variant over edge-case shapes (1x1 conv,
-stride > 1, padding, non-overlapping and overlapping pooling, batch of one,
-batches that ``im2col_slices`` splits into blocks of columns) rather than
-just the friendly defaults.
+stride > 1, padding, batch of one, one output pixel or channel, batches
+that ``im2col_slices`` splits into blocks of columns) rather than just the
+friendly defaults.
 
 The census tests hold the registry to its evidence: every non-reference
 variant must win some signature in ``docs/variant_census.json`` by more
-than race noise (regenerate it with ``tools/variant_census.py``).
+than race noise (regenerate it with ``tools/variant_census.py``), and every
+site the census raced must still compile to the variants it recorded there
+and run them bit for bit like the unoptimised plan.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -21,8 +24,9 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.models import build_model
 from repro.quant import export_quantized_model
-from repro.runtime import compile_plan, compile_quantized_plan
+from repro.runtime import blas, compile_plan, compile_quantized_plan
 from repro.runtime.executor import ConvStep, LinearStep
 from repro.runtime.variants import (
     KernelDesc,
@@ -34,15 +38,25 @@ from repro.runtime.variants import (
     reference_variant,
     register_variant,
     run_conv,
-    run_linear,
-    run_pool,
     variants_for,
 )
 from zoo import build
 
 RNG = np.random.default_rng(7)
 
-CENSUS_PATH = Path(__file__).resolve().parents[2] / "docs" / "variant_census.json"
+ROOT = Path(__file__).resolve().parents[2]
+CENSUS_PATH = ROOT / "docs" / "variant_census.json"
+CENSUS_TOOL = ROOT / "tools" / "variant_census.py"
+
+#: Every call site the checked-in census raced: (site, model, width,
+#: per-sample shape, bits), the site named as the census names it.
+_CENSUS = json.loads(CENSUS_PATH.read_text())
+CENSUS_SITES = [
+    (f"{config['source']}:{config['model']}x{config['width']:g}@{bits}",
+     config["model"], config["width"], tuple(config["shape"]), bits)
+    for config in _CENSUS["configs"]
+    for bits in _CENSUS["bits"]
+]
 
 #: Conv geometries covering the edge cases: (label, per-sample x_shape,
 #: out_channels, kernel, stride, padding, batch).
@@ -58,15 +72,17 @@ CONV_CASES = [
     ("batch_folded", (16, 16, 16), 32, (3, 3), (1, 1), (1, 1), 3),
     # 576 KiB of columns a sample: im2col_slices runs blocks of 3, then 1.
     ("column_blocks", (8, 32, 32), 8, (3, 3), (1, 1), (1, 1), 4),
-]
-
-#: Pooling geometries: (label, x_shape, kernel, stride, batch).
-POOL_CASES = [
-    ("non_overlapping", (4, 12, 12), (2, 2), (2, 2), 4),
-    ("non_overlapping_3x3", (3, 9, 9), (3, 3), (3, 3), 4),
-    ("overlapping", (4, 11, 11), (3, 3), (2, 2), 4),
-    ("ragged", (2, 10, 10), (3, 3), (3, 3), 2),
-    ("batch_of_one", (3, 8, 8), (2, 2), (2, 2), 1),
+    ("strided_unpadded", (4, 13, 13), 6, (3, 3), (2, 2), (0, 0), 4),
+    ("strided5x5", (3, 15, 15), 4, (5, 5), (2, 2), (2, 2), 3),
+    # 1x1 kernels that are not pointwise: gemm_1x1 stands aside.
+    ("strided1x1", (8, 10, 10), 6, (1, 1), (2, 2), (0, 0), 3),
+    ("padded1x1", (4, 6, 6), 3, (1, 1), (1, 1), (1, 1), 2),
+    # One output pixel, or one output channel: numpy's matrix-vector paths.
+    ("one_pixel_map", (6, 5, 5), 4, (5, 5), (1, 1), (0, 0), 3),
+    ("pointwise_one_pixel", (16, 1, 1), 8, (1, 1), (1, 1), (0, 0), 3),
+    ("one_out_channel", (5, 9, 9), 1, (3, 3), (1, 1), (1, 1), 4),
+    # A stride-2 downsampling conv the batch fold admits (256 pixels).
+    ("batch_folded_strided", (16, 32, 32), 32, (3, 3), (2, 2), (1, 1), 2),
 ]
 
 
@@ -75,14 +91,13 @@ def _conv_weights(out_channels, x_shape, kernel):
     k_rows = x_shape[0] * kernel[0] * kernel[1]
     fp = RNG.normal(size=(out_channels, k_rows))
     codes = RNG.integers(-128, 128, size=(out_channels, k_rows)).astype(np.int8)
-    return [("fp32", fp, 32), ("int8", codes, 8)]
+    return [("fp32", fp), ("int8", codes)]
 
 
-def _conv_desc(x_shape, out_channels, kernel, stride, padding, weight, bits):
+def _conv_desc(x_shape, out_channels, kernel, stride, padding):
     return KernelDesc(
         op="conv2d", x_shape=x_shape, kernel_size=kernel, stride=stride,
         padding=padding, out_channels=out_channels,
-        weight_dtype=str(weight.dtype), bits=bits,
     )
 
 
@@ -90,8 +105,8 @@ def _conv_desc(x_shape, out_channels, kernel, stride, padding, weight, bits):
                          CONV_CASES, ids=[c[0] for c in CONV_CASES])
 def test_conv_variants_bitwise_identical(label, x_shape, cout, kernel, stride, padding, batch):
     x = RNG.normal(size=(batch,) + x_shape)
-    for tag, weight, bits in _conv_weights(cout, x_shape, kernel):
-        desc = _conv_desc(x_shape, cout, kernel, stride, padding, weight, bits)
+    desc = _conv_desc(x_shape, cout, kernel, stride, padding)
+    for tag, weight in _conv_weights(cout, x_shape, kernel):
         # The reference over the weight as stored (integer codes for the
         # int8 case); every variant, the reference included, then runs
         # over the packed weight the lowering hands it.
@@ -112,12 +127,9 @@ def test_conv_edge_cases_exercise_every_variant():
     # somewhere, or the sweep above proves nothing about it.
     admitted = set()
     for _, x_shape, cout, kernel, stride, padding, _ in CONV_CASES:
-        for _, weight, bits in _conv_weights(cout, x_shape, kernel):
-            desc = _conv_desc(x_shape, cout, kernel, stride, padding, weight, bits)
-            admitted.update(v.name for v in applicable_variants(desc))
-    # "native" only admits with the codegen backend enabled (plus a
-    # compiler and a verified build), so the numpy sweep excludes it.
-    assert admitted == set(available_variants()["conv2d"]) - {"native"}
+        desc = _conv_desc(x_shape, cout, kernel, stride, padding)
+        admitted.update(v.name for v in applicable_variants(desc))
+    assert admitted == set(available_variants()["conv2d"])
     # im2col_slices' column blocks: one sample each (large_spatial), and
     # several samples ending in a part-full block (column_blocks).
     blocks = set()
@@ -130,59 +142,24 @@ def test_conv_edge_cases_exercise_every_variant():
     assert any(block > 1 and rest for block, rest in blocks)
 
 
-@pytest.mark.parametrize("op", ["max_pool2d", "avg_pool2d"])
-@pytest.mark.parametrize("label,x_shape,kernel,stride,batch",
-                         POOL_CASES, ids=[c[0] for c in POOL_CASES])
-def test_pool_variants_bitwise_identical(op, label, x_shape, kernel, stride, batch):
-    x = RNG.normal(size=(batch,) + x_shape)
-    desc = KernelDesc(op=op, x_shape=x_shape, kernel_size=kernel, stride=stride)
-    reference = run_pool(op, "auto", x, kernel, stride)
-    admitted = applicable_variants(desc)
-    assert admitted[0].name == "auto"
-    for variant in admitted[1:]:
-        np.testing.assert_array_equal(
-            run_pool(op, variant.name, x, kernel, stride), reference,
-            err_msg=f"{label}: {op}.{variant.name} changed bytes",
-        )
-
-
-def test_pool_edge_cases_exercise_every_variant():
-    for op in ("max_pool2d", "avg_pool2d"):
-        admitted = set()
-        for _, x_shape, kernel, stride, _ in POOL_CASES:
-            desc = KernelDesc(op=op, x_shape=x_shape, kernel_size=kernel, stride=stride)
-            admitted.update(v.name for v in applicable_variants(desc))
-        assert admitted == set(available_variants()[op])
-
-
-@pytest.mark.parametrize("bits,weight_dtype", [(32, np.float64), (8, np.int8)])
-def test_linear_variants_bitwise_identical(bits, weight_dtype):
+@pytest.mark.parametrize("weight_dtype", [np.float64, np.int8])
+def test_linear_over_the_packed_weight_is_bitwise_identical(weight_dtype):
+    # A linear step multiplies by its packed weight.
     x = RNG.normal(size=(4, 24))
     if weight_dtype is np.float64:
         weight = RNG.normal(size=(24, 5))
     else:
         weight = RNG.integers(-128, 128, size=(24, 5)).astype(weight_dtype)
-    desc = KernelDesc(op="linear", x_shape=(24,), out_channels=5,
-                      weight_dtype=str(np.dtype(weight_dtype)), bits=bits)
-    reference = run_linear("matmul", x, weight)
-    packed = kernels.pack_weight_matrix(weight)
-    for variant in applicable_variants(desc):
-        np.testing.assert_array_equal(run_linear(variant.name, x, packed), reference)
+    np.testing.assert_array_equal(x @ kernels.pack_weight_matrix(weight), x @ weight)
 
 
 class TestRegistry:
     def test_reference_is_first_registered(self):
         assert reference_variant("conv2d") == "im2col"
-        assert reference_variant("linear") == "matmul"
-        assert reference_variant("max_pool2d") == "auto"
-        assert reference_variant("avg_pool2d") == "auto"
 
-    def test_available_variants_lists_every_op(self):
+    def test_only_conv2d_has_variants(self):
         assert available_variants() == {
-            "conv2d": ("im2col", "im2col_slices", "im2col_batched", "gemm_1x1", "native"),
-            "linear": ("matmul",),
-            "max_pool2d": ("auto", "gather"),
-            "avg_pool2d": ("auto",),
+            "conv2d": ("im2col", "im2col_slices", "im2col_batched", "gemm_1x1"),
         }
 
     def test_duplicate_registration_rejected(self):
@@ -201,47 +178,32 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown conv2d variant"):
             run_conv("nope", np.zeros((1, 1, 2, 2)), np.zeros((1, 1)),
                      (1, 1), (1, 1), (0, 0))
-        with pytest.raises(ValueError, match="unknown pooling variant"):
-            run_pool("max_pool2d", "nope", np.zeros((1, 1, 2, 2)), (1, 1), (1, 1))
 
     def test_heuristic_prefers_gemm_for_1x1(self):
         desc = KernelDesc(op="conv2d", x_shape=(16, 8, 8), kernel_size=(1, 1),
-                          stride=(1, 1), padding=(0, 0), out_channels=8,
-                          weight_dtype="float64", bits=32)
+                          stride=(1, 1), padding=(0, 0), out_channels=8)
         assert heuristic_choice(desc) == "gemm_1x1"
 
     def test_heuristic_prefers_slices_for_spatial_kernels(self):
         desc = KernelDesc(op="conv2d", x_shape=(3, 8, 8), kernel_size=(3, 3),
-                          stride=(1, 1), padding=(1, 1), out_channels=4,
-                          weight_dtype="float64", bits=32)
+                          stride=(1, 1), padding=(1, 1), out_channels=4)
         assert heuristic_choice(desc) == "im2col_slices"
 
-    def test_heuristic_keeps_the_reference_at_every_pool(self):
-        # max_pool2d.auto takes the tiled reduction where it applies and
-        # gathers elsewhere; only a tuner measurement picks gather over it.
-        for op in ("max_pool2d", "avg_pool2d"):
-            for _, x_shape, kernel, stride, _ in POOL_CASES:
-                desc = KernelDesc(op=op, x_shape=x_shape, kernel_size=kernel,
-                                  stride=stride)
-                assert heuristic_choice(desc) == "auto", (op, x_shape, kernel, stride)
+    @pytest.mark.parametrize("x_shape,kernel,padding,variant", [
+        ((8, 6, 6), (1, 1), (0, 0), "gemm_1x1"),
+        ((5, 9, 9), (3, 3), (1, 1), "im2col_slices"),
+        ((144, 28, 28), (3, 3), (1, 1), "im2col_batched"),
+    ], ids=["pointwise", "spatial", "batch_folded"])
+    def test_only_the_reference_runs_at_one_output_channel(self, x_shape, kernel, padding,
+                                                           variant):
+        # One filter row makes each sample's GEMM a vector-matrix product,
+        # which sums in an order set by the columns' memory layout.
+        def desc(out_channels):
+            return KernelDesc(op="conv2d", x_shape=x_shape, kernel_size=kernel,
+                              stride=(1, 1), padding=padding, out_channels=out_channels)
 
-    def test_heuristic_falls_back_to_reference(self):
-        # A linear admits only the reference matmul.
-        desc = KernelDesc(op="linear", x_shape=(24,), out_channels=5,
-                          weight_dtype="float64", bits=32)
-        assert heuristic_choice(desc) == "matmul"
-
-    def test_signature_distinguishes_geometry_and_bits(self):
-        base = dict(op="conv2d", x_shape=(3, 8, 8), kernel_size=(3, 3),
-                    stride=(1, 1), padding=(1, 1), out_channels=4,
-                    weight_dtype="int8", bits=8)
-        signatures = {KernelDesc(**base).signature()}
-        for mutation in (
-            {"stride": (2, 2)}, {"padding": (0, 0)}, {"bits": 4},
-            {"x_shape": (3, 16, 16)}, {"out_channels": 8},
-        ):
-            signatures.add(KernelDesc(**{**base, **mutation}).signature())
-        assert len(signatures) == 6
+        assert heuristic_choice(desc(2)) == variant
+        assert [v.name for v in applicable_variants(desc(1))] == ["im2col"]
 
     def test_every_variant_has_metadata(self):
         for op, names in available_variants().items():
@@ -256,7 +218,7 @@ class TestCompiledPlanVariants:
     def test_mobilenet_selects_gemm_1x1_and_stays_exact(self):
         model, shape = build("mobilenetv2")
         plan = compile_plan(model, shape)
-        chosen = {v for v, _ in plan.kernel_variants().values()}
+        chosen = set(plan.kernel_variants().values())
         assert "gemm_1x1" in chosen
         baseline = compile_plan(model, shape, optimize=False)
         x = RNG.normal(size=(3,) + shape)
@@ -273,9 +235,7 @@ class TestCompiledPlanVariants:
         )
         plan = compile_quantized_plan(model, export, shape)
         float_plan = compile_plan(model, shape)
-        assert [v for v, _ in plan.kernel_variants().values()] == [
-            v for v, _ in float_plan.kernel_variants().values()
-        ]
+        assert plan.kernel_variants() == float_plan.kernel_variants()
         for step in plan.steps:
             if isinstance(step, (ConvStep, LinearStep)):
                 assert step._weight_exec.dtype == np.float64
@@ -284,12 +244,32 @@ class TestCompiledPlanVariants:
         x = RNG.normal(size=(3,) + shape)
         np.testing.assert_array_equal(plan.run(x), baseline.run(x))
 
-    def test_describe_shows_variant_and_provenance(self):
+    #: The conv variant of every step of the perfbench serving models at
+    #: 3x32x32, one letter a step: S = im2col_slices, B = im2col_batched,
+    #: G = gemm_1x1.  resnet20: 9 S, 12 B; mobilenetv2 x0.35: 4 S, 34 G, 14 B.
+    SERVED_CONV_VARIANTS = [
+        ("resnet20", 1.0, "SSSSSSSBBSBBBBBBSBBBB"),
+        ("mobilenetv2", 0.35, "SSGGSGGSGGBGGBGGBGGBGGBGGBGGBGGBGGBGGBGGBGGBGGBGGBGG"),
+    ]
+
+    @pytest.mark.parametrize("name,width,expected", SERVED_CONV_VARIANTS,
+                             ids=[c[0] for c in SERVED_CONV_VARIANTS])
+    def test_served_models_keep_their_conv_variants(self, name, width, expected):
+        model = build_model(name, num_classes=10, width_multiplier=width, in_channels=3,
+                            rng=np.random.default_rng(0))
+        export = export_quantized_model(model, {n: 8 for n, _ in model.named_parameters()})
+        letters = {"im2col_slices": "S", "im2col_batched": "B", "gemm_1x1": "G"}
+        for plan in (compile_plan(model, (3, 32, 32)),
+                     compile_quantized_plan(model, export, (3, 32, 32))):
+            chosen = "".join(letters[v] for v in plan.kernel_variants().values())
+            assert chosen == expected, plan.quantized
+
+    def test_describe_shows_the_conv_variants(self):
         model, shape = build("tiny_convnet")
         plan = compile_plan(model, shape)
         text = plan.describe()
-        assert "variant=" in text and "(heuristic)" in text
-        assert "variants:" in plan.describe_pipeline()
+        assert "variant=im2col_slices" in text and "(heuristic)" not in text
+        assert "variants: im2col_slicesx2" in plan.describe_pipeline()
 
 
 class TestCensus:
@@ -299,12 +279,19 @@ class TestCensus:
     def census(self):
         return json.loads(CENSUS_PATH.read_text())
 
+    @pytest.fixture(scope="class")
+    def tool(self):
+        spec = importlib.util.spec_from_file_location("variant_census", CENSUS_TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        return tool
+
     @staticmethod
     def won(census):
         """(op, variant) pairs that win a signature by more than noise: the
         pick in most of its races there, by a median margin over the
-        runner-up above the tuner's displace margin.  A heuristic incumbent
-        the tuner merely kept (margin inside the displace margin) has not
+        runner-up above the census's displace margin.  A heuristic incumbent
+        a race merely kept (margin inside the displace margin) has not
         won."""
         won = set()
         for row in census["signatures"].values():
@@ -342,3 +329,93 @@ class TestCensus:
         for op, names in census["variants"].items():
             named.update((op, name) for name in names)
         assert named <= registered, sorted(named - registered)
+
+    def test_census_was_taken_at_every_site_the_tool_races(self, census, tool):
+        assert [
+            (config["source"], config["model"], config["width"], tuple(config["shape"]))
+            for config in census["configs"]
+        ] == tool.census_configs()
+        assert census["bits"] == list(tool.BITS)
+
+    @pytest.mark.parametrize("site,name,width,shape,bits", CENSUS_SITES,
+                             ids=[site[0] for site in CENSUS_SITES])
+    def test_every_site_serves_its_census_variants_byte_exactly(
+        self, census, tool, site, name, width, shape, bits
+    ):
+        """Each raced site compiles, as served, to the variants the census
+        records as the heuristic's there, and runs them bit for bit like
+        the unoptimised plan at batches 1 and 16."""
+        model = build_model(name, num_classes=10, width_multiplier=width,
+                            in_channels=shape[0], rng=np.random.default_rng(0))
+        if bits == 32:
+            plan, baseline = (compile_plan(model, shape, optimize=optimize)
+                              for optimize in (True, False))
+        else:
+            export = export_quantized_model(model, {p: bits for p, _ in model.named_parameters()})
+            plan, baseline = (compile_quantized_plan(model, export, shape, optimize=optimize)
+                              for optimize in (True, False))
+        x = np.random.default_rng(1).normal(size=(16,) + shape)
+        # Step through one sample to read each conv step's input geometry.
+        ctx = plan.create_context(1)
+        ctx.env[0] = x[:1]
+        served = {}
+        for step in plan.steps:
+            if isinstance(step, ConvStep):
+                desc = KernelDesc(
+                    op="conv2d", x_shape=tuple(ctx.env[step.x].shape[1:]),
+                    kernel_size=tuple(step.kernel_size), stride=tuple(step.stride),
+                    padding=tuple(step.padding), out_channels=step.out_channels,
+                )
+                signature = tool.signature(desc, str(step.weight_matrix.dtype), step.bits)
+                served.setdefault(signature, set()).add(step.variant)
+            step.run(ctx.env, ctx)
+        assert served == {
+            signature: {row["heuristic"]}
+            for signature, row in census["signatures"].items()
+            if site in row["modes"]["numpy"]["sites"]
+        }
+        for batch in (1, 16):
+            np.testing.assert_array_equal(plan.run(x[:batch]), baseline.run(x[:batch]),
+                                          err_msg=f"batch {batch}")
+
+    def test_signature_distinguishes_geometry_and_bits(self, tool):
+        base = dict(op="conv2d", x_shape=(3, 8, 8), kernel_size=(3, 3),
+                    stride=(1, 1), padding=(1, 1), out_channels=4)
+        signatures = {tool.signature(KernelDesc(**base), "int8", 8)}
+        for mutation in (
+            {"stride": (2, 2)}, {"padding": (0, 0)},
+            {"x_shape": (3, 16, 16)}, {"out_channels": 8},
+        ):
+            signatures.add(tool.signature(KernelDesc(**{**base, **mutation}), "int8", 8))
+        signatures.add(tool.signature(KernelDesc(**base), "int8", 4))
+        assert len(signatures) == 6
+
+    def test_the_tool_races_into_the_rows_these_checks_read(self, census, tool):
+        site = "cli:tiny_convnetx1@8"
+        entries = {}
+        tool.tally(entries, tool.race_config("tiny_convnet", 1.0, (1, 12, 12), 8), site)
+        raced = tool.record(entries, [("cli", "tiny_convnet", 1.0, (1, 12, 12))])
+        # The checked-in census has the same signature strings at this site.
+        assert set(raced["signatures"]) == {
+            signature for signature, row in census["signatures"].items()
+            if site in row["modes"]["numpy"]["sites"]
+        }
+        assert raced["modes"] == census["modes"] == ["numpy"]
+        assert raced["displace_margin"] == census["displace_margin"] == 0.05
+        assert raced["variants"] == census["variants"] == {
+            op: list(names) for op, names in available_variants().items()
+        }
+        assert raced["host"]["blas_threads"] == blas.current_threads()
+        for row in raced["signatures"].values():
+            assert row["op"] == "conv2d"
+            assert row["heuristic"] == "im2col_slices"
+            (mode,) = row["modes"].values()
+            assert mode["candidates"] == ["im2col", "im2col_slices"]
+            assert mode["sites"] == [site]
+            (pick,) = mode["picks"]
+            assert mode["picks"][pick] == 1
+            assert pick in mode["candidates"]
+            assert set(mode["median_margin"]) == {pick}
+        assert self.won(raced) <= set(
+            ("conv2d", name) for name in available_variants()["conv2d"]
+        )

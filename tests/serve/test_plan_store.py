@@ -114,6 +114,43 @@ class TestFloatVariant:
         np.testing.assert_array_equal(repo.plan("tiny", FLOAT_BITS).run(x), registered)
 
 
+class TestCacheHitsAreLookups:
+    def test_each_model_is_fingerprinted_once(self, monkeypatch):
+        walked = []
+        real = cache_module.architecture_fingerprint
+
+        def counting(model):
+            walked.append(model)
+            return real(model)
+
+        monkeypatch.setattr(cache_module, "architecture_fingerprint", counting)
+        models = {"tiny": _model(), "replica": _model(seed=1)}
+        repo = ModelRepository()
+        for name, model in models.items():
+            repo.add_model(name, model, SHAPE)
+            repo.add_export(name, _export(model), bits=8)
+        for _ in range(50):
+            for name in models:
+                for bits in (8, FLOAT_BITS):
+                    repo.plan(name, bits)
+        assert len(walked) == 2
+        assert {id(model) for model in walked} == {id(model) for model in models.values()}
+        # The two models share an architecture: 2 fp32 plans (different
+        # weights) and 2 8-bit plans, every other lookup a hit.
+        assert repo.plan_cache.compiles == 4
+        assert repo.plan_cache.hits == 50 * 4 - 4
+
+    def test_remembering_a_fingerprint_keeps_no_model_alive(self):
+        cache = cache_module.PlanCache()
+        model = _model()
+        plan = cache.get_or_compile(model, _export(model), SHAPE)
+        assert cache.get_or_compile(model, _export(model), SHAPE) is plan
+        dropped = weakref.ref(model)
+        del model
+        gc.collect()
+        assert dropped() is None
+
+
 class TestCompilesOutsideTheRepositoryLock:
     def test_lookups_answer_while_a_variant_compiles(self, monkeypatch):
         repo = _repo(_model())

@@ -493,7 +493,7 @@ class TestMainDispatch:
         assert cli.main(["deploy"]) == 2
 
 
-class TestPlanInspectTuning:
+class TestPlanInspectVariants:
     @pytest.fixture()
     def export_path(self, tmp_path):
         import numpy as np
@@ -509,131 +509,25 @@ class TestPlanInspectTuning:
         )
         return str(save_export(export, tmp_path / "tiny"))
 
-    def _argv(self, export_path, *extra):
-        return [export_path, "--model", "tiny_convnet", "--in-channels", "1",
-                "--image-size", "12", *extra]
-
-    def test_default_run_lists_heuristic_variants(self, export_path, capsys):
-        assert cli.run_plan_inspect(self._argv(export_path)) == 0
+    def test_lists_the_conv_variants(self, export_path, capsys):
+        argv = [export_path, "--model", "tiny_convnet", "--in-channels", "1",
+                "--image-size", "12"]
+        assert cli.run_plan_inspect(argv) == 0
         out = capsys.readouterr().out
         assert "kernel variants:" in out
-        assert "(heuristic)" in out
-        assert "tuning:" not in out
+        assert "im2col_slices" in out
+        assert "(heuristic)" not in out
 
-    def test_tune_flag_reports_tuner_summary(self, export_path, capsys):
-        assert cli.run_plan_inspect(self._argv(export_path, "--tune", "2.0")) == 0
-        out = capsys.readouterr().out
-        assert "(tuned)" in out or "(cached)" in out or "(heuristic)" in out
-        assert "tuning:" in out and "measurements" in out
-
-    def test_tuning_cache_persists_across_invocations(self, export_path, tmp_path, capsys):
-        cache = str(tmp_path / "tuning.json")
-        argv = self._argv(export_path, "--tune", "2.0", "--tuning-cache", cache)
-        assert cli.run_plan_inspect(argv) == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize("pipeline", [
+        ["--no-optimize"],
+        ["--passes", "fold_constants,fuse_affine"],
+    ], ids=["no_optimize", "without_select_kernels"])
+    def test_every_conv_keeps_the_reference_without_selection(self, export_path, capsys,
+                                                              pipeline):
+        argv = [export_path, "--model", "tiny_convnet", "--in-channels", "1",
+                "--image-size", "12", "--steps", *pipeline]
         assert cli.run_plan_inspect(argv) == 0
         out = capsys.readouterr().out
-        assert "0 measurements" in out  # second run answered from disk
-
-
-class TestAutotuneCommand:
-    def test_cold_then_warm_run(self, tmp_path, capsys):
-        cache = str(tmp_path / "tuning.json")
-        argv = ["--model", "tiny_convnet", "--cache", cache,
-                "--budget", "2.0", "--bits", "8", "--verify"]
-        assert cli.run_autotune(argv) == 0
-        cold = capsys.readouterr().out
-        assert "[fp32]" in cold and "[int8]" in cold
-        assert "verify: tuned output bitwise-identical" in cold
-        assert "measurements: 0" not in cold
-
-        assert cli.run_autotune(argv) == 0
-        warm = capsys.readouterr().out
-        assert "measurements: 0" in warm  # every selection came from disk
-        assert "retunes=0" in warm
-
-    def test_bad_bits_rejected(self, tmp_path, capsys):
-        argv = ["--cache", str(tmp_path / "t.json"), "--bits", "eight"]
-        assert cli.run_autotune(argv) == 2
-        assert "--bits must be" in capsys.readouterr().err
-
-    def test_unsupported_bitwidth_fails_cleanly(self, tmp_path, capsys):
-        argv = ["--cache", str(tmp_path / "t.json"), "--bits", "1"]
-        assert cli.run_autotune(argv) == 2
-        assert "autotune failed" in capsys.readouterr().err
-
-    def test_main_dispatch(self, tmp_path, capsys):
-        argv = ["autotune", "--model", "tiny_convnet",
-                "--cache", str(tmp_path / "t.json"), "--budget", "1.0"]
-        assert cli.main(argv) == 0
-        assert "autotune: tiny_convnet" in capsys.readouterr().out
-
-
-class TestBudgetValidation:
-    """Zero / negative measurement budgets are argparse errors, not hangs."""
-
-    @pytest.mark.parametrize("bad", ["0", "-1.5", "nan"])
-    def test_autotune_budget_rejected(self, bad, tmp_path, capsys):
-        argv = ["--cache", str(tmp_path / "t.json"), "--budget", bad]
-        with pytest.raises(SystemExit) as excinfo:
-            cli.run_autotune(argv)
-        assert excinfo.value.code == 2
-        assert "must be a positive number of seconds" in capsys.readouterr().err
-
-    def test_plan_inspect_tune_rejected(self, tmp_path, capsys):
-        argv = [str(tmp_path / "missing.npz"), "--tune", "-2"]
-        with pytest.raises(SystemExit) as excinfo:
-            cli.run_plan_inspect(argv)
-        assert excinfo.value.code == 2
-        assert "must be a positive number of seconds" in capsys.readouterr().err
-
-
-class TestCodegenCommand:
-    @pytest.fixture()
-    def codegen_tmp(self, tmp_path):
-        from repro.runtime import codegen
-
-        codegen.reset()
-        yield str(tmp_path / "codegen")
-        codegen.reset()
-
-    def test_status_reports_backend(self, codegen_tmp, capsys):
-        assert cli.run_codegen(["--status", "--cache-dir", codegen_tmp]) == 0
-        out = capsys.readouterr().out
-        assert "codegen: enabled=" in out
-        assert "compiler:" in out and "cache_dir:" in out
-
-    def test_status_json_is_machine_readable(self, codegen_tmp, capsys):
-        assert cli.run_codegen(["--json", "--cache-dir", codegen_tmp]) == 0
-        status = json.loads(capsys.readouterr().out)
-        assert {"enabled", "compiler", "blas", "cache_dir", "builds"} <= set(status)
-
-    def test_verify_cold_then_warm(self, codegen_tmp, capsys):
-        from repro.runtime import codegen
-
-        if codegen.compiler_command() is None:
-            pytest.skip("no C compiler on this host")
-        assert cli.run_codegen(["--verify", "--cache-dir", codegen_tmp]) == 0
-        cold = capsys.readouterr().out
-        assert "conv2d: ok" in cold
-        assert "linear" not in cold and "elementwise" not in cold
-        assert "1 compiled" in cold
-
-        codegen.reset()  # drop in-process kernel memos; disk artifacts stay
-        assert cli.run_codegen(["--verify", "--cache-dir", codegen_tmp]) == 0
-        warm = capsys.readouterr().out
-        assert "0 compiled" in warm and "1 from warm cache" in warm
-
-    def test_clear_cache_removes_artifacts(self, codegen_tmp, capsys):
-        from repro.runtime import codegen
-
-        if codegen.compiler_command() is None:
-            pytest.skip("no C compiler on this host")
-        assert cli.run_codegen(["--verify", "--cache-dir", codegen_tmp]) == 0
-        capsys.readouterr()
-        assert cli.run_codegen(["--clear-cache", "--cache-dir", codegen_tmp]) == 0
-        assert "removed 2 cached artifacts" in capsys.readouterr().out
-
-    def test_main_dispatch(self, codegen_tmp, capsys):
-        assert cli.main(["codegen", "--cache-dir", codegen_tmp]) == 0
-        assert "codegen: enabled=" in capsys.readouterr().out
+        listing = out.split("kernel variants:\n", 1)[1].split("\n\n", 1)[0]
+        assert [line.split()[-1] for line in listing.splitlines()] == ["im2col", "im2col"]
+        assert out.count("variant=im2col") == 2 and "im2col_slices" not in out

@@ -1,7 +1,7 @@
 """Fold every ``BENCH_*.json`` record into one machine-readable trajectory.
 
-Each benchmark suite leaves a headline record at the repo root
-(``BENCH_runtime.json``, ``BENCH_obs.json``, ...).
+Each benchmark suite that records one leaves a headline record at the repo
+root (``BENCH_obs.json``).
 This tool flattens all of them into a single ``BENCH_trajectory.json``
 keyed by benchmark name, with every numeric leaf addressed by a dotted
 path -- the shape a dashboard or a regression bot can diff across
@@ -9,7 +9,7 @@ commits without knowing any suite's schema:
 
     python tools/bench_trajectory.py
     python tools/bench_trajectory.py --out trajectory.json --indent 0
-    python tools/bench_trajectory.py --print runtime.native.models.mobilenetv2
+    python tools/bench_trajectory.py --print obs.overhead
 
 The record also captures the commit the numbers were measured at (when
 the working tree is a git checkout), so trajectory files collected from

@@ -20,7 +20,6 @@ from pathlib import Path
 
 PACKAGES = [
     "repro.runtime",
-    "repro.runtime.codegen",
     "repro.serve",
     "repro.adapt",
     "repro.obs",
@@ -28,7 +27,7 @@ PACKAGES = [
 OUT_PATH = Path(__file__).resolve().parent.parent / "docs" / "api.md"
 
 HEADER = """\
-# Public API: `repro.runtime` (+ `.codegen`), `repro.serve`, `repro.adapt` and `repro.obs`
+# Public API: `repro.runtime`, `repro.serve`, `repro.adapt` and `repro.obs`
 
 <!-- Generated by tools/gen_api_docs.py; do not edit by hand.
      Regenerate with: PYTHONPATH=src python tools/gen_api_docs.py -->
@@ -98,11 +97,6 @@ def render() -> str:
             elif inspect.isfunction(obj):
                 lines.append(f"### `{export_name}{_signature(obj)}`\n")
                 lines.append(f"{_summary(obj)}\n")
-            elif inspect.ismodule(obj):
-                # A module's repr names the file it was loaded from, which
-                # differs between checkouts.
-                lines.append(f"### `{export_name}`\n")
-                lines.append(f"Module: `{obj.__name__}`\n")
             else:
                 lines.append(f"### `{export_name}`\n")
                 lines.append(f"Constant: `{export_name} = {obj!r}`\n")

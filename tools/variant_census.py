@@ -1,26 +1,27 @@
-"""Census of kernel-variant picks: which variant the tuner chooses, where.
+"""Census of conv-variant races: which variant runs fastest, where.
 
 A kernel variant earns its place in :mod:`repro.runtime.variants` only if
 it wins somewhere this system runs.  This tool compiles every registry
 model at the shapes the CLI and the perfbench workloads use, at fp32 and
-8, 4 and 2 bits, with the native codegen backend off and (where a C
-compiler exists) on, and lets a fresh autotuner race every call site:
+8, 4 and 2 bits, with the heuristic kernel selection the runtime ships, and
+runs each plan step by step on a batch of :data:`RACE_BATCH` probe samples.
+At every conv step it races every applicable conv variant on that step's
+real input, through :func:`repro.runtime.variants.run_conv`:
 
     PYTHONPATH=src python tools/variant_census.py
     PYTHONPATH=src python tools/variant_census.py --out census.json
 
-Every call site is raced :data:`RUNS` times per mode.  Each run of each
-compile uses a fresh ephemeral
-:class:`~repro.runtime.tuning.TuningConfig` (no cache, unbounded budget),
-so every race is measured, never read back.  Per kernel signature the
-output records the candidates, the heuristic pick, how often each variant
-was the tuner's pick, and the median margin of the pick over the
-runner-up (read from :attr:`~repro.runtime.tuning.Autotuner.races`, not
-timed again).  A negative margin means the tuner kept the heuristic's
-pick inside ``Autotuner.DISPLACE_MARGIN``.  The default output is
-``docs/variant_census.json``, which the test-suite checks: every
-non-reference registered variant must win at least one signature in it,
-as the majority pick by a median margin above ``DISPLACE_MARGIN``.
+Every call site is raced :data:`RUNS` times.  A race times each candidate
+:data:`WARMUP` time untimed, then :data:`REPEATS` times, and keeps its best
+time.  The fastest candidate is the race's pick, unless the heuristic's
+variant is within :data:`DISPLACE_MARGIN` of it: then the heuristic's
+variant is kept, with a negative margin.  Per kernel signature the output
+records the candidates, the heuristic pick, how often each variant was
+picked, and the median margin of the pick over the runner-up.  The host
+block records the OpenBLAS thread count the races ran at.  The default
+output is ``docs/variant_census.json``, which the test-suite checks: every
+non-reference registered variant must win at least one signature in it, as
+the majority pick by a median margin above ``DISPLACE_MARGIN``.
 """
 
 from __future__ import annotations
@@ -31,26 +32,48 @@ import os
 import platform
 import statistics
 import sys
-import tempfile
+import time
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.models import available_models, build_model
 from repro.quant import export_quantized_model
-from repro.runtime import Autotuner, TuningConfig, codegen, compile_plan, compile_quantized_plan
-from repro.runtime import passes as runtime_passes
-from repro.runtime.variants import available_variants, heuristic_choice, reference_variant
+from repro.runtime import blas, compile_plan, compile_quantized_plan
+from repro.runtime.executor import ConvStep
+from repro.runtime.variants import (
+    KernelDesc,
+    applicable_variants,
+    available_variants,
+    reference_variant,
+    run_conv,
+)
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "docs" / "variant_census.json"
 
 #: Bitwidths every model is exported at (32 = the float plan).
 BITS = (32, 8, 4, 2)
 
-#: Races per call site per mode.
+#: Races per call site.
 RUNS = 3
+
+#: Samples in the probe batch each plan runs on, and so in every race.
+RACE_BATCH = 16
+
+#: Untimed and timed runs of each candidate per race (the best time counts).
+WARMUP = 1
+REPEATS = 3
+
+#: Relative speedup a candidate must show over the heuristic's variant to
+#: be the pick.  Races are a handful of timed repeats, so near-ties are
+#: noise: within the margin the heuristic's variant is kept.
+DISPLACE_MARGIN = 0.05
+
+#: The one race mode (conv variants run through numpy's BLAS).
+MODE = "numpy"
 
 #: The CLI's default input (``--in-channels 1 --image-size 12``, width
 #: 1.0), except where an architecture fixes its own: resnet20, resnet110
@@ -84,116 +107,173 @@ def census_configs() -> List[Tuple[str, str, float, Tuple[int, ...]]]:
     return configs
 
 
-class CensusTuner(Autotuner):
-    """An autotuner that logs every selection it makes."""
-
-    def __init__(self, config: TuningConfig) -> None:
-        super().__init__(config)
-        self.log: List[dict] = []
-
-    def select(self, desc, candidates, make_runner):
-        name, provenance = super().select(desc, candidates, make_runner)
-        signature = desc.signature()
-        times = self.races.get(signature, {}) if provenance == "tuned" else {}
-        others = [seconds for variant, seconds in times.items() if variant != name]
-        margin = min(others) / times[name] - 1.0 if others and times[name] > 0 else None
-        self.log.append({
-            "signature": signature,
-            "op": desc.op,
-            "candidates": sorted(candidates),
-            "heuristic": heuristic_choice(desc),
-            "pick": name,
-            "provenance": provenance,
-            "margin": margin,
-        })
-        return name, provenance
+def signature(desc: KernelDesc, weight_dtype: str, bits: int) -> str:
+    """The conv call site's key: geometry, stored weight dtype and bitwidth."""
+    return "|".join((
+        desc.op,
+        "x=" + "x".join(str(dim) for dim in desc.x_shape),
+        f"k={desc.kernel_size[0]}x{desc.kernel_size[1]}",
+        f"s={desc.stride[0]}x{desc.stride[1]}",
+        f"p={desc.padding[0]}x{desc.padding[1]}",
+        f"co={desc.out_channels}",
+        f"w={weight_dtype}",
+        f"b={bits}",
+    ))
 
 
-def _compile(name: str, width: float, shape, bits: int, tuner: Autotuner) -> None:
+def _best_seconds(run) -> float:
+    for _ in range(WARMUP):
+        run()
+    best = float("inf")
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _race(step: ConvStep, x: np.ndarray) -> Optional[dict]:
+    """Race every conv variant admitted at ``step`` on its input ``x``;
+    ``None`` where only the reference is admitted."""
+    desc = KernelDesc(
+        op="conv2d", x_shape=tuple(x.shape[1:]), kernel_size=tuple(step.kernel_size),
+        stride=tuple(step.stride), padding=tuple(step.padding),
+        out_channels=step.out_channels,
+    )
+    # The reference applies everywhere, and so does im2col_slices or
+    # gemm_1x1 wherever the conv has more than one output channel (every
+    # registry model's do).
+    candidates = [variant.name for variant in applicable_variants(desc)]
+    if len(candidates) == 1:
+        return None
+    out_h, out_w = kernels.conv_output_hw(
+        x.shape[2], x.shape[3], desc.kernel_size, desc.stride, desc.padding
+    )
+    scratch = np.empty((x.shape[0], desc.out_channels, out_h * out_w))
+    # Packed as the lowering packs it: every variant races the same weight.
+    weight = kernels.pack_weight_matrix(step.weight_matrix)
+    times = {
+        name: _best_seconds(lambda: run_conv(
+            name, x, weight, desc.kernel_size, desc.stride, desc.padding, out=scratch,
+        ))
+        for name in candidates
+    }
+    incumbent = step.variant  # the heuristic's pick, as the plan ships it
+    pick = min(times, key=times.get)
+    if pick != incumbent and times[pick] >= times[incumbent] * (1.0 - DISPLACE_MARGIN):
+        pick = incumbent
+    others = [seconds for name, seconds in times.items() if name != pick]
+    return {
+        "signature": signature(desc, str(step.weight_matrix.dtype), step.bits),
+        "op": desc.op,
+        "candidates": sorted(candidates),
+        "heuristic": incumbent,
+        "pick": pick,
+        "margin": min(others) / times[pick] - 1.0,
+    }
+
+
+def race_config(name: str, width: float, shape: Tuple[int, ...], bits: int) -> List[dict]:
+    """Compile one config as served and race the variants at each conv step.
+
+    The plan runs step by step on a seeded probe batch, so every race runs
+    on the activations its conv step reads when the plan runs.
+    """
     model = build_model(
         name, num_classes=10, width_multiplier=width, in_channels=shape[0],
         rng=np.random.default_rng(0),
     )
     if bits == 32:
-        compile_plan(model, shape, tuning=tuner)
-        return
-    export = export_quantized_model(model, {p: bits for p, _ in model.named_parameters()})
-    compile_quantized_plan(model, export, shape, tuning=tuner)
+        plan = compile_plan(model, shape)
+    else:
+        export = export_quantized_model(model, {p: bits for p, _ in model.named_parameters()})
+        plan = compile_quantized_plan(model, export, shape)
+    ctx = plan.create_context(RACE_BATCH)
+    env = ctx.env
+    env[0] = np.random.default_rng(0).normal(size=(RACE_BATCH,) + tuple(shape))
+    races = []
+    for step in plan.steps:
+        if isinstance(step, ConvStep):
+            race = _race(step, env[step.x])
+            if race is not None:
+                races.append(race)
+        step.run(env, ctx)
+    return races
 
 
-def run_census(native_modes: Tuple[str, ...], progress=None) -> dict:
-    """Race every call site :data:`RUNS` times per mode; returns the census record."""
-    entries: Dict[Tuple[str, str], dict] = {}
+def tally(entries: Dict[str, dict], races: List[dict], site: str) -> None:
+    """Fold one config's races into the per-signature ``entries``."""
+    for race in races:
+        entry = entries.setdefault(race["signature"], {
+            "op": race["op"],
+            "candidates": race["candidates"],
+            "heuristic": race["heuristic"],
+            "picks": Counter(),
+            "margins": defaultdict(list),
+            "sites": set(),
+        })
+        entry["picks"][race["pick"]] += 1
+        entry["margins"][race["pick"]].append(race["margin"])
+        entry["sites"].add(site)
+
+
+def run_census(progress=None) -> dict:
+    """Race every call site :data:`RUNS` times; returns the census record."""
+    entries: Dict[str, dict] = {}
     configs = census_configs()
-    for mode in native_modes:
-        codegen.configure(enable=(mode == "native"))
-        for run in range(RUNS):
-            for source, name, width, shape in configs:
-                for bits in BITS:
-                    tuner = CensusTuner(TuningConfig(cache=None, budget_s=float("inf")))
-                    _compile(name, width, shape, bits, tuner)
-                    site = f"{source}:{name}x{width:g}@{bits}"
-                    for race in tuner.log:
-                        entry = entries.setdefault((race["signature"], mode), {
-                            "op": race["op"],
-                            "candidates": race["candidates"],
-                            "heuristic": race["heuristic"],
-                            "picks": Counter(),
-                            "margins": defaultdict(list),
-                            "sites": set(),
-                        })
-                        entry["picks"][race["pick"]] += 1
-                        if race["margin"] is not None:
-                            entry["margins"][race["pick"]].append(race["margin"])
-                        entry["sites"].add(site)
-                    if progress is not None:
-                        progress(f"[{mode} run {run + 1}/{RUNS}] {site}: "
-                                 f"{len(tuner.log)} races")
-    codegen.configure(enable=False)
-    return _record(entries, native_modes, configs)
+    for run in range(RUNS):
+        for source, name, width, shape in configs:
+            for bits in BITS:
+                races = race_config(name, width, shape, bits)
+                site = f"{source}:{name}x{width:g}@{bits}"
+                tally(entries, races, site)
+                if progress is not None:
+                    progress(f"[run {run + 1}/{RUNS}] {site}: {len(races)} races")
+    return record(entries, configs)
 
 
-def _record(entries, native_modes, configs) -> dict:
+def record(entries: Dict[str, dict], configs) -> dict:
+    """The census record of the tallied ``entries``."""
     signatures: Dict[str, dict] = {}
     summary: Dict[str, Dict[str, Dict[str, Dict[str, int]]]] = {}
-    for (signature, mode), entry in sorted(entries.items()):
-        row = signatures.setdefault(signature, {
-            "op": entry["op"], "heuristic": entry["heuristic"], "modes": {},
-        })
-        row["modes"][mode] = {
-            "candidates": entry["candidates"],
-            "picks": dict(sorted(entry["picks"].items())),
-            "median_margin": {
-                variant: round(statistics.median(values), 4)
-                for variant, values in sorted(entry["margins"].items())
-            },
-            "sites": sorted(entry["sites"]),
+    for signature_key, entry in sorted(entries.items()):
+        signatures[signature_key] = {
+            "op": entry["op"],
+            "heuristic": entry["heuristic"],
+            "modes": {MODE: {
+                "candidates": entry["candidates"],
+                "picks": dict(sorted(entry["picks"].items())),
+                "median_margin": {
+                    variant: round(statistics.median(values), 4)
+                    for variant, values in sorted(entry["margins"].items())
+                },
+                "sites": sorted(entry["sites"]),
+            }},
         }
         races = sum(entry["picks"].values())
         per_op = summary.setdefault(entry["op"], {})
         for variant in entry["candidates"]:
-            counts = per_op.setdefault(variant, {}).setdefault(mode, {"races": 0, "wins": 0})
+            counts = per_op.setdefault(variant, {}).setdefault(MODE, {"races": 0, "wins": 0})
             counts["races"] += races
             counts["wins"] += entry["picks"].get(variant, 0)
-    compiler = codegen.compiler_command()
     return {
         "generator": "tools/variant_census.py",
         "runs": RUNS,
-        "modes": list(native_modes),
+        "modes": [MODE],
         "bits": list(BITS),
         "configs": [
             {"source": source, "model": name, "width": width, "shape": list(shape)}
             for source, name, width, shape in configs
         ],
-        "race_batch": runtime_passes._RACE_BATCH,
-        "repeats": TuningConfig().repeats,
-        "warmup": TuningConfig().warmup,
-        "displace_margin": Autotuner.DISPLACE_MARGIN,
+        "race_batch": RACE_BATCH,
+        "repeats": REPEATS,
+        "warmup": WARMUP,
+        "displace_margin": DISPLACE_MARGIN,
         "host": {
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
             "numpy": np.__version__,
-            "compiler": os.path.basename(compiler) if compiler else None,
+            "blas_threads": blas.current_threads(),
         },
         "variants": {op: list(names) for op, names in available_variants().items()},
         "references": {op: reference_variant(op) for op in available_variants()},
@@ -210,8 +290,8 @@ def dumps(census: dict) -> str:
         indent=1, sort_keys=True,
     )
     rows = ",\n".join(
-        f"  {json.dumps(signature)}: {json.dumps(row, sort_keys=True)}"
-        for signature, row in sorted(census["signatures"].items())
+        f"  {json.dumps(signature_key)}: {json.dumps(row, sort_keys=True)}"
+        for signature_key, row in sorted(census["signatures"].items())
     )
     return head[:-2] + ',\n "signatures": {\n' + rows + "\n }\n}\n"
 
@@ -237,11 +317,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(OUT_PATH), help="JSON output path")
     args = parser.parse_args(argv)
-    # Native races need a C compiler; without one the census is numpy-only.
-    modes = ("numpy",) if codegen.compiler_command() is None else ("numpy", "native")
-    with tempfile.TemporaryDirectory() as artifacts:
-        codegen.configure(cache_dir_path=artifacts)
-        census = run_census(modes, progress=lambda line: print(line, file=sys.stderr))
+    census = run_census(progress=lambda line: print(line, file=sys.stderr))
     Path(args.out).write_text(dumps(census))
     print(markdown_table(census))
     return 0
