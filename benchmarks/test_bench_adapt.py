@@ -13,6 +13,7 @@ asserting the acceptance criteria: zero failed requests across the
 handoff, and a swap far cheaper than recompiling a plan.
 """
 
+import itertools
 import os
 
 import numpy as np
@@ -34,17 +35,24 @@ def _uniform_export(model, bits, scale=1.0):
 
 @pytest.fixture(scope="module")
 def swap_repo():
-    """A repository serving one 8-bit variant, plus a distinct spare export."""
+    """A repository serving one 8-bit variant of ``tiny_convnet``."""
     model = build_model("tiny_convnet", num_classes=10, in_channels=1,
                         rng=np.random.default_rng(0))
     repo = ModelRepository()
     repo.add_model("tiny", model, _INPUT_SHAPE)
     repo.add_export("tiny", _uniform_export(model, 8), bits=8)
+    return {"repo": repo, "original": repo.export("tiny", 8), "seeds": itertools.count(1)}
 
-    spare_model = build_model("tiny_convnet", num_classes=10, in_channels=1,
-                              rng=np.random.default_rng(1))
-    spare = _uniform_export(spare_model, 8)
-    return {"repo": repo, "spare": spare, "original": repo.export("tiny", 8)}
+
+def _compiled_fresh_export(swap_repo):
+    """A never-served 8-bit export whose plan is already in the cache, as
+    ``run_adaptation_job`` leaves a fine-tuned export before it swaps."""
+    repo = swap_repo["repo"]
+    model = build_model("tiny_convnet", num_classes=10, in_channels=1,
+                        rng=np.random.default_rng(next(swap_repo["seeds"])))
+    export = _uniform_export(model, 8)
+    repo.plan_cache.get_or_compile(repo.clone_model("tiny"), export, _INPUT_SHAPE)
+    return export
 
 
 @pytest.mark.benchmark(group="adapt")
@@ -52,22 +60,29 @@ def test_hot_swap_latency(benchmark, swap_repo):
     """Swap latency with the incoming plan already cached (the serving case).
 
     ``run_adaptation_job`` compiles the fine-tuned export through the plan
-    cache before swapping, so steady-state swaps alternate between two
-    cached plans -- the measured number is the pure handoff (history push,
-    dictionary writes, generation bump, one cache invalidation).
+    cache before swapping, so every timed swap installs a fresh export
+    whose plan an untimed setup compiled -- the measured number is the pure
+    handoff (history push, dictionary writes, generation bump, one cache
+    invalidation of the outgoing plan).  Swapping back to an earlier
+    export would time a recompile: the swap that retired it invalidated
+    its plan.
     """
-    repo, spare, original = swap_repo["repo"], swap_repo["spare"], swap_repo["original"]
-    # Prime both plans so the loop measures the handoff, not compilation.
-    repo.swap("tiny", spare, bits=8)
-    repo.swap("tiny", original, bits=8)
-    state = {"current": original}
+    repo = swap_repo["repo"]
+    # One untimed warm-up swap: the first one also creates the variant's
+    # rollback stack.
+    repo.swap("tiny", _compiled_fresh_export(swap_repo), bits=8)
+    compiles = []  # the cache's compile count as each timed swap starts
 
-    def swap_once():
-        incoming = spare if state["current"] is original else original
-        repo.swap("tiny", incoming, bits=8)
-        state["current"] = incoming
+    def setup():
+        assert not compiles or repo.plan_cache.compiles == compiles[-1], \
+            "a timed swap compiled"
+        export = _compiled_fresh_export(swap_repo)
+        compiles.append(repo.plan_cache.compiles)
+        return (export,), {}
 
-    benchmark(swap_once)
+    benchmark.pedantic(lambda export: repo.swap("tiny", export, bits=8),
+                       setup=setup, rounds=20)
+    assert repo.plan_cache.compiles == compiles[-1], "a timed swap compiled"
     assert repo.generation("tiny") >= 2
 
 
@@ -75,9 +90,7 @@ def test_swap_is_cheaper_than_compile(swap_repo, report_rows):
     """Acceptance: the atomic handoff costs a tiny fraction of a compile."""
     import time
 
-    repo, spare, original = swap_repo["repo"], swap_repo["spare"], swap_repo["original"]
-    repo.swap("tiny", spare, bits=8)
-    repo.swap("tiny", original, bits=8)
+    repo, original = swap_repo["repo"], swap_repo["original"]
 
     compile_seconds = float("inf")
     for _ in range(3):
@@ -88,14 +101,16 @@ def test_swap_is_cheaper_than_compile(swap_repo, report_rows):
         )
         compile_seconds = min(compile_seconds, time.perf_counter() - started)
 
+    # Fresh exports compiled before the clock starts: each timed swap is the
+    # handoff alone, as after a fine-tuning job.
+    incoming = [_compiled_fresh_export(swap_repo) for _ in range(6)]
+    compiles = repo.plan_cache.compiles
     swap_seconds = float("inf")
-    current = original
-    for _ in range(5):
-        incoming = spare if current is original else original
+    for export in incoming:
         started = time.perf_counter()
-        repo.swap("tiny", incoming, bits=8)
+        repo.swap("tiny", export, bits=8)
         swap_seconds = min(swap_seconds, time.perf_counter() - started)
-        current = incoming
+    assert repo.plan_cache.compiles == compiles, "a timed swap compiled"
 
     report_rows(
         "hot-swap vs compile (TinyConvNet)",

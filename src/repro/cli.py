@@ -53,14 +53,13 @@ Two entry points (also exposed as console scripts in ``pyproject.toml``):
     every pass, how many ops were fused into kernels, and the memory
     planner's arena bytes against the per-step scratch baseline.
 
-    The listing includes the kernel variant selected for every conv node
-    (the highest-ranked variant whose geometry predicate admits it).
+    The listing includes the conv variant selected for every conv node
+    (:func:`repro.runtime.variants.served_variant` of its geometry).
 
     .. code-block:: bash
 
         python -m repro.cli plan-inspect model.npz --model tiny_convnet
         python -m repro.cli plan-inspect model.npz --no-optimize --steps
-        python -m repro.cli plan-inspect model.npz --passes fold_constants,fuse_affine
 
 ``adapt-bench`` (``python -m repro.cli adapt-bench``)
     Serve a model while an APT fine-tuning job retrains it on drifted data
@@ -638,7 +637,6 @@ def run_serve_bench(argv: Optional[Sequence[str]] = None) -> int:
 # --------------------------------------------------------------------------- #
 def build_plan_inspect_parser() -> argparse.ArgumentParser:
     from repro.models import available_models
-    from repro.runtime import available_passes
 
     parser = argparse.ArgumentParser(
         prog="repro-plan-inspect",
@@ -660,14 +658,6 @@ def build_plan_inspect_parser() -> argparse.ArgumentParser:
     parser.add_argument("--image-size", type=int, default=12, help="input H=W (conv models)")
     parser.add_argument(
         "--width-multiplier", type=float, default=1.0, help="channel scaling factor"
-    )
-    parser.add_argument(
-        "--passes",
-        default=None,
-        help=(
-            "comma-separated pass pipeline to run instead of the default "
-            f"(known: {', '.join(available_passes())})"
-        ),
     )
     parser.add_argument(
         "--no-optimize",
@@ -712,23 +702,16 @@ def run_plan_inspect(argv: Optional[Sequence[str]] = None) -> int:
         rng=np.random.default_rng(args.seed),
     )
     input_shape = _model_input_shape(args.model, args)
-    passes = None
-    if args.passes is not None:
-        passes = tuple(name.strip() for name in args.passes.split(",") if name.strip())
     try:
         export = load_export(args.export)
         plan = compile_quantized_plan(
-            model,
-            export,
-            input_shape,
-            passes=passes,
-            optimize=not args.no_optimize,
+            model, export, input_shape, optimize=not args.no_optimize
         )
     except FileNotFoundError as error:
         print(f"cannot read export: {error}", file=sys.stderr)
         return 2
     except (KeyError, ValueError, PlanCompileError) as error:
-        # Architecture mismatch, unknown pass name, unsupported archive.
+        # Architecture mismatch, unsupported archive.
         print(f"plan-inspect failed: {error}", file=sys.stderr)
         return 2
     print(plan.describe_pipeline(batch_size=args.batch))

@@ -18,7 +18,6 @@ from repro.kernels.conv import (
     IM2COL_INDEX_CACHE_SIZE,
     as_pair,
     col2im,
-    conv2d,
     conv_output_hw,
     im2col,
     im2col_batched,
@@ -30,7 +29,6 @@ from repro.kernels.conv import (
     pack_weight_matrix,
     pad_nchw,
 )
-from repro.kernels.linear import linear
 from repro.kernels.norm import batch_norm
 from repro.kernels.pool import (
     avg_pool2d,
@@ -42,16 +40,7 @@ from repro.kernels.pool import (
     max_pool2d_gather,
     pool_tiled_applicable,
 )
-from repro.kernels.activations import (
-    clamp,
-    leaky_relu,
-    log_softmax,
-    relu,
-    relu6,
-    sigmoid,
-    softmax,
-    tanh,
-)
+from repro.kernels.activations import clamp, sigmoid
 
 __all__ = [
     "IM2COL_INDEX_CACHE_SIZE",
@@ -67,8 +56,6 @@ __all__ = [
     "matmul_cols",
     "pack_weight_matrix",
     "pad_nchw",
-    "conv2d",
-    "linear",
     "batch_norm",
     "max_pool2d",
     "max_pool2d_cols",
@@ -78,12 +65,6 @@ __all__ = [
     "avg_pool2d_gather",
     "avg_pool2d_tiled",
     "pool_tiled_applicable",
-    "relu",
-    "relu6",
-    "leaky_relu",
     "clamp",
     "sigmoid",
-    "tanh",
-    "softmax",
-    "log_softmax",
 ]

@@ -11,14 +11,6 @@ from typing import Optional
 import numpy as np
 
 
-def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    return np.maximum(x, 0.0, out=out)
-
-
-def relu6(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    return np.clip(x, 0.0, 6.0, out=out)
-
-
 def clamp(
     x: np.ndarray,
     min_value: Optional[float] = None,
@@ -30,28 +22,9 @@ def clamp(
     return np.clip(x, low, high, out=out)
 
 
-def leaky_relu(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
-    return np.where(x > 0, x, negative_slope * x)
-
-
 def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     result = 1.0 / (1.0 + np.exp(-x))
     if out is not None:
         np.copyto(out, result)
         return out
     return result
-
-
-def tanh(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    return np.tanh(x, out=out)
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))

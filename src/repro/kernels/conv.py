@@ -306,23 +306,3 @@ def matmul_cols(
     if out is not None and out.dtype == np.result_type(weight_matrix, cols):
         return np.matmul(weight_matrix, cols, out=out)
     return np.matmul(weight_matrix, cols)
-
-
-def conv2d(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    stride: IntPair = 1,
-    padding: IntPair = 0,
-) -> np.ndarray:
-    """2-D convolution (cross-correlation) over an NCHW input, no autograd."""
-    stride_pair = as_pair(stride)
-    padding_pair = as_pair(padding)
-    out_channels, in_channels, kernel_h, kernel_w = weight.shape
-    if x.shape[1] != in_channels:
-        raise ValueError(f"input has {x.shape[1]} channels but weight expects {in_channels}")
-    cols, _, out_h, out_w = im2col(x, (kernel_h, kernel_w), stride_pair, padding_pair)
-    out = matmul_cols(weight.reshape(out_channels, -1), cols)
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1)
-    return out.reshape(x.shape[0], out_channels, out_h, out_w)

@@ -5,11 +5,13 @@ Splits execution from autograd as a four-layer compiler pipeline:
 * :mod:`repro.runtime.ir` -- one traced forward pass becomes an explicit
   :class:`~repro.runtime.ir.Graph` of typed values and nodes;
 * :mod:`repro.runtime.passes` -- a :class:`~repro.runtime.passes.PassManager`
-  runs named, individually toggleable optimisation passes (constant
-  folding, affine fusion, kernel-variant selection), all byte-exact;
-* :mod:`repro.runtime.variants` -- a registry of byte-exact convolution
-  implementations, each admitted by a geometry predicate, from which the
-  ``select_kernels`` pass takes the highest-ranked applicable one;
+  runs the fixed optimisation pipeline (constant folding, affine fusion,
+  conv variant selection), every pass byte-exact; ``optimize=False``
+  compiles the raw trace instead, the reference every optimised plan
+  matches byte for byte;
+* :mod:`repro.runtime.variants` -- four byte-exact convolution variants,
+  each admitted by geometry predicates; the ``select_kernels`` pass takes
+  :func:`~repro.runtime.variants.served_variant` of each conv's geometry;
 * :mod:`repro.runtime.memory` -- liveness analysis and slot-reuse coloring
   place every scratch buffer in one preallocated per-context arena
   (:class:`~repro.runtime.memory.PlanMemoryStats` reports the savings);
@@ -34,28 +36,15 @@ from repro.runtime.cache import PlanCache, architecture_fingerprint
 from repro.runtime.executor import ExecutionContext, ExecutionPlan
 from repro.runtime.ir import Graph, Node, PlanCompileError, Value
 from repro.runtime.memory import MemoryPlan, PlanMemoryStats, plan_memory
-from repro.runtime.passes import (
-    DEFAULT_PASSES,
-    PassManager,
-    PipelineReport,
-    available_passes,
-    resolve_passes,
-)
+from repro.runtime.passes import PassManager, PipelineReport
 from repro.runtime.plan import compile_lock, compile_plan, compile_quantized_plan
-from repro.runtime.variants import (
-    KernelDesc,
-    KernelVariant,
-    available_variants,
-    register_variant,
-)
+from repro.runtime.variants import KernelDesc
 
 __all__ = [
-    "DEFAULT_PASSES",
     "ExecutionContext",
     "ExecutionPlan",
     "Graph",
     "KernelDesc",
-    "KernelVariant",
     "MemoryPlan",
     "Node",
     "PassManager",
@@ -65,12 +54,8 @@ __all__ = [
     "PlanMemoryStats",
     "Value",
     "architecture_fingerprint",
-    "available_passes",
-    "available_variants",
     "compile_lock",
     "compile_plan",
     "compile_quantized_plan",
     "plan_memory",
-    "register_variant",
-    "resolve_passes",
 ]

@@ -531,7 +531,6 @@ class ExecutionPlan:
         quantized: bool,
         memory: MemoryPlan,
         pipeline: PipelineReport,
-        passes: Tuple[str, ...],
     ) -> None:
         self.steps = steps
         for index, step in enumerate(steps):
@@ -543,7 +542,6 @@ class ExecutionPlan:
         self.quantized = quantized
         self.memory = memory
         self.pipeline = pipeline
-        self.passes = tuple(passes)
         self._thread_contexts = threading.local()
 
     # -- execution state ------------------------------------------------- #
@@ -655,7 +653,7 @@ class ExecutionPlan:
         header = (
             f"ExecutionPlan({self.source}, input={self.input_shape}, "
             f"{'quantised' if self.quantized else 'float'}) "
-            f"passes={list(self.passes)}"
+            f"passes={[record.name for record in self.pipeline.passes]}"
         )
         histogram = Counter(type(step).__name__ for step in self.steps)
         absorbed = sum(len(step.post) for step in self.steps
@@ -717,7 +715,6 @@ def lower_graph(
     export,
     memory: MemoryPlan,
     pipeline: PipelineReport,
-    passes: Tuple[str, ...],
     input_shape: Tuple[int, ...],
 ) -> ExecutionPlan:
     """Lower every IR node to exactly one kernel step.
@@ -791,7 +788,6 @@ def lower_graph(
         quantized=export is not None and bool(export.quantized),
         memory=memory,
         pipeline=pipeline,
-        passes=passes,
     )
 
 

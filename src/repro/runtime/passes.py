@@ -1,9 +1,12 @@
 """Optimizing passes over the runtime graph IR.
 
-A *pass* is a named graph-to-graph rewrite.  The :class:`PassManager` runs a
-configurable sequence of them and records a :class:`PipelineReport` (node
-counts and a one-line detail per pass) that compiled plans expose through
-``describe_pipeline()``.
+A *pass* is a graph-to-graph rewrite.  The :class:`PassManager` runs the
+fixed pipeline, :data:`PIPELINE` (``fold_constants`` -> ``fuse_affine`` ->
+``select_kernels``), and records a :class:`PipelineReport` (node counts and
+a one-line detail per pass) that compiled plans expose through
+``describe_pipeline()``.  A plan compiles either through the whole
+pipeline or, with ``optimize=False``, through none of it: the reference
+interpreter every optimised plan is tested against.
 
 Every pass is **byte-exact**: it may remove or fuse nodes, but the final
 executed arithmetic -- the ufunc sequence and its operands -- is
@@ -11,14 +14,15 @@ unchanged.  Constant folding reuses the traced probe activations (computed
 by the very kernels the runtime replays), and affine fusion carries the
 absorbed operations as ordered :class:`~repro.runtime.ir.ElemOp` micro-ops
 that the executor replays in place rather than collapsing them into a
-rescaled weight.  Disabling any subset of passes therefore changes plan
-*shape* (steps, buffers), never plan *output*; the test-suite asserts
-byte-identical logits across every single-pass-disabled configuration.
+rescaled weight.  The pipeline therefore changes plan *shape* (steps,
+buffers), never plan *output*; the test-suite asserts byte-identical
+logits between every registry model's optimised and ``optimize=False``
+plans.
 
 A pass stays in the pipeline only while it changes some registry model's
 plan (``tests/runtime/test_passes.py`` checks each one).
 
-Available passes (in default order):
+The passes, in pipeline order:
 
 ``fold_constants``
     Replace every node whose inputs are all constants with a baked constant
@@ -32,18 +36,18 @@ Available passes (in default order):
     producer's result has exactly one consumer -- the classic
     conv+BN+activation kernel fusion, replayed in place.
 ``select_kernels``
-    Annotate every conv node with the kernel variant the executor should
-    lower it to (``attrs["kernel_variant"]``): the highest-ranked of the
-    byte-exact implementations in :mod:`repro.runtime.variants` whose
-    predicate admits the node's geometry.  Runs after fusion (so the final
-    kernel call sites are known) and before memory planning (which is
-    unaffected: every variant writes the same scratch shape).
+    Annotate every conv node with the variant the executor should run
+    (``attrs["kernel_variant"]``):
+    :func:`~repro.runtime.variants.served_variant` of the node's geometry.
+    Runs after fusion (so the final kernel call sites are known) and before
+    memory planning (which is unaffected: every variant writes the same
+    scratch shape).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -157,7 +161,6 @@ def _conv_desc(node: Node) -> Optional[KernelDesc]:
     if weight_value.kind != "const":
         return None
     return KernelDesc(
-        op="conv2d",
         x_shape=tuple(node.inputs[0].shape[1:]),
         kernel_size=tuple(weight_value.shape[2:]),
         stride=tuple(node.attrs["stride"]),
@@ -167,12 +170,13 @@ def _conv_desc(node: Node) -> Optional[KernelDesc]:
 
 
 def select_kernels(graph: Graph) -> str:
-    """Annotate every conv node with the highest-ranked applicable variant.
+    """Annotate every conv node with the variant served at its geometry.
 
-    Every candidate is byte-exact against the reference lowering (the
-    admission rule of :mod:`repro.runtime.variants`), so this pass -- like
-    every other -- changes plan *speed*, never plan *output*.  Selection is
-    a predicate sweep over the node's static geometry: no measurement.
+    Every variant is byte-exact against the reference where it is
+    admitted (the rule of :mod:`repro.runtime.variants`), so this pass --
+    like every other -- changes plan *speed*, never plan *output*.
+    Selection is a predicate sweep over the node's static geometry: no
+    measurement.
     """
     annotated = 0
     for node in graph.nodes:
@@ -181,7 +185,7 @@ def select_kernels(graph: Graph) -> str:
         desc = _conv_desc(node)
         if desc is None:
             continue
-        node.attrs["kernel_variant"] = kernel_variants.heuristic_choice(desc)
+        node.attrs["kernel_variant"] = kernel_variants.served_variant(desc)
         annotated += 1
     return f"selected variants for {annotated} conv nodes"
 
@@ -189,46 +193,9 @@ def select_kernels(graph: Graph) -> str:
 # --------------------------------------------------------------------------- #
 # Pass manager
 # --------------------------------------------------------------------------- #
-PASS_REGISTRY: Dict[str, Callable[[Graph], str]] = {
-    "fold_constants": fold_constants,
-    "fuse_affine": fuse_affine,
-    "select_kernels": select_kernels,
-}
-
-#: Default pipeline: fold first (so fusion sees baked per-channel
-#: constants), then pick a kernel variant for every surviving call site.
-DEFAULT_PASSES: Tuple[str, ...] = (
-    "fold_constants",
-    "fuse_affine",
-    "select_kernels",
-)
-
-
-def available_passes() -> Tuple[str, ...]:
-    """Names accepted by :class:`PassManager` / ``compile_plan(passes=...)``."""
-    return tuple(PASS_REGISTRY)
-
-
-def resolve_passes(
-    optimize: bool = True,
-    passes: Optional[Sequence[str]] = None,
-) -> Tuple[str, ...]:
-    """Normalise the compile knobs into a concrete pass tuple.
-
-    ``optimize=False`` disables the whole pipeline (the unoptimised
-    reference interpreter).  An explicit ``passes`` sequence wins over the
-    default.  The resolved tuple is recorded on the compiled plan
-    (``ExecutionPlan.passes``).
-    """
-    if not optimize:
-        return ()
-    selected = DEFAULT_PASSES if passes is None else tuple(passes)
-    unknown = [name for name in selected if name not in PASS_REGISTRY]
-    if unknown:
-        raise ValueError(
-            f"unknown pass(es) {unknown!r}; available: {sorted(PASS_REGISTRY)}"
-        )
-    return selected
+#: The pipeline, in order: fold first (so fusion sees baked per-channel
+#: constants), then pick a conv variant for every surviving call site.
+PIPELINE = (fold_constants, fuse_affine, select_kernels)
 
 
 @dataclass(frozen=True)
@@ -260,26 +227,18 @@ class PipelineReport:
 
 
 class PassManager:
-    """Runs a named, individually-toggleable pass sequence over a graph."""
-
-    def __init__(self, passes: Sequence[str] = DEFAULT_PASSES) -> None:
-        unknown = [name for name in passes if name not in PASS_REGISTRY]
-        if unknown:
-            raise ValueError(
-                f"unknown pass(es) {unknown!r}; available: {sorted(PASS_REGISTRY)}"
-            )
-        self.passes: Tuple[str, ...] = tuple(passes)
+    """Runs the fixed pass pipeline, :data:`PIPELINE`, over a graph."""
 
     def run(self, graph: Graph) -> PipelineReport:
-        """Run every configured pass in order, mutating ``graph``."""
+        """Run every pass in order, mutating ``graph``."""
         records: List[PassRecord] = []
         initial = graph.num_nodes()
-        for name in self.passes:
+        for rewrite in PIPELINE:
             before = graph.num_nodes()
-            detail = PASS_REGISTRY[name](graph)
+            detail = rewrite(graph)
             records.append(
                 PassRecord(
-                    name=name,
+                    name=rewrite.__name__,
                     nodes_before=before,
                     nodes_after=graph.num_nodes(),
                     detail=detail,

@@ -7,10 +7,11 @@ is a small pipeline over four layers, each in its own module:
    (:func:`repro.tensor.trace_ops`) becomes an explicit :class:`Graph` of
    typed :class:`Value`/:class:`Node` objects;
 2. **optimizing passes** (:mod:`repro.runtime.passes`) -- a
-   :class:`~repro.runtime.passes.PassManager` runs named, individually
-   toggleable rewrites: constant folding, affine fusion into conv/linear
-   kernels, kernel-variant selection.  Every pass is byte-exact:
-   optimised and unoptimised plans produce bitwise-identical outputs;
+   :class:`~repro.runtime.passes.PassManager` runs the fixed pipeline:
+   constant folding, affine fusion into conv/linear kernels, conv variant
+   selection.  Every pass is byte-exact: a plan compiled through the
+   pipeline and one compiled with ``optimize=False`` (no passes) produce
+   bitwise-identical outputs;
 3. **memory planning** (:mod:`repro.runtime.memory`) -- liveness analysis
    and slot-reuse coloring lay every scratch buffer out in one preallocated
    per-context arena;
@@ -40,7 +41,7 @@ of that.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from repro.runtime.executor import (  # noqa: F401  (re-exported compiled surfac
 )
 from repro.runtime.ir import PlanCompileError, build_graph  # noqa: F401
 from repro.runtime.memory import plan_memory
-from repro.runtime.passes import PassManager, resolve_passes
+from repro.runtime.passes import PassManager, PipelineReport
 from repro.tensor import Tensor, trace_ops
 
 #: Batch size of the probe input used for tracing.  Any batch size works at
@@ -101,7 +102,6 @@ def compile_plan(
     model: Module,
     input_shape: Tuple[int, ...],
     *,
-    passes: Optional[Sequence[str]] = None,
     optimize: bool = True,
 ) -> ExecutionPlan:
     """Compile ``model`` (eval-mode semantics) into a float execution plan.
@@ -117,17 +117,12 @@ def compile_plan(
         into the plan (a snapshot; recompile after further training).
     input_shape:
         Per-sample input shape, e.g. ``(3, 32, 32)`` or ``(features,)``.
-    passes:
-        Explicit pass pipeline (names from
-        :func:`repro.runtime.passes.available_passes`); default is the full
-        :data:`~repro.runtime.passes.DEFAULT_PASSES` pipeline.  Any subset
-        produces byte-identical outputs -- passes change plan shape, never
-        plan results.
     optimize:
-        ``False`` disables every pass: the plan interprets the raw trace
-        (the reference the optimised plans are tested against).
+        ``True`` runs the whole pass pipeline; ``False`` runs none of it,
+        and the plan interprets the raw trace (the reference the optimised
+        plans are tested against, byte for byte).
     """
-    return _compile(model, None, input_shape, resolve_passes(optimize, passes))
+    return _compile(model, None, input_shape, optimize)
 
 
 def compile_quantized_plan(
@@ -135,7 +130,6 @@ def compile_quantized_plan(
     export: QuantizedModelExport,
     input_shape: Tuple[int, ...],
     *,
-    passes: Optional[Sequence[str]] = None,
     optimize: bool = True,
 ) -> ExecutionPlan:
     """Compile a plan that executes a quantised export directly.
@@ -147,15 +141,14 @@ def compile_quantized_plan(
     their affine scale applied at the kernel boundary as the step's output
     scale.  There is no model-wide dequantise round-trip and no autograd
     involvement at execution time.  An export with no integer codes (every
-    parameter stored as float) compiles to a float plan.  The ``passes`` /
-    ``optimize`` knobs and the validation work exactly as in
-    :func:`compile_plan`.
+    parameter stored as float) compiles to a float plan.  ``optimize`` and
+    the validation work exactly as in :func:`compile_plan`.
     """
     with _COMPILE_LOCK:
         state = model.state_dict()
         try:
             load_into_model(export, model)
-            return _compile(model, export, input_shape, resolve_passes(optimize, passes))
+            return _compile(model, export, input_shape, optimize)
         finally:
             model.load_state_dict(state)
 
@@ -164,17 +157,17 @@ def _compile(
     model: Module,
     export: Optional[QuantizedModelExport],
     input_shape: Tuple[int, ...],
-    passes: Tuple[str, ...],
+    optimize: bool,
 ) -> ExecutionPlan:
     with _COMPILE_LOCK:
-        return _compile_locked(model, export, input_shape, passes)
+        return _compile_locked(model, export, input_shape, optimize)
 
 
 def _compile_locked(
     model: Module,
     export: Optional[QuantizedModelExport],
     input_shape: Tuple[int, ...],
-    passes: Tuple[str, ...],
+    optimize: bool,
 ) -> ExecutionPlan:
     probe = np.random.default_rng(0).normal(size=(_PROBE_BATCH,) + tuple(input_shape))
     param_names = {id(param): name for name, param in model.named_parameters()}
@@ -191,7 +184,11 @@ def _compile_locked(
     graph = build_graph(
         records, probe_tensor, traced_out, param_names, source=type(model).__name__
     )
-    pipeline = PassManager(passes).run(graph)
+    if optimize:
+        pipeline = PassManager().run(graph)
+    else:
+        nodes = graph.num_nodes()
+        pipeline = PipelineReport(passes=[], initial_nodes=nodes, final_nodes=nodes)
     if graph.output.kind == "const":
         raise PlanCompileError("model output does not depend on the input")
     memory = plan_memory(graph)
@@ -200,7 +197,6 @@ def _compile_locked(
         export=export,
         memory=memory,
         pipeline=pipeline,
-        passes=passes,
         input_shape=tuple(input_shape),
     )
     produced = plan.run(probe)

@@ -1,9 +1,7 @@
-"""Kernel variant registry: multiple byte-exact implementations of a conv.
+"""Conv variants: the four byte-exact lowerings of a convolution.
 
-The executor historically lowered every convolution to one generic
-implementation (im2col gather + dense GEMM) regardless of shape.  This
-module registers the alternatives the
-:func:`~repro.runtime.passes.select_kernels` pass chooses between:
+The executor lowers every conv step to one of these, by name, through
+:func:`run_conv`:
 
 * ``im2col`` -- the reference gather + GEMM lowering;
 * ``im2col_slices`` -- build the column matrix with ``kh*kw`` strided
@@ -35,128 +33,57 @@ themselves.  Every conv variant runs over the weight the lowering packed
 once (:func:`repro.kernels.pack_weight_matrix`: integer codes cast to
 contiguous ``float64``, which is exact).
 
-**Byte-exactness is the admission rule**: a variant's ``applies``
-predicate may only accept geometries where its output is bitwise-identical
-to the reference implementation.  The test-suite sweeps every registered
-variant against the reference kernel, bit for bit; ``im2col_batched``'s
-predicate, which rests on how OpenBLAS tiles a GEMM, is also checked on
-every census call site it admits at batches 1-16, and ``im2col_slices``'
-blocks on every census call site where they split the batch
-(``tests/runtime/test_batched_conv.py``).
+**Byte-exactness is the admission rule**: :func:`admitted_variants` lists
+a variant at a geometry only where its output is bitwise-identical to the
+reference.  The test-suite runs every admitted variant against the
+reference kernel over edge-case geometries, bit for bit;
+``im2col_batched``'s predicate, which rests on how OpenBLAS tiles a GEMM,
+is also checked on every census call site it admits at batches 1-16, and
+``im2col_slices``' blocks on every census call site where they split the
+batch (``tests/runtime/test_batched_conv.py``).
 
 **A variant stays only if it wins somewhere.**  ``docs/variant_census.json``
-(written by ``tools/variant_census.py``) races every applicable variant at
+(written by ``tools/variant_census.py``) races every admitted variant at
 every conv call site of every registry model; the test-suite requires every
 non-reference variant to win somewhere in it.
 
-Selection is recorded on the IR node (``attrs["kernel_variant"]``) by the
-``select_kernels`` pass -- the highest-ranked applicable variant, a
-predicate sweep over the graph -- and the executor's lowering dispatches on
-it.  A plan compiled without the pass lowers every conv to the reference
-variant, unchanged.
+Selection is static: the ``select_kernels`` pass records
+:func:`served_variant` of each conv node's geometry on the node
+(``attrs["kernel_variant"]``), and the executor's lowering dispatches on
+it.  A plan compiled with ``optimize=False`` lowers every conv to the
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import kernels
 
 __all__ = [
+    "CONV_VARIANTS",
     "KernelDesc",
-    "KernelVariant",
-    "available_variants",
-    "heuristic_choice",
-    "reference_variant",
-    "register_variant",
-    "variants_for",
+    "admitted_variants",
+    "run_conv",
+    "served_variant",
 ]
 
-#: Ops that have registered variants (everything else lowers one way).
-VARIED_OPS = ("conv2d",)
+#: Every conv variant :func:`run_conv` runs, the reference first.
+CONV_VARIANTS = ("im2col", "im2col_slices", "im2col_batched", "gemm_1x1")
 
 
 @dataclass(frozen=True)
 class KernelDesc:
-    """Static description of one lowered kernel call site.
+    """Static geometry of one conv call site: what the selector sees."""
 
-    This is what variant applicability predicates see: the op and the
-    per-sample input/output geometry.
-    """
-
-    op: str
-    x_shape: Tuple[int, ...]  # per-sample input shape, e.g. (C, H, W)
-    kernel_size: Tuple[int, int] = (0, 0)
-    stride: Tuple[int, int] = (1, 1)
-    padding: Tuple[int, int] = (0, 0)
-    out_channels: int = 0
-
-
-@dataclass(frozen=True)
-class KernelVariant:
-    """One registered implementation of an op.
-
-    ``applies`` admits only geometries where the variant is
-    bitwise-identical to the reference; ``rank`` orders the zero-cost
-    heuristic (higher wins among applicable variants; the reference is
-    rank 0).
-    """
-
-    op: str
-    name: str
-    applies: Callable[[KernelDesc], bool]
-    rank: int
-    description: str
-
-
-_REGISTRY: Dict[str, "List[KernelVariant]"] = {op: [] for op in VARIED_OPS}
-
-
-def register_variant(variant: KernelVariant) -> KernelVariant:
-    """Add a variant to the registry (first registration per op = reference).
-
-    Raises:
-        ValueError: the op is unknown or the name is already taken.
-    """
-    if variant.op not in _REGISTRY:
-        raise ValueError(
-            f"unknown op {variant.op!r}; variants exist for {sorted(_REGISTRY)}"
-        )
-    if any(existing.name == variant.name for existing in _REGISTRY[variant.op]):
-        raise ValueError(f"variant {variant.op}.{variant.name} already registered")
-    _REGISTRY[variant.op].append(variant)
-    return variant
-
-
-def variants_for(op: str) -> Tuple[KernelVariant, ...]:
-    """Every registered variant of ``op`` (reference first), or ()."""
-    return tuple(_REGISTRY.get(op, ()))
-
-
-def reference_variant(op: str) -> str:
-    """Name of the reference (first-registered) variant of ``op``."""
-    return _REGISTRY[op][0].name
-
-
-def available_variants() -> Dict[str, Tuple[str, ...]]:
-    """Registered variant names per op (documentation / CLI surface)."""
-    return {op: tuple(v.name for v in entries) for op, entries in _REGISTRY.items()}
-
-
-def applicable_variants(desc: KernelDesc) -> Tuple[KernelVariant, ...]:
-    """The variants admissible at ``desc`` (always includes one)."""
-    return tuple(v for v in variants_for(desc.op) if v.applies(desc))
-
-
-def heuristic_choice(desc: KernelDesc) -> str:
-    """Zero-cost selection: the highest-ranked applicable variant."""
-    candidates = applicable_variants(desc)
-    if not candidates:
-        return reference_variant(desc.op)
-    return max(candidates, key=lambda v: v.rank).name
+    x_shape: Tuple[int, ...]  # per-sample input shape, (C, H, W)
+    kernel_size: Tuple[int, int]
+    stride: Tuple[int, int]
+    padding: Tuple[int, int]
+    out_channels: int
 
 
 # --------------------------------------------------------------------------- #
@@ -294,23 +221,6 @@ def _several_output_channels(desc: KernelDesc) -> bool:
     return desc.out_channels > 1
 
 
-register_variant(KernelVariant(
-    op="conv2d",
-    name="im2col",
-    applies=lambda desc: True,
-    rank=0,
-    description="reference im2col gather + dense GEMM",
-))
-register_variant(KernelVariant(
-    op="conv2d",
-    name="im2col_slices",
-    # For a 1x1 / stride-1 / pad-0 conv the "slices" are one full copy
-    # that gemm_1x1 skips outright, so the variant stands aside there.
-    applies=lambda desc: not _is_pointwise(desc) and _several_output_channels(desc),
-    rank=25,
-    description="slice-copied contiguous columns (no fancy-index gather)",
-))
-
 #: OpenBLAS's SkylakeX float64 GEMM kernel computes the product in tiles of
 #: 16 rows of its column-major view -- 16 output pixels here.  A pixel count
 #: off that grid sends the last rows of a sample through the edge kernels,
@@ -360,17 +270,27 @@ def _batched_conv_applies(desc: KernelDesc) -> bool:
     )
 
 
-register_variant(KernelVariant(
-    op="conv2d",
-    name="im2col_batched",
-    applies=_batched_conv_applies,
-    rank=28,
-    description="batch folded into the columns: one GEMM per batch",
-))
-register_variant(KernelVariant(
-    op="conv2d",
-    name="gemm_1x1",
-    applies=lambda desc: _is_pointwise(desc) and _several_output_channels(desc),
-    rank=30,
-    description="1x1 convolution as a plain channel GEMM (no gather)",
-))
+def admitted_variants(desc: KernelDesc) -> Tuple[str, ...]:
+    """The variants byte-exact at ``desc``, the reference first and the
+    served one (:func:`served_variant`) last; the census races them all.
+
+    At one output channel only the reference is; a pointwise conv admits
+    ``gemm_1x1`` (for a 1x1 / stride-1 / pad-0 conv ``im2col_slices``'
+    "slices" are one full copy that ``gemm_1x1`` skips outright); any
+    other conv admits ``im2col_slices``, and ``im2col_batched`` where
+    :func:`_batched_conv_applies`.
+    """
+    if not _several_output_channels(desc):
+        return ("im2col",)
+    if _is_pointwise(desc):
+        return ("im2col", "gemm_1x1")
+    if _batched_conv_applies(desc):
+        return ("im2col", "im2col_slices", "im2col_batched")
+    return ("im2col", "im2col_slices")
+
+
+def served_variant(desc: KernelDesc) -> str:
+    """The variant a compiled plan runs at ``desc``: the reference at one
+    output channel, ``gemm_1x1`` for a pointwise conv, ``im2col_batched``
+    where the fold is admitted, and ``im2col_slices`` otherwise."""
+    return admitted_variants(desc)[-1]

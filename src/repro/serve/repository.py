@@ -363,19 +363,6 @@ class ModelRepository:
             if current is None or current.content_hash() != export.content_hash():
                 self.plan_cache.invalidate(self.plan_cache.key_for(model, export, input_shape))
 
-    def memory_stats(self, name: str, bits: int = FLOAT_BITS):
-        """The memory planner's accounting for one variant's compiled plan.
-
-        Compiles the variant if needed (through the plan cache) and returns
-        its :class:`~repro.runtime.memory.PlanMemoryStats`: worker pools
-        size their per-context arenas from this plan, and capacity planning
-        reads ``arena_bytes(batch)`` to budget per-worker memory.
-
-        Raises:
-            KeyError: the model is not registered or has no such variant.
-        """
-        return self.plan(name, bits).memory_stats
-
     def warm(self, name: Optional[str] = None) -> int:
         """Eagerly compile every variant (of one model or all); returns count."""
         names = [name] if name is not None else self.models()

@@ -14,15 +14,6 @@ def rng():
 
 
 class TestConvKernel:
-    def test_matches_functional_conv2d(self, rng):
-        x = rng.normal(size=(3, 4, 9, 9))
-        w = rng.normal(size=(6, 4, 3, 3))
-        b = rng.normal(size=(6,))
-        for stride, padding in [(1, 0), (1, 1), (2, 1), ((1, 2), (1, 0))]:
-            expected = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-            got = kernels.conv2d(x, w, b, stride=stride, padding=padding)
-            np.testing.assert_array_equal(got, expected.data)
-
     def test_pad_nchw_matches_np_pad(self, rng):
         from repro.kernels.conv import pad_nchw
 
@@ -70,18 +61,19 @@ class TestIm2colIndexCache:
         from repro.kernels.conv import im2col_cache_clear, im2col_cache_info
 
         im2col_cache_clear()
-        weight = np.random.default_rng(0).normal(size=(4, 3, 3, 3))
-        outputs = {}
+        columns = {}
         for batch in (2, 7, 16):
             x = np.random.default_rng(batch).normal(size=(batch, 3, 9, 9))
-            outputs[batch] = kernels.conv2d(x, weight, stride=1, padding=1)
+            columns[batch] = (x, kernels.im2col(x, (3, 3), (1, 1), (1, 1)))
         info = im2col_cache_info()
         assert info.misses == 1
         assert info.hits == 2
         assert info.currsize == 1
-        # And the shared indices computed the right thing at every batch.
-        for batch, out in outputs.items():
-            assert out.shape == (batch, 4, 9, 9)
+        # And the shared indices gathered the right columns at every batch.
+        for batch, (x, (cols, _, out_h, out_w)) in columns.items():
+            expected, _, _ = kernels.im2col_slices(x, (3, 3), (1, 1), (1, 1))
+            assert cols.shape == (batch, 27, 81) and (out_h, out_w) == (9, 9)
+            np.testing.assert_array_equal(cols, expected)
 
 
 class TestPoolKernels:
@@ -134,13 +126,6 @@ class TestPoolKernels:
 
 
 class TestOtherKernels:
-    def test_linear(self, rng):
-        x = rng.normal(size=(5, 7))
-        w = rng.normal(size=(4, 7))
-        b = rng.normal(size=(4,))
-        expected = F.linear(Tensor(x), Tensor(w), Tensor(b))
-        np.testing.assert_allclose(kernels.linear(x, w, b), expected.data)
-
     def test_batch_norm_matches_module_eval(self, rng):
         from repro import nn
         from repro.tensor import no_grad
@@ -161,9 +146,8 @@ class TestOtherKernels:
 
     def test_activations_match_tensor_ops(self, rng):
         x = rng.normal(size=(3, 6))
-        np.testing.assert_allclose(kernels.relu(x), Tensor(x).relu().data)
-        np.testing.assert_allclose(kernels.relu6(x * 4), Tensor(x * 4).clamp(0.0, 6.0).data)
         np.testing.assert_allclose(kernels.sigmoid(x), Tensor(x).sigmoid().data)
-        np.testing.assert_allclose(kernels.tanh(x), Tensor(x).tanh().data)
-        np.testing.assert_allclose(kernels.softmax(x), F.softmax(Tensor(x)).data)
-        np.testing.assert_allclose(kernels.log_softmax(x), F.log_softmax(Tensor(x)).data)
+        np.testing.assert_allclose(kernels.clamp(x * 4, 0.0, 6.0),
+                                   Tensor(x * 4).clamp(0.0, 6.0).data)
+        np.testing.assert_allclose(kernels.clamp(x, max_value=0.5),
+                                   Tensor(x).clamp(None, 0.5).data)

@@ -3,7 +3,7 @@
 Two conv lowerings split a batch differently from the reference:
 
 * ``im2col_batched`` multiplies a whole batch's columns in one GEMM where
-  every other lowering runs one GEMM per sample.  Its ``applies``
+  every other lowering runs one GEMM per sample.  Its admission
   predicate is static -- geometry only, no probe -- and admits only
   shapes where both calls take the same OpenBLAS path, so the two sum
   every output in the same order, and only maps of fewer than
@@ -46,10 +46,10 @@ from repro.runtime.variants import (
     BATCHED_MAX_PIXELS,
     BATCHED_MIN_MACS,
     KernelDesc,
+    admitted_variants,
     column_block,
-    heuristic_choice,
     run_conv,
-    variants_for,
+    served_variant,
 )
 
 CENSUS_PATH = Path(__file__).resolve().parents[2] / "docs" / "variant_census.json"
@@ -58,14 +58,13 @@ BATCHES = range(1, 17)
 
 
 def _batched(desc: KernelDesc) -> bool:
-    (variant,) = [v for v in variants_for("conv2d") if v.name == "im2col_batched"]
-    return variant.applies(desc)
+    return "im2col_batched" in admitted_variants(desc)
 
 
 def _conv(x_shape, out_channels, kernel=(3, 3), stride=(1, 1), padding=(1, 1)):
     return KernelDesc(
-        op="conv2d", x_shape=x_shape, kernel_size=kernel, stride=stride,
-        padding=padding, out_channels=out_channels,
+        x_shape=x_shape, kernel_size=kernel, stride=stride, padding=padding,
+        out_channels=out_channels,
     )
 
 
@@ -80,7 +79,7 @@ class TestPredicate:
             _conv((336, 4, 4), 336),                  # mobilenetv2 x1.0 at 4x4
         ):
             assert _batched(desc), desc
-            assert heuristic_choice(desc) == "im2col_batched"
+            assert served_variant(desc) == "im2col_batched"
 
     def test_rejects_maps_of_1024_pixels_and_more(self):
         # resnet20's stage-1 conv and mobilenetv2 x0.35's 48-channel one:
@@ -88,7 +87,7 @@ class TestPredicate:
         assert BATCHED_MAX_PIXELS == 1024
         for desc in (_conv((16, 32, 32), 16), _conv((48, 32, 32), 48)):
             assert not _batched(desc), desc
-            assert heuristic_choice(desc) == "im2col_slices"
+            assert served_variant(desc) == "im2col_slices"
         # The limit is sharp: 16 x 63 = 1008 pixels fold, 16 x 64 do not.
         assert _batched(_conv((16, 16, 63), 16))
         assert not _batched(_conv((16, 16, 64), 16))
@@ -99,7 +98,7 @@ class TestPredicate:
         desc = _conv((960, side, side), 960)
         assert 960 * 960 * 9 * side * side > BATCHED_MIN_MACS
         assert not _batched(desc)
-        assert heuristic_choice(desc) == "im2col_slices"
+        assert served_variant(desc) == "im2col_slices"
 
     def test_rejects_per_sample_gemms_at_or_below_the_small_matrix_cutoff(self):
         # 5x5 over 25 channels, 64 pixels: 25 * 625 * 64 = 10**6 exactly.
@@ -114,21 +113,21 @@ class TestPredicate:
     def test_rejects_pointwise_convs(self):
         pointwise = _conv((256, 16, 16), 256, kernel=(1, 1), padding=(0, 0))
         assert not _batched(pointwise)
-        assert heuristic_choice(pointwise) == "gemm_1x1"
+        assert served_variant(pointwise) == "gemm_1x1"
         # A strided 1x1 is not gemm_1x1's; it may fold when large enough.
         assert _batched(_conv((256, 32, 32), 256, kernel=(1, 1), stride=(2, 2),
                               padding=(0, 0)))
 
 
 def _parse_conv_signature(signature: str) -> KernelDesc:
-    op, *fields = signature.split("|")
+    _, *fields = signature.split("|")
     values = dict(field.split("=", 1) for field in fields)
 
     def pair(text):
         return tuple(int(part) for part in text.split("x"))
 
     return KernelDesc(
-        op=op, x_shape=pair(values["x"]), kernel_size=pair(values["k"]),
+        x_shape=pair(values["x"]), kernel_size=pair(values["k"]),
         stride=pair(values["s"]), padding=pair(values["p"]),
         out_channels=int(values["co"]),
     )
@@ -211,10 +210,10 @@ def _block(desc: KernelDesc) -> int:
     return column_block(desc.x_shape, desc.kernel_size, out_hw)
 
 
-#: Census sites the heuristic runs as ``im2col_slices`` whose columns at
+#: Census sites served as ``im2col_slices`` whose columns at
 #: the largest batch span more than one block.
 BLOCKED_SITES = _census_geometries(
-    lambda desc: heuristic_choice(desc) == "im2col_slices" and _block(desc) < BATCHES[-1]
+    lambda desc: served_variant(desc) == "im2col_slices" and _block(desc) < BATCHES[-1]
 )
 
 
@@ -254,7 +253,7 @@ def test_column_blocks_are_bitwise_at_every_batch(x_shape, out_channels, kernel,
 
 def test_conv_never_holds_the_batch_columns():
     # mobilenetv2 x0.35's 48-channel 32x32 conv at the served batch, as a
-    # plan step runs it: the heuristic's variant into a preallocated output.
+    # plan step runs it: the served variant into a preallocated output.
     batch, x_shape, out_channels = 16, (48, 32, 32), 48
     desc = _conv(x_shape, out_channels)
     rng = np.random.default_rng(0)
@@ -264,7 +263,7 @@ def test_conv_never_holds_the_batch_columns():
     batch_columns = x.itemsize * batch * 48 * 9 * 32 * 32  # 54 MiB
     tracemalloc.start()
     try:
-        run_conv(heuristic_choice(desc), x, weight, (3, 3), (1, 1), (1, 1), out=out)
+        run_conv(served_variant(desc), x, weight, (3, 3), (1, 1), (1, 1), out=out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,7 +18,6 @@ from repro.models.registry import available_models
 from repro.nn import AvgPool2d, Conv2d, MaxPool2d, Sequential
 from repro.quant import export_quantized_model, load_into_model
 from repro.runtime import (
-    DEFAULT_PASSES,
     ExecutionPlan,
     PlanCompileError,
     compile_plan,
@@ -27,11 +26,6 @@ from repro.runtime import (
 from repro.runtime.plan import ConvStep, ElementwiseStep, LinearStep
 from repro.tensor import Tensor, graph_nodes_created, no_grad
 from zoo import MODEL_CONFIGS, build as _build
-
-
-def _without(name):
-    """The default pipeline minus one pass."""
-    return tuple(p for p in DEFAULT_PASSES if p != name)
 
 
 def test_every_registry_model_has_a_config():
@@ -141,12 +135,13 @@ class TestPlanStructure:
     def test_batch_norm_folds_into_conv(self):
         model, shape = _build("tiny_convnet")
         fused = compile_plan(model, shape)
-        unfused = compile_plan(model, shape, passes=_without("fuse_affine"))
+        unfused = compile_plan(model, shape, optimize=False)
         assert fused.num_steps < unfused.num_steps
         # Folding BN absorbs its affine chain into the conv as in-place
         # post-ops (replayed byte-exactly, not collapsed into the weights).
         conv_steps = [s for s in fused.steps if isinstance(s, ConvStep)]
         assert all(s.post for s in conv_steps)
+        assert not any(s.post for s in unfused.steps if isinstance(s, ConvStep))
         x = np.random.default_rng(3).normal(size=(2,) + shape)
         np.testing.assert_array_equal(fused.run(x), unfused.run(x))
 
@@ -259,14 +254,14 @@ class TestPlanExecutionContract:
             param.data = param.data + 1.0
         np.testing.assert_array_equal(plan.run(x), before)
 
-    @pytest.mark.parametrize("fuse_affine", [True, False])
-    def test_snapshot_survives_in_place_mutation(self, fuse_affine):
-        # Folded constants include reshape/transpose *views* of parameters;
-        # the plan must copy them, so even in-place writes (which defeat the
-        # rebinding check above) cannot reach a compiled plan.
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_snapshot_survives_in_place_mutation(self, optimize):
+        # Folded constants include reshape/transpose *views* of parameters,
+        # and the reference plan's constants are the parameters themselves;
+        # the plan must copy both, so even in-place writes (which defeat
+        # the rebinding check above) cannot reach a compiled plan.
         model, shape = _build("tiny_convnet")
-        passes = DEFAULT_PASSES if fuse_affine else _without("fuse_affine")
-        plan = compile_plan(model, shape, passes=passes)
+        plan = compile_plan(model, shape, optimize=optimize)
         x = np.random.default_rng(4).normal(size=(2,) + shape)
         before = plan.run(x)
         for param in model.parameters():

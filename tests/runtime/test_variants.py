@@ -1,15 +1,15 @@
-"""Kernel variant registry: byte-exactness of every variant, everywhere.
+"""Conv variants: byte-exactness of every variant, everywhere.
 
-The admission rule under test: for every registered conv variant and every
-geometry its ``applies`` predicate accepts, the variant's output is
-**bitwise identical** to the reference implementation -- for float weights
-and for quantised integer-code weights alike, and whether or not the weight
-was packed.  The sweep runs each variant over edge-case shapes (1x1 conv,
+The admission rule under test: for every conv variant and every geometry
+where ``admitted_variants`` lists it, the variant's output is **bitwise
+identical** to the reference implementation -- for float weights and for
+quantised integer-code weights alike, and whether or not the weight was
+packed.  The sweep runs each variant over edge-case shapes (1x1 conv,
 stride > 1, padding, batch of one, one output pixel or channel, batches
 that ``im2col_slices`` splits into blocks of columns) rather than just the
 friendly defaults.
 
-The census tests hold the registry to its evidence: every non-reference
+The census tests hold the variants to their evidence: every non-reference
 variant must win some signature in ``docs/variant_census.json`` by more
 than race noise (regenerate it with ``tools/variant_census.py``), and every
 site the census raced must still compile to the variants it recorded there
@@ -29,16 +29,12 @@ from repro.quant import export_quantized_model
 from repro.runtime import blas, compile_plan, compile_quantized_plan
 from repro.runtime.executor import ConvStep, LinearStep
 from repro.runtime.variants import (
+    CONV_VARIANTS,
     KernelDesc,
-    KernelVariant,
-    applicable_variants,
-    available_variants,
+    admitted_variants,
     column_block,
-    heuristic_choice,
-    reference_variant,
-    register_variant,
     run_conv,
-    variants_for,
+    served_variant,
 )
 from zoo import build
 
@@ -96,8 +92,8 @@ def _conv_weights(out_channels, x_shape, kernel):
 
 def _conv_desc(x_shape, out_channels, kernel, stride, padding):
     return KernelDesc(
-        op="conv2d", x_shape=x_shape, kernel_size=kernel, stride=stride,
-        padding=padding, out_channels=out_channels,
+        x_shape=x_shape, kernel_size=kernel, stride=stride, padding=padding,
+        out_channels=out_channels,
     )
 
 
@@ -111,14 +107,14 @@ def test_conv_variants_bitwise_identical(label, x_shape, cout, kernel, stride, p
         # int8 case); every variant, the reference included, then runs
         # over the packed weight the lowering hands it.
         reference = run_conv("im2col", x, weight, kernel, stride, padding)
-        admitted = applicable_variants(desc)
-        assert admitted[0].name == "im2col"
+        admitted = admitted_variants(desc)
+        assert admitted[0] == "im2col"
         packed = kernels.pack_weight_matrix(weight)
         for variant in admitted:
-            produced = run_conv(variant.name, x, packed, kernel, stride, padding)
+            produced = run_conv(variant, x, packed, kernel, stride, padding)
             np.testing.assert_array_equal(
                 produced, np.asarray(reference),
-                err_msg=f"{label}/{tag}: conv2d.{variant.name} changed bytes",
+                err_msg=f"{label}/{tag}: conv2d.{variant} changed bytes",
             )
 
 
@@ -128,8 +124,8 @@ def test_conv_edge_cases_exercise_every_variant():
     admitted = set()
     for _, x_shape, cout, kernel, stride, padding, _ in CONV_CASES:
         desc = _conv_desc(x_shape, cout, kernel, stride, padding)
-        admitted.update(v.name for v in applicable_variants(desc))
-    assert admitted == set(available_variants()["conv2d"])
+        admitted.update(admitted_variants(desc))
+    assert admitted == set(CONV_VARIANTS)
     # im2col_slices' column blocks: one sample each (large_spatial), and
     # several samples ending in a part-full block (column_blocks).
     blocks = set()
@@ -153,41 +149,31 @@ def test_linear_over_the_packed_weight_is_bitwise_identical(weight_dtype):
     np.testing.assert_array_equal(x @ kernels.pack_weight_matrix(weight), x @ weight)
 
 
-class TestRegistry:
-    def test_reference_is_first_registered(self):
-        assert reference_variant("conv2d") == "im2col"
+class TestSelector:
+    def test_the_four_conv_variants_reference_first(self):
+        assert CONV_VARIANTS == ("im2col", "im2col_slices", "im2col_batched", "gemm_1x1")
 
-    def test_only_conv2d_has_variants(self):
-        assert available_variants() == {
-            "conv2d": ("im2col", "im2col_slices", "im2col_batched", "gemm_1x1"),
-        }
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_variant(KernelVariant(
-                op="conv2d", name="im2col", applies=lambda d: True,
-                rank=0, description="dup",
-            ))
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="unknown op"):
-            register_variant(KernelVariant(
-                op="softmax", name="x", applies=lambda d: True,
-                rank=0, description="",
-            ))
+    def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown conv2d variant"):
             run_conv("nope", np.zeros((1, 1, 2, 2)), np.zeros((1, 1)),
                      (1, 1), (1, 1), (0, 0))
 
     def test_heuristic_prefers_gemm_for_1x1(self):
-        desc = KernelDesc(op="conv2d", x_shape=(16, 8, 8), kernel_size=(1, 1),
-                          stride=(1, 1), padding=(0, 0), out_channels=8)
-        assert heuristic_choice(desc) == "gemm_1x1"
+        desc = _conv_desc((16, 8, 8), 8, (1, 1), (1, 1), (0, 0))
+        assert served_variant(desc) == "gemm_1x1"
+        assert admitted_variants(desc) == ("im2col", "gemm_1x1")
 
     def test_heuristic_prefers_slices_for_spatial_kernels(self):
-        desc = KernelDesc(op="conv2d", x_shape=(3, 8, 8), kernel_size=(3, 3),
-                          stride=(1, 1), padding=(1, 1), out_channels=4)
-        assert heuristic_choice(desc) == "im2col_slices"
+        desc = _conv_desc((3, 8, 8), 4, (3, 3), (1, 1), (1, 1))
+        assert served_variant(desc) == "im2col_slices"
+        assert admitted_variants(desc) == ("im2col", "im2col_slices")
+
+    def test_served_variant_is_admitted_at_every_edge_case(self):
+        for _, x_shape, cout, kernel, stride, padding, _ in CONV_CASES:
+            desc = _conv_desc(x_shape, cout, kernel, stride, padding)
+            admitted = admitted_variants(desc)
+            assert admitted[0] == "im2col"
+            assert served_variant(desc) == admitted[-1]
 
     @pytest.mark.parametrize("x_shape,kernel,padding,variant", [
         ((8, 6, 6), (1, 1), (0, 0), "gemm_1x1"),
@@ -199,17 +185,11 @@ class TestRegistry:
         # One filter row makes each sample's GEMM a vector-matrix product,
         # which sums in an order set by the columns' memory layout.
         def desc(out_channels):
-            return KernelDesc(op="conv2d", x_shape=x_shape, kernel_size=kernel,
-                              stride=(1, 1), padding=padding, out_channels=out_channels)
+            return _conv_desc(x_shape, out_channels, kernel, (1, 1), padding)
 
-        assert heuristic_choice(desc(2)) == variant
-        assert [v.name for v in applicable_variants(desc(1))] == ["im2col"]
-
-    def test_every_variant_has_metadata(self):
-        for op, names in available_variants().items():
-            for variant in variants_for(op):
-                assert variant.description
-                assert variant.name in names
+        assert served_variant(desc(2)) == variant
+        assert admitted_variants(desc(1)) == ("im2col",)
+        assert served_variant(desc(1)) == "im2col"
 
 
 class TestCompiledPlanVariants:
@@ -306,20 +286,16 @@ class TestCensus:
 
     def test_every_non_reference_variant_wins_a_signature(self, census):
         won = self.won(census)
-        for op, names in available_variants().items():
-            for name in names:
-                if name == reference_variant(op):
-                    continue  # references stay: every variant is tested against them
-                assert (op, name) in won, (
-                    f"{op}.{name} wins no signature in the census by more than "
-                    f"the displace margin; delete it or show where it wins "
-                    f"(tools/variant_census.py)"
-                )
+        # The reference stays: every variant is tested against it.
+        for name in CONV_VARIANTS[1:]:
+            assert ("conv2d", name) in won, (
+                f"conv2d.{name} wins no signature in the census by more than "
+                f"the displace margin; delete it or show where it wins "
+                f"(tools/variant_census.py)"
+            )
 
     def test_census_names_only_registered_variants(self, census):
-        registered = {
-            (op, name) for op, names in available_variants().items() for name in names
-        }
+        registered = {("conv2d", name) for name in CONV_VARIANTS}
         named = set()
         for row in census["signatures"].values():
             named.add((row["op"], row["heuristic"]))
@@ -362,7 +338,7 @@ class TestCensus:
         for step in plan.steps:
             if isinstance(step, ConvStep):
                 desc = KernelDesc(
-                    op="conv2d", x_shape=tuple(ctx.env[step.x].shape[1:]),
+                    x_shape=tuple(ctx.env[step.x].shape[1:]),
                     kernel_size=tuple(step.kernel_size), stride=tuple(step.stride),
                     padding=tuple(step.padding), out_channels=step.out_channels,
                 )
@@ -379,8 +355,8 @@ class TestCensus:
                                           err_msg=f"batch {batch}")
 
     def test_signature_distinguishes_geometry_and_bits(self, tool):
-        base = dict(op="conv2d", x_shape=(3, 8, 8), kernel_size=(3, 3),
-                    stride=(1, 1), padding=(1, 1), out_channels=4)
+        base = dict(x_shape=(3, 8, 8), kernel_size=(3, 3), stride=(1, 1),
+                    padding=(1, 1), out_channels=4)
         signatures = {tool.signature(KernelDesc(**base), "int8", 8)}
         for mutation in (
             {"stride": (2, 2)}, {"padding": (0, 0)},
@@ -402,9 +378,8 @@ class TestCensus:
         }
         assert raced["modes"] == census["modes"] == ["numpy"]
         assert raced["displace_margin"] == census["displace_margin"] == 0.05
-        assert raced["variants"] == census["variants"] == {
-            op: list(names) for op, names in available_variants().items()
-        }
+        assert raced["variants"] == census["variants"] == {"conv2d": list(CONV_VARIANTS)}
+        assert raced["references"] == census["references"] == {"conv2d": "im2col"}
         assert raced["host"]["blas_threads"] == blas.current_threads()
         for row in raced["signatures"].values():
             assert row["op"] == "conv2d"
@@ -416,6 +391,4 @@ class TestCensus:
             assert mode["picks"][pick] == 1
             assert pick in mode["candidates"]
             assert set(mode["median_margin"]) == {pick}
-        assert self.won(raced) <= set(
-            ("conv2d", name) for name in available_variants()["conv2d"]
-        )
+        assert self.won(raced) <= {("conv2d", name) for name in CONV_VARIANTS}

@@ -368,21 +368,13 @@ class TestPlanInspectCommand:
         assert cli.run_plan_inspect(self._argv(export_path, "--no-optimize")) == 0
         assert "passes=[]" in capsys.readouterr().out
 
-    def test_explicit_pass_subset(self, export_path, capsys):
-        argv = self._argv(export_path, "--passes", "fold_constants,select_kernels")
-        assert cli.run_plan_inspect(argv) == 0
-        out = capsys.readouterr().out
-        assert "pass fold_constants:" in out and "pass fuse_affine:" not in out
-
-    def test_pass_names_tolerate_whitespace(self, export_path, capsys):
-        argv = self._argv(export_path, "--passes", "fold_constants, select_kernels")
-        assert cli.run_plan_inspect(argv) == 0
-        assert "pass select_kernels:" in capsys.readouterr().out
-
-    def test_unknown_pass_rejected(self, export_path, capsys):
-        argv = self._argv(export_path, "--passes", "loop_unrolling")
-        assert cli.run_plan_inspect(argv) == 2
-        assert "plan-inspect failed" in capsys.readouterr().err
+    def test_pass_list_option_is_gone(self, tmp_path, capsys):
+        # The pipeline is fixed: --no-optimize is the one way to change it.
+        argv = self._argv(str(tmp_path / "absent.npz"), "--passes", "fold_constants")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run_plan_inspect(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --passes" in capsys.readouterr().err
 
     def test_missing_export_rejected(self, tmp_path, capsys):
         argv = self._argv(str(tmp_path / "absent.npz"))
@@ -518,14 +510,9 @@ class TestPlanInspectVariants:
         assert "im2col_slices" in out
         assert "(heuristic)" not in out
 
-    @pytest.mark.parametrize("pipeline", [
-        ["--no-optimize"],
-        ["--passes", "fold_constants,fuse_affine"],
-    ], ids=["no_optimize", "without_select_kernels"])
-    def test_every_conv_keeps_the_reference_without_selection(self, export_path, capsys,
-                                                              pipeline):
+    def test_every_conv_keeps_the_reference_without_selection(self, export_path, capsys):
         argv = [export_path, "--model", "tiny_convnet", "--in-channels", "1",
-                "--image-size", "12", "--steps", *pipeline]
+                "--image-size", "12", "--steps", "--no-optimize"]
         assert cli.run_plan_inspect(argv) == 0
         out = capsys.readouterr().out
         listing = out.split("kernel variants:\n", 1)[1].split("\n\n", 1)[0]

@@ -1,27 +1,29 @@
 """Census of conv-variant races: which variant runs fastest, where.
 
-A kernel variant earns its place in :mod:`repro.runtime.variants` only if
+A conv variant earns its place in :mod:`repro.runtime.variants` only if
 it wins somewhere this system runs.  This tool compiles every registry
 model at the shapes the CLI and the perfbench workloads use, at fp32 and
-8, 4 and 2 bits, with the heuristic kernel selection the runtime ships, and
-runs each plan step by step on a batch of :data:`RACE_BATCH` probe samples.
-At every conv step it races every applicable conv variant on that step's
-real input, through :func:`repro.runtime.variants.run_conv`:
+8, 4 and 2 bits, as the runtime serves it, and runs each plan step by step
+on a batch of :data:`RACE_BATCH` probe samples.  At every conv step it
+races every variant :func:`~repro.runtime.variants.admitted_variants`
+lists there on that step's real input, through
+:func:`repro.runtime.variants.run_conv`:
 
     PYTHONPATH=src python tools/variant_census.py
     PYTHONPATH=src python tools/variant_census.py --out census.json
 
 Every call site is raced :data:`RUNS` times.  A race times each candidate
 :data:`WARMUP` time untimed, then :data:`REPEATS` times, and keeps its best
-time.  The fastest candidate is the race's pick, unless the heuristic's
-variant is within :data:`DISPLACE_MARGIN` of it: then the heuristic's
-variant is kept, with a negative margin.  Per kernel signature the output
-records the candidates, the heuristic pick, how often each variant was
-picked, and the median margin of the pick over the runner-up.  The host
-block records the OpenBLAS thread count the races ran at.  The default
-output is ``docs/variant_census.json``, which the test-suite checks: every
-non-reference registered variant must win at least one signature in it, as
-the majority pick by a median margin above ``DISPLACE_MARGIN``.
+time.  The fastest candidate is the race's pick, unless the served
+variant (recorded as the ``heuristic``) is within :data:`DISPLACE_MARGIN`
+of it: then the served variant is kept, with a negative margin.  Per
+kernel signature the output records the candidates, the served variant,
+how often each variant was picked, and the median margin of the pick over
+the runner-up.  The host block records the OpenBLAS thread count the races
+ran at.  The default output is ``docs/variant_census.json``, which the
+test-suite checks: every non-reference variant must win at least one
+signature in it, as the majority pick by a median margin above
+``DISPLACE_MARGIN``.
 """
 
 from __future__ import annotations
@@ -44,13 +46,7 @@ from repro.models import available_models, build_model
 from repro.quant import export_quantized_model
 from repro.runtime import blas, compile_plan, compile_quantized_plan
 from repro.runtime.executor import ConvStep
-from repro.runtime.variants import (
-    KernelDesc,
-    applicable_variants,
-    available_variants,
-    reference_variant,
-    run_conv,
-)
+from repro.runtime.variants import CONV_VARIANTS, KernelDesc, admitted_variants, run_conv
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "docs" / "variant_census.json"
 
@@ -67,9 +63,9 @@ RACE_BATCH = 16
 WARMUP = 1
 REPEATS = 3
 
-#: Relative speedup a candidate must show over the heuristic's variant to
+#: Relative speedup a candidate must show over the served variant to
 #: be the pick.  Races are a handful of timed repeats, so near-ties are
-#: noise: within the margin the heuristic's variant is kept.
+#: noise: within the margin the served variant is kept.
 DISPLACE_MARGIN = 0.05
 
 #: The one race mode (conv variants run through numpy's BLAS).
@@ -110,7 +106,7 @@ def census_configs() -> List[Tuple[str, str, float, Tuple[int, ...]]]:
 def signature(desc: KernelDesc, weight_dtype: str, bits: int) -> str:
     """The conv call site's key: geometry, stored weight dtype and bitwidth."""
     return "|".join((
-        desc.op,
+        "conv2d",
         "x=" + "x".join(str(dim) for dim in desc.x_shape),
         f"k={desc.kernel_size[0]}x{desc.kernel_size[1]}",
         f"s={desc.stride[0]}x{desc.stride[1]}",
@@ -136,14 +132,14 @@ def _race(step: ConvStep, x: np.ndarray) -> Optional[dict]:
     """Race every conv variant admitted at ``step`` on its input ``x``;
     ``None`` where only the reference is admitted."""
     desc = KernelDesc(
-        op="conv2d", x_shape=tuple(x.shape[1:]), kernel_size=tuple(step.kernel_size),
+        x_shape=tuple(x.shape[1:]), kernel_size=tuple(step.kernel_size),
         stride=tuple(step.stride), padding=tuple(step.padding),
         out_channels=step.out_channels,
     )
     # The reference applies everywhere, and so does im2col_slices or
     # gemm_1x1 wherever the conv has more than one output channel (every
     # registry model's do).
-    candidates = [variant.name for variant in applicable_variants(desc)]
+    candidates = list(admitted_variants(desc))
     if len(candidates) == 1:
         return None
     out_h, out_w = kernels.conv_output_hw(
@@ -158,14 +154,14 @@ def _race(step: ConvStep, x: np.ndarray) -> Optional[dict]:
         ))
         for name in candidates
     }
-    incumbent = step.variant  # the heuristic's pick, as the plan ships it
+    incumbent = step.variant  # the served variant, as the plan ships it
     pick = min(times, key=times.get)
     if pick != incumbent and times[pick] >= times[incumbent] * (1.0 - DISPLACE_MARGIN):
         pick = incumbent
     others = [seconds for name, seconds in times.items() if name != pick]
     return {
         "signature": signature(desc, str(step.weight_matrix.dtype), step.bits),
-        "op": desc.op,
+        "op": "conv2d",
         "candidates": sorted(candidates),
         "heuristic": incumbent,
         "pick": pick,
@@ -275,8 +271,8 @@ def record(entries: Dict[str, dict], configs) -> dict:
             "numpy": np.__version__,
             "blas_threads": blas.current_threads(),
         },
-        "variants": {op: list(names) for op, names in available_variants().items()},
-        "references": {op: reference_variant(op) for op in available_variants()},
+        "variants": {"conv2d": list(CONV_VARIANTS)},
+        "references": {"conv2d": CONV_VARIANTS[0]},
         "summary": summary,
         "signatures": signatures,
     }
