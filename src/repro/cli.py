@@ -5,6 +5,10 @@ Two entry points (also exposed as console scripts in ``pyproject.toml``):
 ``repro-train``
     Train one model with one precision strategy on one of the built-in
     workload scales, optionally saving the history (JSON) and a checkpoint.
+    The summary's ``energy=`` and ``memory=`` ratios come from the analytic
+    cost model (labelled ``modelled``); the ``blas threads=`` line and the
+    process's ``peak rss=`` (its ``ru_maxrss`` high-water mark, everything
+    the process did so far included) are measured.
 
     .. code-block:: bash
 
@@ -195,6 +199,17 @@ class _BlasThreads(Callback):
         return f"blas threads={threads}  (forward MACs/step {self.step_macs:.2e} {verdict})"
 
 
+def _peak_rss_line() -> str:
+    """The process's measured peak resident set size, from ``getrusage``."""
+    try:
+        import resource
+    except ImportError:  # not a POSIX host
+        return "peak rss=n/a  (measured: no getrusage on this platform)"
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    mib = peak / 2**20 if sys.platform == "darwin" else peak / 1024  # bytes vs KiB
+    return f"peak rss={mib:.1f} MiB  (measured: ru_maxrss, the whole process's high-water mark)"
+
+
 def run_train(argv: Optional[Sequence[str]] = None) -> int:
     args = build_train_parser().parse_args(argv)
     scale = get_scale(args.scale)
@@ -222,9 +237,11 @@ def run_train(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"\nstrategy={strategy.describe()}  final acc={history.final_test_accuracy:.3f}  "
         f"best acc={history.best_test_accuracy:.3f}  "
-        f"energy={result.normalised_energy:.3f}x fp32  memory={result.normalised_memory:.3f}x fp32"
+        f"energy={result.normalised_energy:.3f}x fp32 (modelled)  "
+        f"memory={result.normalised_memory:.3f}x fp32 (modelled)"
     )
     print(blas_threads.describe())
+    print(_peak_rss_line())
 
     if args.history_out:
         path = save_history(history, args.history_out)

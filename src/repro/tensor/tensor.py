@@ -2,8 +2,9 @@
 
 The :class:`Tensor` class wraps a ``numpy.ndarray`` and records a dynamic
 computation graph as operations are applied.  Calling :meth:`Tensor.backward`
-on a scalar result walks the graph in reverse topological order and
-accumulates gradients into every tensor created with ``requires_grad=True``.
+on a scalar result walks the graph in reverse topological order,
+accumulates gradients into every tensor created with ``requires_grad=True``
+and releases each interior node as soon as backprop has passed it.
 
 The design goals are, in order:
 
@@ -140,6 +141,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released_backward(grad: np.ndarray) -> None:
+    """The closure of a node whose backward has run (see :meth:`Tensor.backward`)."""
+    raise RuntimeError(
+        "backward through a graph that an earlier backward() already released; "
+        "recompute the forward pass to differentiate it again"
+    )
+
+
 class Tensor:
     """A numpy-backed tensor with reverse-mode autograd.
 
@@ -150,7 +159,8 @@ class Tensor:
         another :class:`Tensor`, whose buffer is shared).
     requires_grad:
         When ``True`` the tensor participates in gradient computation and its
-        ``.grad`` attribute is populated by :meth:`backward`.
+        ``.grad`` attribute is populated by :meth:`backward` (which keeps it
+        only on leaves: operation results drop theirs once used).
     name:
         Optional human-readable label used in debugging and in the hardware
         accounting layer.
@@ -258,7 +268,18 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+        """Run reverse-mode autodiff from this tensor, releasing the tape.
+
+        Gradients accumulate into every leaf that requires them (parameters
+        and ``requires_grad`` inputs: tensors with no backward closure), as
+        before.  The graph is consumed on the way: as soon as an interior
+        node's backward has run, its ``grad``, its closure and its parent
+        links are dropped, so the activations and saved columns the closure
+        kept die once backprop has passed them, not when the next step
+        replaces the graph.  Interior nodes therefore hold no ``.grad``
+        afterwards (their ``.data`` is untouched).  A backward that reaches
+        a released node raises :class:`RuntimeError`; calling it again on
+        the same result does so before any leaf's gradient changes.
 
         Parameters
         ----------
@@ -294,9 +315,17 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate_grad(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Pop rather than iterate, so the list stops holding a node (and the
+        # arrays it keeps) once its backward has run.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _released_backward
+            node._parents = ()
 
     # ------------------------------------------------------------------ #
     # Arithmetic

@@ -8,7 +8,10 @@ method being compared.
 
 A fit whose steps are too small for OpenBLAS to split (fewer forward
 multiply-adds per step than :data:`ONE_BLAS_THREAD_BELOW_MACS`) runs BLAS on
-one thread; larger fits keep the process's count.
+one thread; larger fits keep the process's count.  Every fit also fixes the
+process's glibc allocator thresholds (:mod:`repro.train.allocator`), so the
+memory ``Tensor.backward`` releases during a step stays in the process for
+the next step instead of being returned to the kernel and faulted back in.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.nn.loss import CrossEntropyLoss, Loss
 from repro.nn.module import Module
 from repro.optim.lr_scheduler import LRScheduler
 from repro.tensor import Tensor, no_grad
+from repro.train.allocator import apply_allocator_policy
 from repro.train.callbacks import Callback
 from repro.train.history import EpochRecord, TrainingHistory
 from repro.train.metrics import RunningAverage, accuracy
@@ -212,7 +216,15 @@ class Trainer:
         ``WorkerPool`` (an adaptation job) runs the pool's workers on one
         BLAS thread as well until the fit ends; then they return to their
         fitted count.
+
+        The fit first applies :func:`repro.train.allocator.apply_allocator_policy`,
+        so the tape that ``loss.backward()`` releases as it runs is reused by
+        the next step rather than returned to the kernel and faulted back
+        in.  Unlike the BLAS ceiling the policy is not undone when the fit
+        returns: it persists for the rest of the process (a no-op without
+        glibc's ``mallopt``).
         """
+        apply_allocator_policy()
         self.step_macs = self._step_macs()
         claim = None
         if self.step_macs is not None and self.step_macs < ONE_BLAS_THREAD_BELOW_MACS:

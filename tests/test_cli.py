@@ -40,6 +40,18 @@ class TestTrainCommand:
         assert lines[0].endswith(ending)
         assert library == counts
 
+    def test_labels_modelled_figures_and_reports_measured_peak_rss(self, capsys):
+        cli.run_train(["--scale", "smoke", "--strategy", "apt", "--epochs", "1", "--quiet"])
+        lines = capsys.readouterr().out.splitlines()
+        summary = next(row for row in lines if row.startswith("strategy="))
+        assert "x fp32 (modelled)  memory=" in summary
+        assert summary.endswith("x fp32 (modelled)")
+        blas_row = next(i for i, row in enumerate(lines) if row.startswith("blas threads="))
+        rss = lines[blas_row + 1]
+        assert rss.startswith("peak rss=")
+        assert rss.endswith(" MiB  (measured: ru_maxrss, the whole process's high-water mark)")
+        assert float(rss.split("=")[1].split()[0]) > 0
+
     def test_fixed_strategy_with_bits(self, capsys):
         exit_code = cli.run_train(
             ["--scale", "smoke", "--strategy", "fixed", "--bits", "8", "--epochs", "1", "--quiet"]

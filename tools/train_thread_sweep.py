@@ -8,8 +8,10 @@ of sides: OpenBLAS at the count it loaded with, and OpenBLAS capped at one
 thread through the budget's ceiling
 (``repro.runtime.blas.reserve(1, ceiling=1)``, what a capped
 ``Trainer.fit`` holds).  The pair order alternates so drift on a shared
-host hits both sides alike.  Each side reports wall time and process CPU
-time (all threads) per step:
+host hits both sides alike.  Like ``Trainer.fit``, the sweep first applies
+the process's allocator policy (``repro.train.allocator``), so its steps
+reuse the memory each backward releases instead of faulting it back in.
+Each side reports wall time and process CPU time (all threads) per step:
 
     PYTHONPATH=src python tools/train_thread_sweep.py
     PYTHONPATH=src python tools/train_thread_sweep.py --strategy fp32 --only resnet20
@@ -37,6 +39,7 @@ from repro.nn.loss import CrossEntropyLoss
 from repro.optim.sgd import SGD
 from repro.runtime import blas
 from repro.tensor import Tensor
+from repro.train.allocator import apply_allocator_policy
 
 #: (model, width multiplier, input shape, batch size), by forward MACs per step.
 CONFIGS: Tuple[Tuple[str, float, Tuple[int, ...], int], ...] = (
@@ -118,6 +121,7 @@ def main(argv: List[str]) -> int:
                         help="precision strategy the steps train under (default apt)")
     parser.add_argument("--only", default=None, help="run only configs of this model")
     args = parser.parse_args(argv)
+    apply_allocator_policy()
     loaded = blas.current_threads()
     probe = blas.reserve(1, ceiling=1)
     capped_count = blas.current_threads()
