@@ -6,9 +6,11 @@ Two entry points (also exposed as console scripts in ``pyproject.toml``):
     Train one model with one precision strategy on one of the built-in
     workload scales, optionally saving the history (JSON) and a checkpoint.
     The summary's ``energy=`` and ``memory=`` ratios come from the analytic
-    cost model (labelled ``modelled``); the ``blas threads=`` line and the
-    process's ``peak rss=`` (its ``ru_maxrss`` high-water mark, everything
-    the process did so far included) are measured.
+    cost model (labelled ``modelled``); the ``blas threads=`` line, the
+    ``step threads=`` line (2 when each step splits its batch over the
+    fit's thread and a helper, else 1 and why) and the process's ``peak
+    rss=`` (its ``ru_maxrss`` high-water mark, everything the process did so
+    far included) are measured.
 
     .. code-block:: bash
 
@@ -180,13 +182,16 @@ def build_train_parser() -> argparse.ArgumentParser:
 
 
 class _BlasThreads(Callback):
-    """Reads the BLAS thread count the fit runs at, and its per-step MACs."""
+    """Reads the BLAS thread count the fit runs at, its per-step MACs, and
+    the threads each of its steps runs on."""
 
     def on_train_begin(self, trainer) -> None:
         from repro.runtime import blas
 
         self.threads = blas.current_threads()
         self.step_macs = trainer.step_macs
+        self.step_threads = trainer.step_threads
+        self.step_threads_reason = trainer.step_threads_reason
 
     def describe(self) -> str:
         threads = "n/a" if self.threads is None else self.threads
@@ -197,6 +202,9 @@ class _BlasThreads(Callback):
         else:
             verdict = f">= {ONE_BLAS_THREAD_BELOW_MACS:.1e}: the process's count"
         return f"blas threads={threads}  (forward MACs/step {self.step_macs:.2e} {verdict})"
+
+    def describe_step(self) -> str:
+        return f"step threads={self.step_threads}  ({self.step_threads_reason})"
 
 
 def _peak_rss_line() -> str:
@@ -241,6 +249,7 @@ def run_train(argv: Optional[Sequence[str]] = None) -> int:
         f"memory={result.normalised_memory:.3f}x fp32 (modelled)"
     )
     print(blas_threads.describe())
+    print(blas_threads.describe_step())
     print(_peak_rss_line())
 
     if args.history_out:

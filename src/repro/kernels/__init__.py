@@ -16,9 +16,12 @@ Layout convention matches the rest of the library: image tensors are NCHW.
 
 from repro.kernels.conv import (
     IM2COL_INDEX_CACHE_SIZE,
+    add_columns,
     as_pair,
+    checked_output_hw,
     col2im,
     conv_output_hw,
+    copy_columns,
     im2col,
     im2col_batched,
     im2col_cache_clear,
@@ -38,6 +41,8 @@ from repro.kernels.pool import (
     max_pool2d,
     max_pool2d_cols,
     max_pool2d_gather,
+    max_pool2d_offsets,
+    max_pool2d_offsets_backward,
     pool_tiled_applicable,
 )
 from repro.kernels.activations import clamp, sigmoid
@@ -51,8 +56,11 @@ __all__ = [
     "im2col",
     "im2col_slices",
     "im2col_batched",
+    "copy_columns",
     "col2im",
+    "add_columns",
     "conv_output_hw",
+    "checked_output_hw",
     "matmul_cols",
     "pack_weight_matrix",
     "pad_nchw",
@@ -60,6 +68,8 @@ __all__ = [
     "max_pool2d",
     "max_pool2d_cols",
     "max_pool2d_gather",
+    "max_pool2d_offsets",
+    "max_pool2d_offsets_backward",
     "avg_pool2d",
     "avg_pool2d_cols",
     "avg_pool2d_gather",

@@ -62,7 +62,7 @@ def im2col_indices(
     """
     kernel_h, kernel_w = kernel_size
     stride_h, stride_w = stride
-    out_h, out_w = _checked_output_hw(
+    out_h, out_w = checked_output_hw(
         channels, height, width, kernel_size, stride, padding
     )
 
@@ -106,7 +106,7 @@ def conv_output_hw(
     return out_h, out_w
 
 
-def _checked_output_hw(
+def checked_output_hw(
     channels: int,
     height: int,
     width: int,
@@ -114,7 +114,8 @@ def _checked_output_hw(
     stride: Tuple[int, int],
     padding: Tuple[int, int],
 ) -> Tuple[int, int]:
-    """:func:`conv_output_hw`, raising when the output would be empty."""
+    """:func:`conv_output_hw`, raising ``ValueError`` when the output would be
+    empty."""
     out_h, out_w = conv_output_hw(height, width, kernel_size, stride, padding)
     if out_h <= 0 or out_w <= 0:
         raise ValueError(
@@ -213,16 +214,35 @@ def im2col_slices(
     """
     batch, channels, height, width = array.shape
     kernel_h, kernel_w = kernel_size
-    out_h, out_w = _checked_output_hw(
+    out_h, out_w = checked_output_hw(
         channels, height, width, kernel_size, stride, padding
     )
     padded = pad_nchw(array, padding[0], padding[1])
     cols = np.empty(
         (batch, channels * kernel_h * kernel_w, out_h * out_w), dtype=padded.dtype
     )
-    view = cols.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
-    _copy_windows(view, padded, kernel_size, stride, out_h, out_w)
+    copy_columns(padded, cols, kernel_size, stride)
     return cols, out_h, out_w
+
+
+def copy_columns(
+    padded: np.ndarray,
+    cols: np.ndarray,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+) -> None:
+    """Fill ``cols`` with the columns of the already padded ``padded``.
+
+    ``padded`` is ``(batch, C, H, W)`` and ``cols`` the C-contiguous
+    ``(batch, C*kh*kw, out_h*out_w)`` buffer :func:`im2col_slices` builds,
+    written by ``kh*kw`` strided slice copies.  Each sample's columns depend
+    on that sample alone, so filling a range of samples at a time writes
+    the same bytes.
+    """
+    batch, channels, height, width = padded.shape
+    out_h, out_w = conv_output_hw(height, width, kernel_size, stride, (0, 0))
+    view = cols.reshape(batch, channels, kernel_size[0], kernel_size[1], out_h, out_w)
+    _copy_windows(view, padded, kernel_size, stride, out_h, out_w)
 
 
 def im2col_batched(
@@ -242,7 +262,7 @@ def im2col_batched(
     """
     batch, channels, height, width = array.shape
     kernel_h, kernel_w = kernel_size
-    out_h, out_w = _checked_output_hw(
+    out_h, out_w = checked_output_hw(
         channels, height, width, kernel_size, stride, padding
     )
     padded = pad_nchw(array, padding[0], padding[1])
@@ -273,12 +293,33 @@ def col2im(
     bitwise the same, without the scatter.
     """
     batch, channels, height, width = input_shape
+    pad_h, pad_w = padding
+    padded = np.empty((batch, channels, height + 2 * pad_h, width + 2 * pad_w), dtype=cols.dtype)
+    add_columns(cols, padded, kernel_size, stride)
+    if pad_h == 0 and pad_w == 0:
+        return padded
+    return padded[:, :, pad_h : pad_h + height, pad_w : pad_w + width]
+
+
+def add_columns(
+    cols: np.ndarray,
+    padded: np.ndarray,
+    kernel_size: Tuple[int, int],
+    stride: Tuple[int, int],
+) -> None:
+    """Zero ``padded`` and add ``cols`` back into it: :func:`col2im`'s scatter.
+
+    ``padded`` is the ``(batch, C, H, W)`` padded input, ``cols`` holds
+    ``batch`` samples' ``(C*kh*kw, out_h*out_w)`` columns.  Each sample's
+    pixels sum that sample's columns alone, so scattering a range of
+    samples at a time computes the same bits.
+    """
+    batch, channels, height, width = padded.shape
     kernel_h, kernel_w = kernel_size
     stride_h, stride_w = stride
-    pad_h, pad_w = padding
-    out_h, out_w = conv_output_hw(height, width, kernel_size, stride, padding)
-    padded = np.zeros((batch, channels, height + 2 * pad_h, width + 2 * pad_w), dtype=cols.dtype)
+    out_h, out_w = conv_output_hw(height, width, kernel_size, stride, (0, 0))
     view = cols.reshape(batch, channels, kernel_h, kernel_w, out_h, out_w)
+    padded.fill(0.0)
     for di in range(kernel_h):
         for dj in range(kernel_w):
             padded[
@@ -286,9 +327,6 @@ def col2im(
                 di : di + (out_h - 1) * stride_h + 1 : stride_h,
                 dj : dj + (out_w - 1) * stride_w + 1 : stride_w,
             ] += view[:, :, di, dj]
-    if pad_h == 0 and pad_w == 0:
-        return padded
-    return padded[:, :, pad_h : pad_h + height, pad_w : pad_w + width]
 
 
 def matmul_cols(

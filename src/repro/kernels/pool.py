@@ -78,6 +78,66 @@ def pool_tiled_applicable(
     )
 
 
+def max_pool2d_offsets(
+    x: np.ndarray, kernel: Tuple[int, int], out: np.ndarray, offsets: np.ndarray
+) -> None:
+    """Tiled max pooling that also records where each window's maximum sits.
+
+    Only valid when :func:`pool_tiled_applicable` holds (stride == kernel,
+    dividing the input).  ``out`` (``(N, C, H/kh, W/kw)``) gets the maxima
+    :func:`max_pool2d` computes, by the same ``np.maximum`` over the same
+    strided views, and ``offsets`` (same shape, an unsigned integer dtype)
+    the row-major offset ``di*kw + dj`` of each window's first maximum, the
+    first NaN winning: what ``argmax`` over the gathered windows returns.
+    Every window lies in one sample, so pooling a range of samples at a
+    time writes the same bytes.
+    """
+    kernel_h, kernel_w = kernel
+    batch, channels, height, width = x.shape
+    view = x.reshape(batch, channels, height // kernel_h, kernel_h, width // kernel_w, kernel_w)
+    np.copyto(out, view[:, :, :, 0, :, 0])
+    offsets.fill(0)
+    greater = np.empty(out.shape, dtype=bool)
+    candidate = np.empty(offsets.shape, dtype=offsets.dtype)
+    for offset in range(1, kernel_h * kernel_w):
+        window = view[:, :, :, offset // kernel_w, :, offset % kernel_w]
+        # Strictly greater, so a tie keeps the earlier offset; offsets only
+        # grow, so the new one is the larger of it and the kept one.
+        np.greater(window, out, out=greater)
+        np.multiply(greater, offsets.dtype.type(offset), out=candidate)
+        np.maximum(offsets, candidate, out=offsets)
+        np.maximum(out, window, out=out)
+    if out.size and np.isnan(out.max()):
+        # A window's maximum is NaN exactly when it holds one; argmax picks
+        # the first, so walk the offsets backwards.
+        for offset in reversed(range(kernel_h * kernel_w)):
+            window = view[:, :, :, offset // kernel_w, :, offset % kernel_w]
+            np.copyto(offsets, offset, where=np.isnan(window))
+
+
+def max_pool2d_offsets_backward(
+    grad: np.ndarray, offsets: np.ndarray, kernel: Tuple[int, int], grad_input: np.ndarray
+) -> None:
+    """Scatter ``grad`` to the offsets :func:`max_pool2d_offsets` recorded.
+
+    ``grad_input`` (the ``(N, C, H, W)`` input's shape) becomes ``0.0 +
+    grad`` at each window's recorded offset and ``0.0`` elsewhere: the sums
+    ``col2im`` makes from columns holding each gradient at its argmax and
+    zeros around it.  The windows tile the input, so every pixel is
+    written once, one kernel offset at a time.
+    """
+    kernel_h, kernel_w = kernel
+    batch, channels, height, width = grad_input.shape
+    view = grad_input.reshape(
+        batch, channels, height // kernel_h, kernel_h, width // kernel_w, kernel_w
+    )
+    summed = np.add(0.0, grad)
+    hit = np.empty(offsets.shape, dtype=bool)
+    for offset in range(kernel_h * kernel_w):
+        np.equal(offsets, offset, out=hit)
+        view[:, :, :, offset // kernel_w, :, offset % kernel_w] = np.where(hit, summed, 0.0)
+
+
 def max_pool2d_gather(
     x: np.ndarray, kernel_size: IntPair, stride: Optional[IntPair] = None
 ) -> np.ndarray:

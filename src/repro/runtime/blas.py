@@ -11,9 +11,12 @@ workers over a 2-thread OpenBLAS served *slower* than one.  So each
 component that runs kernels concurrently -- the serving ``WorkerPool``
 and every experiment-orchestrator worker process -- :func:`reserve`\\ s
 its number of concurrent compute threads.  A claim may also carry a
-``ceiling``: ``Trainer.fit`` holds ``reserve(1, ceiling=1)`` for a fit whose
+``ceiling``: ``Trainer.fit`` holds ``reserve(2, ceiling=1)`` for a fit whose
 per-step GEMMs are too small to split (see ``repro.train.trainer``), where a
 second BLAS thread doubles CPU time for a few percent of wall time at most.
+The fit claims two compute threads because it splits each step's
+per-sample work over its own thread and one helper (``repro.tensor.split``)
+when the claim finds a CPU for each (:attr:`Reservation.has_cpus`).
 Reservations add up across the process; while any is held OpenBLAS runs
 ``min(loaded, max(1, usable_cpus() // reserved), lowest held ceiling)``
 threads, and the last release restores the loaded count.  The count changes
@@ -141,6 +144,8 @@ class Reservation:
     (``None``: no limit of its own).  ``blas_threads`` is OpenBLAS's thread
     count right after the claim was taken -- the count the claimant's
     compute threads run at -- or ``None`` when the count cannot be read.
+    ``has_cpus`` says whether, with this claim taken, the process's
+    reserved compute threads were no more than its usable CPUs.
     """
 
     def __init__(
@@ -149,10 +154,12 @@ class Reservation:
         threads: int,
         ceiling: Optional[int],
         blas_threads: Optional[int],
+        has_cpus: bool,
     ):
         self.threads = threads
         self.ceiling = ceiling
         self.blas_threads = blas_threads
+        self.has_cpus = has_cpus
         self._budget = budget
         self.released = False
 
@@ -205,7 +212,9 @@ class ThreadBudget:
             if ceiling is not None:
                 self._ceilings.append(ceiling)
             self._apply()
-            return Reservation(self, threads, ceiling, self._current())
+            return Reservation(
+                self, threads, ceiling, self._current(), self._reserved <= self._cpus
+            )
 
     def current(self) -> Optional[int]:
         """OpenBLAS's thread count now (``None`` when it cannot be read)."""

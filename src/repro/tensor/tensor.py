@@ -28,6 +28,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from repro.tensor import split
+
 ArrayLike = Union[float, int, list, tuple, np.ndarray, "Tensor"]
 
 
@@ -262,10 +264,22 @@ class Tensor:
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
+        previous = self.grad
+        # ``grad.copy()`` or ``previous + grad``, a range of samples per
+        # thread while a fit has the split on.
+        if previous is None:
+            total = np.empty(grad.shape, dtype=grad.dtype)
+
+            def accumulate(part) -> None:
+                np.copyto(total[part], grad[part])
         else:
-            self.grad = self.grad + grad
+            total = np.empty(grad.shape, dtype=np.result_type(previous, grad))
+
+            def accumulate(part) -> None:
+                np.add(previous[part], grad[part], out=total[part])
+
+        split.rows(grad.shape[0] if grad.ndim else 1, accumulate, total.size)
+        self.grad = total
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode autodiff from this tensor, releasing the tape.

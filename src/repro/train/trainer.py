@@ -8,10 +8,13 @@ method being compared.
 
 A fit whose steps are too small for OpenBLAS to split (fewer forward
 multiply-adds per step than :data:`ONE_BLAS_THREAD_BELOW_MACS`) runs BLAS on
-one thread; larger fits keep the process's count.  Every fit also fixes the
-process's glibc allocator thresholds (:mod:`repro.train.allocator`), so the
-memory ``Tensor.backward`` releases during a step stays in the process for
-the next step instead of being returned to the kernel and faulted back in.
+one thread; larger fits keep the process's count.  A fit on one BLAS thread
+splits each step's per-sample work over its own thread and one helper
+(:mod:`repro.tensor.split`) when the process has a CPU for each.  Every fit
+also fixes the process's glibc allocator settings
+(:mod:`repro.train.allocator`), so the memory ``Tensor.backward`` releases
+during a step stays in the process for the next step instead of being
+returned to the kernel and faulted back in.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.hardware.profile import profile_model
 from repro.nn.loss import CrossEntropyLoss, Loss
 from repro.nn.module import Module
 from repro.optim.lr_scheduler import LRScheduler
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, no_grad, split
 from repro.train.allocator import apply_allocator_policy
 from repro.train.callbacks import Callback
 from repro.train.history import EpochRecord, TrainingHistory
@@ -117,6 +120,10 @@ class Trainer:
         #: Forward multiply-adds of one full training batch, set by
         #: :meth:`fit` (``None`` until then, or when it cannot be sized).
         self.step_macs: Optional[int] = None
+        #: Threads a training step of the last :meth:`fit` ran on (2 with the
+        #: batch split, else 1) and why (``None`` until the first fit).
+        self.step_threads: Optional[int] = None
+        self.step_threads_reason: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -204,36 +211,63 @@ class Trainer:
         """Train for ``epochs`` epochs (default: the config value).
 
         When a step's forward multiply-adds (:attr:`step_macs`) fall below
-        :data:`ONE_BLAS_THREAD_BELOW_MACS`, the fit holds a one-thread
-        ceiling on the process's BLAS thread budget
-        (:func:`repro.runtime.blas.reserve`) from before ``on_train_begin``
-        until it returns or raises; larger fits leave the count alone.  An
-        explicit ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` still wins.
-        The bench and bench_cifar fits train byte-identically under the
-        ceiling and at the loaded count
-        (``tests/train/test_blas_ceiling_bits.py``).  The count is
-        process-wide, so a capped fit beside a started serving
-        ``WorkerPool`` (an adaptation job) runs the pool's workers on one
-        BLAS thread as well until the fit ends; then they return to their
-        fitted count.
+        :data:`ONE_BLAS_THREAD_BELOW_MACS`, the fit holds a claim of two
+        compute threads with a one-thread ceiling on the process's BLAS
+        thread budget (``repro.runtime.blas.reserve(2, ceiling=1)``) from
+        before ``on_train_begin`` until it returns or raises; larger fits
+        leave the count alone.  An explicit ``OPENBLAS_NUM_THREADS`` /
+        ``OMP_NUM_THREADS`` still wins.  The count is process-wide, so a
+        capped fit beside a started serving ``WorkerPool`` (an adaptation
+        job) runs the pool's workers on one BLAS thread as well until the
+        fit ends; then they return to their fitted count.
+
+        When OpenBLAS runs one thread for the fit (under the ceiling, or
+        because the environment sets one thread, for which a larger fit
+        claims two threads without a ceiling) and the claim finds a CPU for
+        each of its threads (``Reservation.has_cpus``: not beside a started
+        ``WorkerPool`` or inside an orchestrator worker on two CPUs), the
+        fit turns on :mod:`repro.tensor.split` for its thread until it
+        returns or raises: each step's per-sample kernels run half the
+        batch on a helper thread.  :attr:`step_threads` and
+        :attr:`step_threads_reason` say which way the fit ran.  Training is
+        byte-identical under the ceiling, at the loaded count, and split or
+        not (``tests/train/test_blas_ceiling_bits.py``,
+        ``tests/tensor/test_batch_split.py``).
 
         The fit first applies :func:`repro.train.allocator.apply_allocator_policy`,
         so the tape that ``loss.backward()`` releases as it runs is reused by
         the next step rather than returned to the kernel and faulted back
-        in.  Unlike the BLAS ceiling the policy is not undone when the fit
+        in, and the helper's freed blocks stay in the main heap.  Unlike
+        the BLAS claim and the split, the policy is not undone when the fit
         returns: it persists for the rest of the process (a no-op without
         glibc's ``mallopt``).
         """
         apply_allocator_policy()
         self.step_macs = self._step_macs()
+        # Imported here, so that importing repro.train does not load the runtime.
+        from repro.runtime import blas
+
         claim = None
         if self.step_macs is not None and self.step_macs < ONE_BLAS_THREAD_BELOW_MACS:
-            # Imported here: a fit that is not capped never loads the runtime.
-            from repro.runtime import blas
-
-            claim = blas.reserve(1, ceiling=1)
+            claim = blas.reserve(2, ceiling=1)
+        elif blas.current_threads() == 1:
+            claim = blas.reserve(2)
+        blas_threads = claim.blas_threads if claim is not None else blas.current_threads()
+        if blas_threads != 1:
+            self.step_threads = 1
+            self.step_threads_reason = (
+                "OpenBLAS's thread count is unknown" if blas_threads is None
+                else f"OpenBLAS runs {blas_threads} threads"
+            )
+        elif not claim.has_cpus:
+            self.step_threads = 1
+            self.step_threads_reason = "the thread budget holds no CPU for a second thread"
+        else:
+            self.step_threads = 2
+            self.step_threads_reason = "batch split: per-sample work on the fit's thread and a helper"
         try:
-            return self._fit(epochs)
+            with split.active(self.step_threads == 2):
+                return self._fit(epochs)
         finally:
             if claim is not None:
                 claim.release()

@@ -19,26 +19,39 @@ class TestTrainCommand:
         assert "APT" in out
 
     @pytest.mark.parametrize(
-        "scale, environ, threads, ending, counts",
+        "scale, environ, threads, ending, counts, step",
         [
-            ("smoke", {}, 1, "capped at one thread)", [4, 1, 4]),
-            ("bench", {}, 1, "capped at one thread)", [4, 1, 4]),
+            ("smoke", {}, 1, "capped at one thread)", [4, 1, 4],
+             "step threads=2  (batch split: per-sample work on the fit's thread and a helper)"),
+            ("bench", {}, 1, "capped at one thread)", [4, 1, 4],
+             "step threads=2  (batch split: per-sample work on the fit's thread and a helper)"),
             ("smoke", {"OPENBLAS_NUM_THREADS": "4"}, 4,
-             "capped at one thread, overridden by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS)", [4]),
+             "capped at one thread, overridden by OPENBLAS_NUM_THREADS / OMP_NUM_THREADS)", [4],
+             "step threads=1  (OpenBLAS runs 4 threads)"),
         ],
     )
     def test_reports_the_blas_threads_the_fit_ran_at(
-        self, capsys, monkeypatch, scale, environ, threads, ending, counts
+        self, capsys, monkeypatch, scale, environ, threads, ending, counts, step
     ):
         library = [4]  # a 4-thread library on 4 CPUs; each set appends
         budget = blas.ThreadBudget((lambda: library[-1], library.append), cpus=4, environ=environ)
         monkeypatch.setattr(blas, "_BUDGET", budget)
         cli.run_train(["--scale", scale, "--strategy", "apt", "--epochs", "1", "--quiet"])
-        lines = [row for row in capsys.readouterr().out.splitlines() if "blas threads=" in row]
+        out = capsys.readouterr().out.splitlines()
+        lines = [row for row in out if "blas threads=" in row]
         assert len(lines) == 1
         assert lines[0].startswith(f"blas threads={threads}  (forward MACs/step ")
         assert lines[0].endswith(ending)
         assert library == counts
+        assert out[out.index(lines[0]) + 1] == step
+
+    def test_reports_a_fit_without_a_cpu_for_the_helper_as_unsplit(self, capsys, monkeypatch):
+        library = [1]  # a one-CPU host: the fit's two threads would share it
+        budget = blas.ThreadBudget((lambda: library[-1], library.append), cpus=1, environ={})
+        monkeypatch.setattr(blas, "_BUDGET", budget)
+        cli.run_train(["--scale", "smoke", "--strategy", "apt", "--epochs", "1", "--quiet"])
+        lines = capsys.readouterr().out.splitlines()
+        assert "step threads=1  (the thread budget holds no CPU for a second thread)" in lines
 
     def test_labels_modelled_figures_and_reports_measured_peak_rss(self, capsys):
         cli.run_train(["--scale", "smoke", "--strategy", "apt", "--epochs", "1", "--quiet"])
@@ -47,7 +60,8 @@ class TestTrainCommand:
         assert "x fp32 (modelled)  memory=" in summary
         assert summary.endswith("x fp32 (modelled)")
         blas_row = next(i for i, row in enumerate(lines) if row.startswith("blas threads="))
-        rss = lines[blas_row + 1]
+        assert lines[blas_row + 1].startswith("step threads=")
+        rss = lines[blas_row + 2]
         assert rss.startswith("peak rss=")
         assert rss.endswith(" MiB  (measured: ru_maxrss, the whole process's high-water mark)")
         assert float(rss.split("=")[1].split()[0]) > 0

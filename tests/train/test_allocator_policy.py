@@ -4,7 +4,8 @@
 glibc returns that memory to the kernel and the next step faults it back
 in (a median ~1.4K minor faults per ``bench`` step, ~7.6K per
 ``bench_cifar`` step, on a 2-vCPU Xeon with glibc 2.36).  With it, the
-median step past the first epoch takes none.
+median step past the first epoch takes none, with the batch split on
+(``repro.tensor.split``) or off.
 """
 
 import json
@@ -46,6 +47,7 @@ class Faults(Callback):
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
     def on_train_begin(self, trainer):
+        self.step_threads = trainer.step_threads
         inner = trainer.optimizer.step
         self.mark = self._faults()
 
@@ -64,17 +66,24 @@ class Faults(Callback):
 probe = Faults()
 run_strategy(build_workload(get_scale("bench")), build_strategy("apt", {{"metric_interval": 2}}),
              epochs=3, seed=21, callbacks=[probe])
-print(json.dumps(statistics.median(f for epoch, f in probe.steps if epoch >= 1)))
+print(json.dumps([statistics.median(f for epoch, f in probe.steps if epoch >= 1),
+                  probe.step_threads]))
 """
 
+#: Run in the probe's process, this makes every op of a split fit split.
+SPLIT_EVERY_OP = "from repro.tensor import split\nsplit.SPLIT_MIN_ELEMENTS = 0"
+#: Run in the probe's process, this keeps every op of a fit whole.
+SPLIT_NO_OP = "from repro.tensor import split\nsplit.SPLIT_MIN_ELEMENTS = float('inf')"
 
-def _median_faults_per_step(patch: str = "") -> float:
+
+def _probe(patch: str = ""):
+    """(median minor faults per step past the first epoch, the fit's step threads)."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _FIT_SCRIPT.format(patch=patch)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return tuple(json.loads(done.stdout.strip().splitlines()[-1]))
 
 
 def _tiny_trainer(blobs_loaders, small_mlp: MLP) -> Trainer:
@@ -109,11 +118,25 @@ class TestPolicy:
 
 @pytest.mark.skipif(not _GLIBC, reason="the policy is glibc's mallopt")
 def test_a_bench_fit_takes_no_page_faults_per_step():
-    assert _median_faults_per_step() <= MEDIAN_FAULTS_PER_STEP
+    assert _probe()[0] <= MEDIAN_FAULTS_PER_STEP
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the policy is glibc's mallopt")
+def test_a_split_bench_fit_takes_no_page_faults_per_step():
+    """The bound holds with every op of the fit split over two threads."""
+    faults, step_threads = _probe(SPLIT_EVERY_OP)
+    if step_threads != 2:
+        pytest.skip("the fit cannot split here (one CPU, or OpenBLAS not on one thread)")
+    assert faults <= MEDIAN_FAULTS_PER_STEP
 
 
 @pytest.mark.skipif(not _GLIBC, reason="the policy is glibc's mallopt")
 def test_the_probe_sees_faults_without_the_policy():
-    """The probe is not blind: release without the policy faults every step."""
-    off = "from repro.train import allocator\nallocator._mallopt = None"
-    assert _median_faults_per_step(off) > 4 * MEDIAN_FAULTS_PER_STEP
+    """The probe is not blind: release without the policy faults every step.
+
+    The fit keeps every op whole: without the policy a split fit's helper
+    thread gets a malloc arena of its own, which holds on to the blocks it
+    frees (the process grows instead of faulting).
+    """
+    off = "from repro.train import allocator\nallocator._mallopt = None\n" + SPLIT_NO_OP
+    assert _probe(off)[0] > 4 * MEDIAN_FAULTS_PER_STEP

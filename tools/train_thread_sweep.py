@@ -4,11 +4,12 @@ The sweep behind :data:`repro.train.trainer.ONE_BLAS_THREAD_BELOW_MACS`.
 For each configuration it trains one model on a fixed random batch with
 SGD under a precision strategy (APT with the CLI's defaults, or fp32),
 making the calls ``Trainer`` makes per step, and times alternating pairs
-of sides: OpenBLAS at the count it loaded with, and OpenBLAS capped at one
-thread through the budget's ceiling
-(``repro.runtime.blas.reserve(1, ceiling=1)``, what a capped
-``Trainer.fit`` holds).  The pair order alternates so drift on a shared
-host hits both sides alike.  Like ``Trainer.fit``, the sweep first applies
+of sides: OpenBLAS at the count it loaded with, and what a capped
+``Trainer.fit`` runs -- OpenBLAS capped at one thread through the
+budget's ceiling (``repro.runtime.blas.reserve(2, ceiling=1)``) with each
+step's batch split over two threads (``repro.tensor.split``) when the
+claim finds a CPU for each.  The pair order alternates so drift on a
+shared host hits both sides alike.  Like ``Trainer.fit``, the sweep first applies
 the process's allocator policy (``repro.train.allocator``), so its steps
 reuse the memory each backward releases instead of faulting it back in.
 Each side reports wall time and process CPU time (all threads) per step:
@@ -38,7 +39,7 @@ from repro.models import build_model
 from repro.nn.loss import CrossEntropyLoss
 from repro.optim.sgd import SGD
 from repro.runtime import blas
-from repro.tensor import Tensor
+from repro.tensor import Tensor, split
 from repro.train.allocator import apply_allocator_policy
 
 #: (model, width multiplier, input shape, batch size), by forward MACs per step.
@@ -59,13 +60,14 @@ SIDE_SECONDS = 2.5
 
 def _side(step, steps: int, capped: bool) -> Tuple[float, float]:
     """(wall ms, CPU ms) per step over ``steps`` steps."""
-    claim = blas.reserve(1, ceiling=1) if capped else None
+    claim = blas.reserve(2, ceiling=1) if capped else None
     try:
-        wall, cpu = time.perf_counter(), time.process_time()
-        for _ in range(steps):
-            step()
-        return ((time.perf_counter() - wall) * 1e3 / steps,
-                (time.process_time() - cpu) * 1e3 / steps)
+        with split.active(claim is not None and claim.has_cpus):
+            wall, cpu = time.perf_counter(), time.process_time()
+            for _ in range(steps):
+                step()
+            return ((time.perf_counter() - wall) * 1e3 / steps,
+                    (time.process_time() - cpu) * 1e3 / steps)
     finally:
         if claim is not None:
             claim.release()
@@ -123,17 +125,18 @@ def main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     apply_allocator_policy()
     loaded = blas.current_threads()
-    probe = blas.reserve(1, ceiling=1)
-    capped_count = blas.current_threads()
+    probe = blas.reserve(2, ceiling=1)
+    capped_count, splits = blas.current_threads(), probe.has_cpus
     probe.release()
     if loaded is None or capped_count == loaded:
         print(f"the budget cannot cap OpenBLAS here (loaded {loaded}, capped {capped_count}); "
               "unset OPENBLAS_NUM_THREADS / OMP_NUM_THREADS", file=sys.stderr)
         return 1
-    print(f"{args.strategy} steps; OpenBLAS threads: loaded {loaded}, capped 1; "
-          f"{args.pairs} alternating pairs")
-    print("| config | fwd MACs/step | steps/side | wall ms 1 thr | wall ms loaded "
-          "| wall 1/loaded (per pair) | CPU ms 1 thr | CPU ms loaded |")
+    capped_side = "1 thr + split" if splits else "1 thr"
+    print(f"{args.strategy} steps; OpenBLAS threads: loaded {loaded}, capped 1 "
+          f"({'batch split' if splits else 'no CPU for a split'}); {args.pairs} alternating pairs")
+    print(f"| config | fwd MACs/step | steps/side | wall ms {capped_side} | wall ms loaded "
+          f"| wall capped/loaded (per pair) | CPU ms {capped_side} | CPU ms loaded |")
     print("|---|---|---|---|---|---|---|---|")
     for name, width, shape, batch in CONFIGS:
         if args.only and name != args.only:
